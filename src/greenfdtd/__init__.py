@@ -39,7 +39,6 @@ from .greens import (
     make_coefficients,
     polarization,
     polarization_current_half_step,
-    polarization_half_step,
 )
 from .oracle import OdeTrace, direct_convolution_sum, green_rk4, polarization_rk4, smooth_drive_rk4
 

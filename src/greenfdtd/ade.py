@@ -15,6 +15,12 @@ half-step current the leapfrog consumes is the central difference
 (P^{N+1} - P^N)/dt.  Explicit and second order like the recursive
 Green-function update, so the two methods are structurally comparable.
 Stability requires wp*dt well below 2; no hard check is made.
+
+The functions here are the scalar (or one-pole ndarray) form; the grid
+solver steps all poles of a medium at once with the constants of
+`ade_coefficients`, in the same arithmetic order, so both give the same
+numbers bit for bit.  The update is real arithmetic throughout, so unlike
+the "tgm" path there is no realness check, at build time or per step.
 """
 
 from __future__ import annotations
@@ -37,21 +43,24 @@ class AdePoleState:
     p_now: float | np.ndarray = 0.0
     p_prev: float | np.ndarray = 0.0
 
-    @classmethod
-    def zeros(cls, n_cells: int) -> "AdePoleState":
-        return cls(np.zeros(n_cells), np.zeros(n_cells))
+
+def ade_coefficients(pole: LorentzPole, dt: float):
+    """Constants (a, b, k, d) of P^{N+1} = (a P^N - b P^{N-1} + k E^N) / d."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    wp2dt2 = (pole.omega_p * dt) ** 2
+    return (
+        2.0 - wp2dt2,
+        1.0 - pole.delta_p * dt,
+        EPS0 * pole.delta_eps * pole.omega_p**2 * dt * dt,
+        1.0 + pole.delta_p * dt,
+    )
 
 
 def ade_advance(state: AdePoleState, e_now, pole: LorentzPole, dt: float):
     """One explicit step; returns (new_state, p_next) with p_next = P^{N+1}."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    wp2dt2 = (pole.omega_p * dt) ** 2
-    p_next = (
-        (2.0 - wp2dt2) * state.p_now
-        - (1.0 - pole.delta_p * dt) * state.p_prev
-        + EPS0 * pole.delta_eps * pole.omega_p**2 * dt * dt * e_now
-    ) / (1.0 + pole.delta_p * dt)
+    a, b, k, d = ade_coefficients(pole, dt)
+    p_next = (a * state.p_now - b * state.p_prev + k * e_now) / d
     return AdePoleState(p_now=p_next, p_prev=state.p_now), p_next
 
 

@@ -11,7 +11,13 @@ vacuum reduces to the standard wave equation:
 The dispersive current dP/dt is evaluated at t_N + dt/2 by the selected
 updater ("tgm" recursive Green-function accumulators or "adem" two-level
 ADE history) after injecting E^N, and enters the E update like a current
-density; the leapfrog itself is unmodified.
+density; the leapfrog itself is unmodified.  Each dispersive medium must
+occupy one contiguous run of nodes; all its poles are stacked into one
+bank over that run.  A "tgm" bank keeps one complex accumulator per
+underdamped pole and two real-valued ones per overdamped pole; the
+branch symmetry this relies on (greens.check_branch_symmetry) is checked
+per pole when the Simulation is built, so the step itself carries no
+realness check.
 
 A Gaussian hard source pins node 0 while t < 2*t0; both end nodes then
 follow first-order Mur absorbing updates.  Optionally the last cells of
@@ -91,32 +97,74 @@ class Grid1D:
     dt: float
 
 
-class _TgmPole:
-    """Recursive Green-function state bound to a set of grid nodes."""
+class _TgmBank:
+    """`tgm` accumulators of all poles of a medium on the node run `nodes`,
+    one complex row per accumulator: F <- F*prop + inject*E^N, then the
+    half-step current j = sum over rows of Re(curr*F).
 
-    def __init__(self, node_idx, pole, dt):
-        self.idx = node_idx
-        self.pole = pole
-        self.coeffs = _greens.make_coefficients(pole, dt)
-        self.state = _greens.PoleState.zeros(len(node_idx))
+    An underdamped pole has one row, F+ with curr = 2 curr+, since real
+    drive keeps F- == conj(F+); an overdamped pole has two, F+ and F-,
+    whose coefficients and values are real.  greens.check_branch_symmetry
+    vouches for both when the bank is built.
+    """
 
-    def advance_and_current(self, e):
-        self.state = _greens.advance_state(self.state, e[self.idx], self.coeffs)
-        return _greens.polarization_current_half_step(self.state, self.coeffs)
+    def __init__(self, nodes, poles, dt):
+        rows = []
+        for pole in poles:
+            c = _greens.make_coefficients(pole, dt)
+            _greens.check_branch_symmetry(pole, c)
+            if pole.overdamped:
+                rows += [(c.prop_plus, c.inject_plus, c.curr_plus),
+                         (c.prop_minus, c.inject_minus, c.curr_minus)]
+            else:
+                rows.append((c.prop_plus, c.inject_plus, 2.0 * c.curr_plus))
+        self.nodes = nodes
+        self.rhs = slice(nodes.start - 1, nodes.stop - 1)
+        self._prop, self._inject, self._curr = (np.array(col)[:, None] for col in zip(*rows))
+        self._f = np.zeros((len(rows), nodes.stop - nodes.start), dtype=complex)
+        self._t = np.empty_like(self._f)
+        self.j = np.empty(self._f.shape[1])
+
+    def advance(self, e):
+        # operand order as in greens.advance_state and
+        # polarization_current_half_step: complex products round
+        # differently when their operands are swapped
+        f, t = self._f, self._t
+        f *= self._prop
+        np.multiply(self._inject, e[self.nodes], out=t)
+        f += t
+        np.multiply(self._curr, f, out=t)
+        np.add.reduce(t.real, axis=0, out=self.j)
 
 
-class _AdePole:
-    """ADE two-level state bound to a set of grid nodes."""
+class _AdeBank:
+    """`adem` two-level histories of all poles of a medium on the node run
+    `nodes`, one row per pole, stepped as in ade.ade_advance; the
+    half-step current j is the sum over poles of (P^{N+1} - P^N)/dt."""
 
-    def __init__(self, node_idx, pole, dt):
-        self.idx = node_idx
-        self.pole = pole
-        self.dt = dt
-        self.state = _ade.AdePoleState.zeros(len(node_idx))
+    def __init__(self, nodes, poles, dt):
+        self.nodes = nodes
+        self.rhs = slice(nodes.start - 1, nodes.stop - 1)
+        self._dt = dt
+        self._a, self._b, self._k, self._d = (
+            np.array(col)[:, None] for col in zip(*(_ade.ade_coefficients(p, dt) for p in poles)))
+        shape = (len(poles), nodes.stop - nodes.start)
+        self._p_now, self._p_prev, self._p_next = (np.zeros(shape) for _ in range(3))
+        self.j = np.empty(shape[1])
 
-    def advance_and_current(self, e):
-        self.state, _ = _ade.ade_advance(self.state, e[self.idx], self.pole, self.dt)
-        return _ade.ade_current_half_step(self.state, self.dt)
+    def advance(self, e):
+        # P^{N-1} is spent after its product, so its array is the scratch
+        p_now, p_prev, p_next = self._p_now, self._p_prev, self._p_next
+        np.multiply(self._a, p_now, out=p_next)
+        p_prev *= self._b
+        p_next -= p_prev
+        np.multiply(self._k, e[self.nodes], out=p_prev)
+        p_next += p_prev
+        p_next /= self._d
+        np.subtract(p_next, p_now, out=p_prev)
+        p_prev /= self._dt
+        np.add.reduce(p_prev, axis=0, out=self.j)
+        self._p_prev, self._p_now, self._p_next = p_now, p_next, p_prev
 
 
 class Simulation:
@@ -148,18 +196,30 @@ class Simulation:
             self._bm_lo = 1.0 - 0.5 * absorber_beta_m
             self._bm_hi = 1.0 / (1.0 + 0.5 * absorber_beta_m)
         self._dt_over_eps = grid.dt / (EPS0 * self.eps_inf_node[1:-1])
+        n = len(grid.e)
+        self._de = np.empty(n - 1)
+        self._rhs = np.empty(n - 2)
 
-        self._poles = []
+        # one stacked bank per dispersive medium on the interior nodes of
+        # its run; the end nodes' current is never used
+        self._banks = []
         if method is not None:
-            cls = _TgmPole if method == "tgm" else _AdePole
             for m, medium in enumerate(self.media):
                 if not medium.dispersive:
                     continue
                 idx = np.flatnonzero(grid.medium_index == m)
                 if len(idx) == 0:
                     continue
-                for pole in medium.poles:
-                    self._poles.append(cls(idx, pole, grid.dt))
+                if idx[-1] - idx[0] + 1 != len(idx):
+                    raise ValueError(
+                        f"medium {m} ({medium}) must cover one contiguous run of "
+                        f"nodes, got {len(idx)} nodes spread over {idx[0]}..{idx[-1]}"
+                    )
+                nodes = slice(max(int(idx[0]), 1), min(int(idx[-1]) + 1, n - 1))
+                if nodes.start >= nodes.stop:
+                    continue
+                bank = _TgmBank if method == "tgm" else _AdeBank
+                self._banks.append(bank(nodes, medium.poles, grid.dt))
 
     @property
     def time(self) -> float:
@@ -174,27 +234,37 @@ class Simulation:
         if self.source is not None and t < 2.0 * self.source.t0:
             self.grid.e[0] = source_value(self.source, t)
 
-    def _half_step_current(self):
-        if not self._poles:
-            return None
-        j = np.zeros(self.n_nodes)
-        for rec in self._poles:
-            j[rec.idx] += rec.advance_and_current(self.grid.e)
-        return j
-
     def step(self) -> None:
-        """Advance the grid by one dt (one full leapfrog cycle)."""
+        """Advance the grid by one dt (one full leapfrog cycle).
+
+        In place, in the operation order of
+            b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
+            e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
+                                            - sigma e[1:-1] - J)
+        so that a run without poles is bit-identical to plain Yee.
+        """
         g = self.grid
         e, b, dt, dx = g.e, g.b, g.dt, g.dx
+        de, rhs = self._de, self._rhs
         self._pin_source(self.time)
-        j_half = self._half_step_current()
+        for bank in self._banks:
+            bank.advance(e)
         e0_old, e1_old = e[0], e[1]
         en_old, enn_old = e[-1], e[-2]
-        b[:] = (b * self._bm_lo - (dt / dx) * (e[1:] - e[:-1])) * self._bm_hi
-        rhs = -(b[1:] - b[:-1]) / (MU0 * dx) - self.sigma_node[1:-1] * e[1:-1]
-        if j_half is not None:
-            rhs -= j_half[1:-1]
-        e[1:-1] += self._dt_over_eps * rhs
+        np.subtract(e[1:], e[:-1], out=de)
+        de *= dt / dx
+        b *= self._bm_lo
+        b -= de
+        b *= self._bm_hi
+        np.subtract(b[1:], b[:-1], out=rhs)
+        rhs /= -(MU0 * dx)  # (-x)/c == x/(-c) exactly
+        sigma_e = de[:-1]  # de is spent once b is updated
+        np.multiply(self.sigma_node[1:-1], e[1:-1], out=sigma_e)
+        rhs -= sigma_e
+        for bank in self._banks:
+            rhs[bank.rhs] -= bank.j
+        rhs *= self._dt_over_eps
+        e[1:-1] += rhs
         if self.boundary == "mur":
             e[0] = mur_update(e0_old, e1_old, e[1], dx, dt)
             e[-1] = mur_update(en_old, enn_old, e[-2], dx, dt)
@@ -206,16 +276,16 @@ class Simulation:
 
         Deterministic: identical configuration gives bit-identical series.
         """
-        nodes = [int(i) for i in probe_nodes]
+        nodes = np.array([int(i) for i in probe_nodes], dtype=np.intp)
         for i in nodes:
             if not 0 <= i < self.n_nodes:
                 raise ValueError(f"probe node {i} outside grid of {self.n_nodes} nodes")
         rec = np.empty((n_steps, len(nodes)))
-        for k in range(n_steps):
+        e = self.grid.e
+        for row in rec:
             self.step()
-            for c, i in enumerate(nodes):
-                rec[k, c] = self.grid.e[i]
-        return [ProbeSeries(i, rec[:, c].copy(), self.grid.dt) for c, i in enumerate(nodes)]
+            row[:] = e[nodes]
+        return [ProbeSeries(int(i), rec[:, c].copy(), self.grid.dt) for c, i in enumerate(nodes)]
 
 
 def probe_nodes_from_fractions(fractions, n_nodes: int) -> list:

@@ -17,6 +17,16 @@ t_N + dt/2 is what the leapfrog field update consumes.
 The scheme assumes a uniform dt: PoleCoefficients are baked for one step
 size and must be rebuilt if dt changes.  All functions accept scalar
 states or ndarray-valued states (one entry per grid cell) transparently.
+
+Under real drive the minus branch mirrors the plus branch: F- == conj(F+)
+for an underdamped pole, and both accumulators are real for an
+overdamped one.  The grid solver relies on this to keep one complex
+accumulator per underdamped pole (current 2 Re(curr+ F+)) and two
+real-valued ones per overdamped pole, and to drop the imaginary part of
+the current unchecked, so it checks the coefficients once per pole with
+`check_branch_symmetry` when it is built, not at every step.  The
+scalar evaluators below still check the imaginary residual of every
+value they return.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ class PoleCoefficients:
     prop_+/-    step propagators exp(i z+/- dt), |prop| <= 1 for delta_p >= 0
     inject_+/-  injection weights w+/- multiplying E^N, units s^2
     curr_+/-    half-step current weights i eps0 deps wp^2 z exp(i z dt/2)
-    pol_+/-     half-step polarization weights eps0 deps wp^2 exp(i z dt/2)
     """
 
     z_plus: complex
@@ -52,8 +61,6 @@ class PoleCoefficients:
     inject_minus: complex
     curr_plus: complex
     curr_minus: complex
-    pol_plus: complex
-    pol_minus: complex
     dt: float
     scale: float  # eps0 * delta_eps * omega_p^2
 
@@ -93,8 +100,6 @@ def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
         inject_minus=complex(inj_m),
         curr_plus=complex(1j * scale * zp * half_p),
         curr_minus=complex(1j * scale * zm * half_m),
-        pol_plus=complex(scale * half_p),
-        pol_minus=complex(scale * half_m),
         dt=dt,
         scale=scale,
     )
@@ -157,11 +162,26 @@ def polarization_current_half_step(state: PoleState, coeffs: PoleCoefficients):
     return _real_part(term_p, term_m, "polarization_current_half_step")
 
 
-def polarization_half_step(state: PoleState, coeffs: PoleCoefficients):
-    """P at t_N + dt/2 using the precomputed half-step phase factors."""
-    term_p = coeffs.pol_plus * state.f_plus
-    term_m = coeffs.pol_minus * state.f_minus
-    return _real_part(term_p, term_m, "polarization_half_step")
+def check_branch_symmetry(pole: LorentzPole, coeffs: PoleCoefficients) -> None:
+    """Raise RealnessError unless real drive keeps F- == conj(F+)
+    (underdamped pole) or both accumulators real (overdamped pole): the
+    minus-branch prop, inject and curr must be the conjugates of the plus
+    branch, or all six values real, within IMAG_RESIDUAL_RTOL."""
+    for name in ("prop", "inject", "curr"):
+        plus = getattr(coeffs, f"{name}_plus")
+        minus = getattr(coeffs, f"{name}_minus")
+        if pole.overdamped:
+            checks = [(f"{name}_plus real", abs(plus.imag), abs(plus)),
+                      (f"{name}_minus real", abs(minus.imag), abs(minus))]
+        else:
+            checks = [(f"{name}_minus == conj({name}_plus)",
+                       abs(minus - plus.conjugate()), abs(plus))]
+        for what, resid, scale in checks:
+            if not resid <= IMAG_RESIDUAL_RTOL * scale:
+                raise RealnessError(
+                    f"{pole}: needs {what}, residual {resid:.3e} exceeds "
+                    f"{IMAG_RESIDUAL_RTOL:.0e} of {scale:.3e}"
+                )
 
 
 def _real_part(term_p, term_m, what: str):

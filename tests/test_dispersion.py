@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenfdtd.dispersion import (
@@ -103,9 +103,17 @@ class TestPermittivity:
 
     @settings(max_examples=50, deadline=None)
     @given(poles(), st.floats(-5.0, 5.0))
+    @example(LorentzPole(1.0, 1e10, 0.0), 1.0)
+    @example(LorentzPole(1.0, 1e10, 0.0), -1.0)
     def test_conjugate_symmetry(self, pole, wr):
         m = Medium(eps_inf=2.0, poles=(pole,))
         w = wr * pole.omega_p
+        if pole.delta_p == 0.0 and w * w == pole.omega_p**2:
+            # undamped pole exactly at resonance: the documented divergence
+            for sign in (1.0, -1.0):
+                with pytest.raises(ResonanceError):
+                    permittivity(m, sign * w)
+            return
         assert permittivity(m, -w) == pytest.approx(
             permittivity(m, w).conjugate(), rel=1e-12, abs=1e-12
         )

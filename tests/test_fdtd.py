@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from greenfdtd import greens
+from greenfdtd.ade import AdePoleState, ade_advance, ade_current_half_step
 from greenfdtd.config import SimConfig, load_table1
 from greenfdtd.constants import C0, EPS0, MU0
 from greenfdtd.dispersion import LorentzPole, Medium
-from greenfdtd.errors import ValidationError
+from greenfdtd.errors import RealnessError, ValidationError
 from greenfdtd.fdtd import (
     GaussianSource,
+    Grid1D,
     Simulation,
     build_simulation,
     interface_node,
@@ -170,7 +173,7 @@ class TestEnergyAndStability:
     def test_leapfrog_reduces_to_plain_yee_without_poles(self):
         cfg = small_config(medium=Medium(eps_inf=2.0, sigma=0.0), steps=300)
         sim = build_simulation(cfg, method="tgm")
-        assert sim._poles == []
+        assert sim._banks == []
 
         # independent plain-Yee reference with the same layout
         n = cfg.n_grid
@@ -221,15 +224,18 @@ class TestBuilder:
 
     def test_vacuum_config_allocates_no_pole_states(self):
         sim = build_simulation(small_config())
-        assert sim._poles == []
+        assert sim._banks == []
 
     def test_pole_states_cover_medium_nodes(self):
+        # one bank on the medium's run up to the last updated node; the
+        # Mur node n-1 consumes no current
         cfg = small_config(medium=table1_like_medium())
-        sim = build_simulation(cfg)
-        assert len(sim._poles) == 1
-        idx = sim._poles[0].idx
-        assert idx[0] == interface_node(cfg.n_grid)
-        assert idx[-1] == cfg.n_grid - 1
+        for method in ("tgm", "adem"):
+            sim = build_simulation(cfg, method=method)
+            assert len(sim._banks) == 1
+            nodes = sim._banks[0].nodes
+            assert nodes == slice(interface_node(cfg.n_grid), cfg.n_grid - 1)
+            assert sim._banks[0].j.shape == (nodes.stop - nodes.start,)
 
     def test_cfl_violation_rejected(self):
         with pytest.raises(ValidationError, match="CFL"):
@@ -241,3 +247,125 @@ class TestBuilder:
 
     def test_probe_fraction_mapping(self):
         assert probe_nodes_from_fractions((0.25, 0.499, 0.75), 3000) == [750, 1497, 2249]
+
+
+def multipole_medium():
+    """Two underdamped poles and one overdamped pole, with conductivity."""
+    wp = 2 * math.pi * 20e9
+    return Medium(eps_inf=1.5, sigma=0.5, poles=(
+        LorentzPole(2.0, wp, 0.1 * wp),
+        LorentzPole(0.7, 2.6 * wp, 0.05 * wp),
+        LorentzPole(0.5, 0.8 * wp, 2.5 * 0.8 * wp),
+    ))
+
+
+def per_pole_reference(cfg, method, n_steps):
+    """E after every step of a leapfrog that updates each pole separately
+    through the scalar-API updaters (greens.advance_state and
+    polarization_current_half_step, or ade_advance), on the medium's nodes,
+    summing the currents into a zero array in pole order."""
+    n = cfg.n_grid
+    dx = cfg.system_length / (n - 1)
+    dt = cfg.cfl_factor * dx / C0
+    e = np.zeros(n)
+    b = np.zeros(n - 1)
+    idx = np.arange(interface_node(n), n)
+    epsr = np.ones(n)
+    epsr[idx] = cfg.medium.eps_inf
+    sigma = np.zeros(n)
+    sigma[idx] = cfg.medium.sigma
+    dt_over_eps = dt / (EPS0 * epsr[1:-1])
+    k_mur = (C0 * dt - dx) / (C0 * dt + dx)
+    if method == "tgm":
+        poles = [(p, greens.make_coefficients(p, dt), greens.PoleState()) for p in cfg.medium.poles]
+    else:
+        poles = [(p, None, AdePoleState()) for p in cfg.medium.poles]
+
+    def pin(t):
+        if t < 2 * TABLE1_SRC.t0:
+            e[0] = source_value(TABLE1_SRC, t)
+
+    out = np.empty((n_steps, n))
+    for step_index in range(n_steps):
+        pin(step_index * dt)
+        j = np.zeros(n)
+        for k, (pole, coeffs, state) in enumerate(poles):
+            if method == "tgm":
+                state = greens.advance_state(state, e[idx], coeffs)
+                j[idx] += greens.polarization_current_half_step(state, coeffs)
+            else:
+                state, _ = ade_advance(state, e[idx], pole, dt)
+                j[idx] += ade_current_half_step(state, dt)
+            poles[k] = (pole, coeffs, state)
+        e0_old, e1_old = e[0], e[1]
+        en_old, enn_old = e[-1], e[-2]
+        b[:] = (b * 1.0 - (dt / dx) * (e[1:] - e[:-1])) * 1.0
+        rhs = -(b[1:] - b[:-1]) / (MU0 * dx) - sigma[1:-1] * e[1:-1]
+        rhs -= j[1:-1]
+        e[1:-1] += dt_over_eps * rhs
+        e[0] = e1_old + k_mur * (e[1] - e0_old)
+        e[-1] = enn_old + k_mur * (e[-2] - en_old)
+        pin((step_index + 1) * dt)
+        out[step_index] = e
+    return out
+
+
+def simulated_fields(cfg, method, n_steps):
+    sim = build_simulation(cfg, method=method)
+    out = np.empty((n_steps, cfg.n_grid))
+    for row in out:
+        sim.step()
+        row[:] = sim.grid.e
+    return out
+
+
+class TestPoleKernels:
+    """The stacked pole banks against per-pole scalar updaters."""
+
+    @pytest.mark.parametrize("method", ["tgm", "adem"])
+    @pytest.mark.parametrize("pole", [
+        LorentzPole(3.0, 2 * math.pi * 20e9, 0.1 * 2 * math.pi * 20e9),
+        LorentzPole(3.0, 2 * math.pi * 20e9, 3.0 * 2 * math.pi * 20e9),
+    ], ids=["underdamped", "overdamped"])
+    def test_single_pole_bit_identical(self, method, pole):
+        cfg = small_config(medium=Medium(eps_inf=1.5, sigma=0.0, poles=(pole,)), steps=600)
+        ref = per_pole_reference(cfg, method, 600)
+        assert np.abs(ref[:, interface_node(cfg.n_grid):]).max() > 0.1
+        assert np.array_equal(simulated_fields(cfg, method, 600), ref)
+
+    def test_multipole_adem_bit_identical(self):
+        cfg = small_config(medium=multipole_medium(), steps=600)
+        assert np.array_equal(simulated_fields(cfg, "adem", 600),
+                              per_pole_reference(cfg, "adem", 600))
+
+    def test_multipole_tgm_within_rounding(self):
+        # the overdamped pole's two rows enter the sum over rows as
+        # separate terms, so only the order of the sum changes
+        cfg = small_config(medium=multipole_medium(), steps=600)
+        ref = per_pole_reference(cfg, "tgm", 600)
+        diff = np.abs(simulated_fields(cfg, "tgm", 600) - ref).max()
+        assert diff <= 1e-12 * np.abs(ref).max()
+
+    def test_non_conjugate_coefficients_rejected(self, monkeypatch):
+        make = greens.make_coefficients
+
+        def skewed(pole, dt):
+            c = make(pole, dt)
+            return dataclasses.replace(c, curr_minus=c.curr_minus * (1.0 + 1e-6))
+
+        monkeypatch.setattr(greens, "make_coefficients", skewed)
+        with pytest.raises(RealnessError, match=r"LorentzPole\(delta_eps=3\.0.*curr_minus"):
+            build_simulation(small_config(medium=table1_like_medium()))
+        # adem does not use the recurrence coefficients
+        build_simulation(small_config(medium=table1_like_medium()), method="adem")
+
+    def test_non_contiguous_medium_rejected(self):
+        n = 40
+        medium_index = np.zeros(n, dtype=np.int8)
+        medium_index[10:15] = 1
+        medium_index[20:30] = 1
+        grid = Grid1D(e=np.zeros(n), b=np.zeros(n - 1), medium_index=medium_index,
+                      dx=1e-4, dt=0.9e-4 / C0)
+        for method in ("tgm", "adem"):
+            with pytest.raises(ValueError, match="medium 1 .*contiguous"):
+                Simulation(grid, (Medium.vacuum(), table1_like_medium()), method=method)

@@ -16,11 +16,11 @@ from greenfdtd.greens import (
     PoleCoefficients,
     PoleState,
     advance_state,
+    check_branch_symmetry,
     green_function,
     make_coefficients,
     polarization,
     polarization_current_half_step,
-    polarization_half_step,
 )
 from greenfdtd.oracle import direct_convolution_sum, green_rk4, polarization_rk4
 
@@ -56,7 +56,18 @@ class TestCoefficients:
         assert co.prop_minus == pytest.approx(co.prop_plus.conjugate(), rel=1e-14)
         assert co.inject_minus == pytest.approx(co.inject_plus.conjugate(), rel=1e-14)
         assert co.curr_minus == pytest.approx(co.curr_plus.conjugate(), rel=1e-14)
-        assert co.pol_minus == pytest.approx(co.pol_plus.conjugate(), rel=1e-14)
+        check_branch_symmetry(TABLE1_POLE, co)
+
+    def test_branch_symmetry_check(self):
+        # overdamped coefficients are real and pass; a skewed minus branch
+        # of either kind is rejected with the pole named
+        over = LorentzPole(1.0, 1.0, 2.0)
+        check_branch_symmetry(over, make_coefficients(over, 0.3))
+        for pole, dt in ((TABLE1_POLE, TABLE1_DT), (over, 0.3)):
+            co = make_coefficients(pole, dt)
+            broken = dataclasses.replace(co, inject_minus=co.inject_minus * (1.0 + 1e-6j))
+            with pytest.raises(RealnessError, match=r"LorentzPole\(.*inject_minus"):
+                check_branch_symmetry(pole, broken)
 
     def test_injection_sum_matches_half_step_response(self):
         # w+ e^{iz+ dt/2} + w- e^{iz- dt/2} is the rectangle response right
@@ -217,12 +228,14 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             polarization(state, TABLE1_POLE, coeffs, 1.5 * TABLE1_DT)
 
-    def test_half_step_shortcut_matches_general(self):
+    def test_half_step_polarization_matches_direct_sum(self):
         rng = np.random.default_rng(12)
-        state, coeffs = drive_states(TABLE1_POLE, TABLE1_DT, rng.uniform(-1, 1, 64))
-        assert polarization_half_step(state, coeffs) == pytest.approx(
-            polarization(state, TABLE1_POLE, coeffs, 0.5 * TABLE1_DT), rel=1e-12
-        )
+        e_hist = rng.uniform(-1, 1, 64)
+        for pole, dt in ((TABLE1_POLE, TABLE1_DT), (LorentzPole(1.0, 1.0, 2.0), 0.3)):
+            state, coeffs = drive_states(pole, dt, e_hist)
+            assert polarization(state, pole, coeffs, 0.5 * dt) == pytest.approx(
+                direct_convolution_sum(e_hist, pole, dt, 63.5 * dt), rel=1e-12
+            )
 
     def test_low_frequency_response_matches_susceptibility(self):
         # drive far below resonance: P/E amplitude approaches the real part
