@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS0
 from .dispersion import LorentzPole
 
 
@@ -52,7 +51,7 @@ def ade_coefficients(pole: LorentzPole, dt: float):
     return (
         2.0 - wp2dt2,
         1.0 - pole.delta_p * dt,
-        EPS0 * pole.delta_eps * pole.omega_p**2 * dt * dt,
+        pole.strength * dt * dt,
         1.0 + pole.delta_p * dt,
     )
 

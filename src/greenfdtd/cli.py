@@ -26,7 +26,6 @@ import numpy as np
 
 from . import analysis, oracle, verify
 from .config import load_config
-from .constants import C0
 from .dispersion import Medium, reflection_coefficient
 from .errors import ConfigError, ValidationError
 from .fdtd import build_simulation, probe_nodes_from_fractions
@@ -104,9 +103,7 @@ def cmd_green(config, out_path=None) -> int:
     """Closed-form rectangle response vs RK4 oracle; CSV comparison."""
     if not config.medium.poles:
         raise ValidationError("green command needs at least one medium pole")
-    pole = config.medium.poles[0]
-    dx = config.system_length / (config.n_grid - 1)
-    dt = config.cfl_factor * dx / C0
+    pole, dt = config.medium.poles[0], config.dt
     t_end = 30.5 * dt
     trace = oracle.green_rk4(pole, 0.0, dt, t_end, dt / 1000.0)
     rows = []
@@ -119,9 +116,9 @@ def cmd_green(config, out_path=None) -> int:
     return 0
 
 
-def cmd_verify(config, corrupt_propagator: float = 1.0) -> int:
+def cmd_verify(config) -> int:
     """Invariant suite; per-check status lines; exit 2 on any failure."""
-    results = verify.run_checks(config, corrupt_propagator)
+    results = verify.run_checks(config)
     for res in results:
         print(f"{res.status:4s} {res.name}: {res.detail}")
     failed = [r for r in results if not r.ok]

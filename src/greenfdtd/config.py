@@ -15,6 +15,10 @@ All values are SI.  Keys:
 
 An empty or absent [medium] section means vacuum.  Pole sections must be
 numbered 1..P.
+
+Every invariant is checked in `SimConfig.__post_init__`, so a config built
+directly or by `dataclasses.replace` obeys the same rules as a parsed one;
+the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .constants import C0
 from .dispersion import LorentzPole, Medium
 from .errors import ConfigError, ValidationError
 from .fdtd import GaussianSource
@@ -57,6 +62,39 @@ class SimConfig:
     absorber_cells: int = 0
     absorber_sigma: float = 0.0
     out: str | None = None
+
+    def __post_init__(self):
+        # each check names the invariant it guards
+        if not self.system_length > 0.0:
+            raise ValidationError(f"grid.length must be positive, got {self.system_length}")
+        if self.n_grid < 16:
+            raise ValidationError(f"grid.nodes must be >= 16, got {self.n_grid}")
+        if not 0.0 < self.cfl_factor <= 1.0:
+            raise ValidationError(f"CFL factor must satisfy 0 < cfl <= 1, got {self.cfl_factor}")
+        if not 0 <= self.absorber_cells <= self.n_grid // 3:
+            raise ValidationError(f"grid.absorber_cells must lie in [0, nodes/3 = "
+                                  f"{self.n_grid // 3}], got {self.absorber_cells}")
+        if self.absorber_sigma < 0.0:
+            raise ValidationError(f"grid.absorber_sigma must be >= 0, got {self.absorber_sigma}")
+        if self.n_steps < 0:
+            raise ValidationError(f"run.steps must be >= 0, got {self.n_steps}")
+        if not self.probes or not all(0.0 < p < 1.0 for p in self.probes):
+            raise ValidationError(f"run.probes must be fractions in (0, 1), got {self.probes}")
+        if self.method not in ("tgm", "adem"):
+            raise ValidationError(f"run.method must be 'tgm' or 'adem', got {self.method!r}")
+        if not 0.0 < self.band_threshold <= 1.0:
+            raise ValidationError(
+                f"run.band_threshold must lie in (0, 1], got {self.band_threshold}")
+
+    @property
+    def dx(self) -> float:
+        """Node spacing, m: length / (nodes - 1)."""
+        return self.system_length / (self.n_grid - 1)
+
+    @property
+    def dt(self) -> float:
+        """Time step, s: cfl * dx / c."""
+        return self.cfl_factor * self.dx / C0
 
     def with_medium(self, medium: Medium) -> "SimConfig":
         return replace(self, medium=medium)
@@ -112,7 +150,7 @@ def parse_config(text: str) -> SimConfig:
     """Parse and validate a config document.
 
     Raises ConfigError for syntax problems (with line numbers) and
-    ValidationError naming the violated invariant.
+    ValidationError naming the violated invariant (from SimConfig).
     """
     values = _parse_lines(text)
 
@@ -153,27 +191,6 @@ def parse_config(text: str) -> SimConfig:
     if values:
         (sec, key), (_, lineno) = next(iter(values.items()))
         raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{sec}]")
-
-    # invariant checks, each naming what it violates
-    if not length > 0.0:
-        raise ValidationError(f"grid.length must be positive, got {length}")
-    if nodes < 16:
-        raise ValidationError(f"grid.nodes must be >= 16, got {nodes}")
-    if not 0.0 < cfl <= 1.0:
-        raise ValidationError(f"CFL factor must satisfy 0 < cfl <= 1, got {cfl}")
-    if absorber_cells < 0:
-        raise ValidationError(f"grid.absorber_cells must be >= 0, got {absorber_cells}")
-    if absorber_sigma < 0.0:
-        raise ValidationError(f"grid.absorber_sigma must be >= 0, got {absorber_sigma}")
-    if steps < 0:
-        raise ValidationError(f"run.steps must be >= 0, got {steps}")
-    if not probes or not all(0.0 < p < 1.0 for p in probes):
-        raise ValidationError(f"run.probes must be fractions in (0, 1), got {probes}")
-    if method not in ("tgm", "adem"):
-        raise ValidationError(f"run.method must be 'tgm' or 'adem', got {method!r}")
-    if not 0.0 < band_threshold <= 1.0:
-        raise ValidationError(
-            f"run.band_threshold must lie in (0, 1], got {band_threshold}")
 
     try:
         source = GaussianSource(t0=t0, delta_t=width, omega0=omega0)

@@ -9,4 +9,3 @@ import math
 C0 = 2.99792458e8           # speed of light in vacuum, m/s
 MU0 = 4.0e-7 * math.pi      # vacuum permeability, H/m
 EPS0 = 1.0 / (MU0 * C0 * C0)  # vacuum permittivity, F/m
-Z0 = MU0 * C0               # vacuum wave impedance, ohm

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import EPS0
 from .errors import DegeneratePoleError, ResonanceError
 
 # Relative gap below which omega_p and delta_p are treated as coalesced.
@@ -53,6 +54,11 @@ class LorentzPole:
     @property
     def overdamped(self) -> bool:
         return self.delta_p > self.omega_p
+
+    @property
+    def strength(self) -> float:
+        """eps0 delta_eps omega_p^2, the E coefficient of the oscillator ODE for P."""
+        return EPS0 * self.delta_eps * self.omega_p**2
 
 
 @dataclass(frozen=True)

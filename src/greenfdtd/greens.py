@@ -14,9 +14,10 @@ and both P and dP/dt are then available at any offset within the step by
 multiplying with precomputed phase factors.  dP/dt at the half step
 t_N + dt/2 is what the leapfrog field update consumes.
 
-The scheme assumes a uniform dt: PoleCoefficients are baked for one step
-size and must be rebuilt if dt changes.  All functions accept scalar
-states or ndarray-valued states (one entry per grid cell) transparently.
+Only `make_coefficients` computes w+/- (the strength eps0 deps wp^2 is
+`LorentzPole.strength`).  The scheme assumes a uniform dt: PoleCoefficients
+are baked for one step size and must be rebuilt if dt changes.  All
+functions accept scalar or ndarray-valued states (one entry per cell).
 
 Under real drive the minus branch mirrors the plus branch: F- == conj(F+)
 for an underdamped pole, and both accumulators are real for an
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS0
 from .dispersion import LorentzPole, pole_roots
 from .errors import RealnessError
 
@@ -50,7 +50,7 @@ class PoleCoefficients:
 
     prop_+/-    step propagators exp(i z+/- dt), |prop| <= 1 for delta_p >= 0
     inject_+/-  injection weights w+/- multiplying E^N, units s^2
-    curr_+/-    half-step current weights i eps0 deps wp^2 z exp(i z dt/2)
+    curr_+/-    half-step current weights i strength z exp(i z dt/2)
     """
 
     z_plus: complex
@@ -62,7 +62,6 @@ class PoleCoefficients:
     curr_plus: complex
     curr_minus: complex
     dt: float
-    scale: float  # eps0 * delta_eps * omega_p^2
 
 
 @dataclass
@@ -90,7 +89,6 @@ def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     half_m = np.exp(0.5j * zm * dt)
     inj_p = (half_p - 1.0 / half_p) / (zp * (zm - zp))
     inj_m = (half_m - 1.0 / half_m) / (zm * (zp - zm))
-    scale = EPS0 * pole.delta_eps * pole.omega_p**2
     return PoleCoefficients(
         z_plus=zp,
         z_minus=zm,
@@ -98,10 +96,9 @@ def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
         prop_minus=complex(np.exp(1j * zm * dt)),
         inject_plus=complex(inj_p),
         inject_minus=complex(inj_m),
-        curr_plus=complex(1j * scale * zp * half_p),
-        curr_minus=complex(1j * scale * zm * half_m),
+        curr_plus=complex(1j * pole.strength * zp * half_p),
+        curr_minus=complex(1j * pole.strength * zm * half_m),
         dt=dt,
-        scale=scale,
     )
 
 
@@ -119,11 +116,9 @@ def green_function(pole: LorentzPole, t: float, t_n: float, dt: float) -> float:
             f"green_function is the post-impulse branch: need t - t_n >= dt/2, "
             f"got tau={tau!r} with dt={dt!r}"
         )
-    zp, zm = pole_roots(pole)
-    wp_ = (np.exp(0.5j * zp * dt) - np.exp(-0.5j * zp * dt)) / (zp * (zm - zp))
-    wm_ = (np.exp(0.5j * zm * dt) - np.exp(-0.5j * zm * dt)) / (zm * (zp - zm))
-    term_p = wp_ * np.exp(1j * zp * tau)
-    term_m = wm_ * np.exp(1j * zm * tau)
+    c = make_coefficients(pole, dt)
+    term_p = c.inject_plus * np.exp(1j * c.z_plus * tau)
+    term_m = c.inject_minus * np.exp(1j * c.z_minus * tau)
     total = term_p + term_m
     _check_real(total, abs(term_p) + abs(term_m), "green_function")
     return float(total.real)
@@ -145,9 +140,8 @@ def polarization(state: PoleState, pole: LorentzPole, coeffs: PoleCoefficients, 
     accumulators (last injected sample was E^N)."""
     if not 0.0 <= tau <= coeffs.dt * (1.0 + 1e-12):
         raise ValueError(f"tau must lie within one step [0, dt], got {tau!r}")
-    scale = EPS0 * pole.delta_eps * pole.omega_p**2
-    term_p = scale * np.exp(1j * coeffs.z_plus * tau) * state.f_plus
-    term_m = scale * np.exp(1j * coeffs.z_minus * tau) * state.f_minus
+    term_p = pole.strength * np.exp(1j * coeffs.z_plus * tau) * state.f_plus
+    term_m = pole.strength * np.exp(1j * coeffs.z_minus * tau) * state.f_minus
     return _real_part(term_p, term_m, "polarization")
 
 

@@ -1,10 +1,12 @@
 """Brute-force references for the fast updaters.
 
 Two independent routes validate the recursive update: summing the
-closed-form rectangle responses term by term (no recurrence), and
-classical fourth-order integration of the oscillator ODE itself.  The
-integrators split the time axis at the rectangle edges so every RK4
-stage sees a smooth right-hand side and the full order is retained.
+closed-form rectangle responses term by term (no recurrence, weights
+w+/- from `greens.make_coefficients`), and classical fourth-order
+integration of the oscillator ODE itself, driven with
+`LorentzPole.strength`.  The integrators split the time axis at the
+rectangle edges so every RK4 stage sees a smooth right-hand side and
+the full order is retained.
 
 These live in the shipped package, not in test code, so the `verify`
 subcommand can regenerate every derived reference value.
@@ -12,12 +14,13 @@ subcommand can regenerate every derived reference value.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS0
-from .dispersion import LorentzPole, pole_roots
+from .dispersion import LorentzPole
+from .greens import make_coefficients
 
 
 @dataclass
@@ -49,12 +52,10 @@ def direct_convolution_sum(e_history, pole: LorentzPole, dt: float, t_eval: floa
     mask = tau >= 0.5 * dt * (1.0 - 1e-12)
     if not np.any(mask):
         return 0.0
-    zp, zm = pole_roots(pole)
-    wp_ = (np.exp(0.5j * zp * dt) - np.exp(-0.5j * zp * dt)) / (zp * (zm - zp))
-    wm_ = (np.exp(0.5j * zm * dt) - np.exp(-0.5j * zm * dt)) / (zm * (zp - zm))
-    g = wp_ * np.exp(1j * zp * tau[mask]) + wm_ * np.exp(1j * zm * tau[mask])
-    scale = EPS0 * pole.delta_eps * pole.omega_p**2
-    return float(scale * np.sum(e[mask] * g.real))
+    c = make_coefficients(pole, dt)
+    g = (c.inject_plus * np.exp(1j * c.z_plus * tau[mask])
+         + c.inject_minus * np.exp(1j * c.z_minus * tau[mask]))
+    return float(pole.strength * np.sum(e[mask] * g.real))
 
 
 def _rk4_phases(pole: LorentzPole, phases, y0=0.0, v0=0.0, t0=0.0):
@@ -63,13 +64,13 @@ def _rk4_phases(pole: LorentzPole, phases, y0=0.0, v0=0.0, t0=0.0):
     Each phase is (duration, n_steps, forcing) with `forcing` either a
     constant or a callable of t; the right-hand side is smooth inside a
     phase, so classical RK4 keeps full order across rectangle edges.
-    Returns the sampled mesh (times, y, y').
+    Returns the sampled mesh (times, y, y'), kept in 8-byte array("d") slots.
     """
     wp2 = pole.omega_p**2
     two_dp = 2.0 * pole.delta_p
-    times = [t0]
-    ys = [y0]
-    vs = [v0]
+    times = array("d", [t0])
+    ys = array("d", [y0])
+    vs = array("d", [v0])
     t, y, v = t0, y0, v0
     for duration, n_steps, forcing in phases:
         h = duration / n_steps
@@ -139,8 +140,7 @@ def polarization_rk4(e_samples, pole: LorentzPole, dt: float, fine_step: float) 
         raise ValueError("fine_step must be <= dt/100")
     e = np.asarray(e_samples, dtype=float)
     n_in = max(int(round(dt / fine_step)), 100)
-    scale = EPS0 * pole.delta_eps * pole.omega_p**2
-    phases = [(dt, n_in, scale * float(en)) for en in e]
+    phases = [(dt, n_in, pole.strength * float(en)) for en in e]
     times, ys, vs = _rk4_phases(pole, phases, t0=-0.5 * dt)
     return OdeTrace(times, ys, vs)
 
@@ -150,8 +150,9 @@ def smooth_drive_rk4(pole: LorentzPole, drive, t_end: float, fine_step: float) -
     at t = 0.  Reference for temporal-order studies against the staircase
     solution."""
     n = max(int(np.ceil(t_end / fine_step)), 1)
-    scale = EPS0 * pole.delta_eps * pole.omega_p**2
+    strength = pole.strength
+    # float(): the same double, so RK4 runs on Python floats, not numpy scalars
     times, ys, vs = _rk4_phases(
-        pole, phases=[(t_end, n, lambda t: scale * drive(t))], t0=0.0
+        pole, phases=[(t_end, n, lambda t: float(strength * drive(t)))], t0=0.0
     )
     return OdeTrace(times, ys, vs)

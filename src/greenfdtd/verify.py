@@ -15,13 +15,11 @@ import numpy as np
 
 from . import greens, oracle
 from .ade import AdePoleState, ade_advance, ade_current_half_step
-from .constants import C0, EPS0
-from .dispersion import LorentzPole
+from .config import load_table1
+from .constants import EPS0
+from .dispersion import pole_roots
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
-
-# fallback when the config medium carries no poles
-_DEFAULT_POLE = LorentzPole(delta_eps=3.0, omega_p=2 * np.pi * 20e9, delta_p=0.1 * 2 * np.pi * 20e9)
 
 
 @dataclass
@@ -89,8 +87,6 @@ def check_steady_state(pole, dt, tol=1e-3):
     target = EPS0 * pole.delta_eps * e0
     # slowest decay rate: delta_p when underdamped, the slow imaginary
     # root when overdamped
-    from .dispersion import pole_roots
-
     gamma = min(z.imag for z in pole_roots(pole))
     n = int(np.ceil(10.0 / (gamma * dt))) + 1
     coeffs = greens.make_coefficients(pole, dt)
@@ -176,6 +172,24 @@ def check_ade_fixed_point(pole, dt, rtol=1e-13):
                        f"fixed-point drift {worst:.3e} (tol {rtol:.0e})")
 
 
+def staircase_error(pole, drive, dt, t_end, settle):
+    """Max |P - P_ref| of the recurrence fed the samples drive(k dt),
+    k < round(t_end/dt), over the half steps k dt + dt/2 >= settle, where
+    P_ref is the RK4 solution under the smooth drive at dt/400."""
+    n = int(round(t_end / dt))
+    ref = oracle.smooth_drive_rk4(pole, drive, (n + 1) * dt, dt / 400.0)
+    coeffs = greens.make_coefficients(pole, dt)
+    state = greens.PoleState()
+    worst = 0.0
+    for k in range(n):
+        state = greens.advance_state(state, drive(k * dt), coeffs)
+        t_eval = k * dt + 0.5 * dt
+        p = greens.polarization(state, pole, coeffs, 0.5 * dt)
+        if t_eval >= settle:
+            worst = max(worst, abs(p - ref.at(t_eval)))
+    return worst
+
+
 def check_temporal_order(pole, min_ratio=3.6):
     """Halving dt must shrink the error against the smooth-drive reference
     by at least `min_ratio` (second-order accuracy).  The max is taken
@@ -191,20 +205,8 @@ def check_temporal_order(pole, min_ratio=3.6):
         settle = min(max(settle, 5.0 / pole.delta_p), 40.0 * period)
     t_end = settle + period
     drive = lambda t: np.sin(omega_d * t)
-    errs = []
-    for dt in (dt_coarse, 0.5 * dt_coarse):
-        n = int(round(t_end / dt))
-        ref = oracle.smooth_drive_rk4(pole, drive, (n + 1) * dt, dt / 400.0)
-        coeffs = greens.make_coefficients(pole, dt)
-        state = greens.PoleState()
-        worst = 0.0
-        for k in range(n):
-            state = greens.advance_state(state, drive(k * dt), coeffs)
-            t_eval = k * dt + 0.5 * dt
-            p = greens.polarization(state, pole, coeffs, 0.5 * dt)
-            if t_eval >= settle:
-                worst = max(worst, abs(p - ref.at(t_eval)))
-        errs.append(worst)
+    errs = [staircase_error(pole, drive, dt, t_end, settle)
+            for dt in (dt_coarse, 0.5 * dt_coarse)]
     ratio = errs[0] / max(errs[1], 1e-300)
     status = PASS if ratio >= min_ratio else FAIL
     return CheckResult("temporal-convergence-order", status,
@@ -213,14 +215,10 @@ def check_temporal_order(pole, min_ratio=3.6):
 
 
 def run_checks(config, corrupt_propagator: float = 1.0) -> list:
-    """Run the whole suite against the config's first pole (or a default
-    resonance when the medium is vacuum)."""
-    if config.medium.poles:
-        pole = config.medium.poles[0]
-    else:
-        pole = _DEFAULT_POLE
-    dx = config.system_length / (config.n_grid - 1)
-    dt = config.cfl_factor * dx / C0
+    """Run the whole suite against the config's first pole, or the bundled
+    table1 pole when the medium has none, at the config's dt."""
+    poles = config.medium.poles or load_table1().medium.poles
+    pole, dt = poles[0], config.dt
     return [
         check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator),
         check_green_closed_form(pole, dt),

@@ -86,10 +86,8 @@ class TestRunCommand:
         data = np.genfromtxt(out, delimiter=",", names=True)
         cfg = parse_config(SMALL)
         t_probe = data["time_s"][np.abs(data["probe1"]).argmax()]
-        dx = cfg.system_length / (cfg.n_grid - 1)
-        expected = cfg.source.t0 + round(0.25 * (cfg.n_grid - 1)) * dx / 2.99792458e8
-        dt = 0.9 * dx / 2.99792458e8
-        assert abs(t_probe - expected) < 2 * dt
+        expected = cfg.source.t0 + round(0.25 * (cfg.n_grid - 1)) * cfg.dx / 2.99792458e8
+        assert abs(t_probe - expected) < 2 * cfg.dt
 
 
 class TestReflectionCommand:
@@ -146,6 +144,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
+
+    def test_vacuum_config_checks_bundled_pole(self):
+        # a medium without poles is checked on the table1 pole, which is
+        # damped and underdamped, so no check may skip
+        cfg = parse_config(VACUUM)
+        assert not cfg.medium.poles
+        assert [r.status for r in run_checks(cfg)] == [PASS] * 8
 
     def test_corrupted_propagator_fails_recurrence(self):
         cfg = load_table1()

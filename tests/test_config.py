@@ -1,10 +1,12 @@
 """Config grammar, defaults, validation and the bundled experiment file."""
 
+import dataclasses
 import math
 
 import pytest
 
 from greenfdtd.config import load_table1, parse_config, table1_path
+from greenfdtd.constants import C0
 from greenfdtd.errors import ConfigError, ValidationError
 
 MINIMAL = """
@@ -21,6 +23,11 @@ steps = 100
 
 
 class TestBundledConfig:
+    def test_derived_steps(self):
+        cfg = load_table1()
+        assert cfg.dx == 0.05 / 2999
+        assert cfg.dt == 0.9 * (0.05 / 2999) / C0
+
     def test_table1_values(self):
         cfg = load_table1()
         assert cfg.system_length == 0.05
@@ -123,6 +130,19 @@ class TestValidation:
     def test_probe_fraction_range(self):
         with pytest.raises(ValidationError, match="probes"):
             parse_config(MINIMAL + "\n[run]\nprobes = 0.0, 0.5\n")
+
+    def test_absorber_width_checked_at_load(self):
+        # nodes = 3000 allows at most 1000 absorber cells
+        parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 1000\n")
+        with pytest.raises(ValidationError, match="absorber_cells"):
+            parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 1001\n")
+
+    def test_replaced_config_is_checked(self):
+        cfg = load_table1()
+        with pytest.raises(ValidationError, match="nodes must be >= 16"):
+            dataclasses.replace(cfg, n_grid=10)
+        with pytest.raises(ValidationError, match="CFL"):
+            dataclasses.replace(cfg, cfl_factor=1.1)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValidationError, match="nodes"):

@@ -176,9 +176,7 @@ class TestEnergyAndStability:
         assert sim._banks == []
 
         # independent plain-Yee reference with the same layout
-        n = cfg.n_grid
-        dx = cfg.system_length / (n - 1)
-        dt = cfg.cfl_factor * dx / C0
+        n, dx, dt = cfg.n_grid, cfg.dx, cfg.dt
         e = np.zeros(n)
         b = np.zeros(n - 1)
         i0 = interface_node(n)
@@ -238,12 +236,13 @@ class TestBuilder:
             assert sim._banks[0].j.shape == (nodes.stop - nodes.start,)
 
     def test_cfl_violation_rejected(self):
+        # SimConfig checks its invariants, so no bad config reaches the builder
         with pytest.raises(ValidationError, match="CFL"):
-            build_simulation(small_config(cfl_factor=1.1))
+            small_config(cfl_factor=1.1)
 
     def test_absorber_width_limited(self):
         with pytest.raises(ValidationError, match="absorber_cells"):
-            build_simulation(small_config(absorber_cells=200, absorber_sigma=5.0))
+            small_config(absorber_cells=200, absorber_sigma=5.0)
 
     def test_probe_fraction_mapping(self):
         assert probe_nodes_from_fractions((0.25, 0.499, 0.75), 3000) == [750, 1497, 2249]
@@ -264,9 +263,7 @@ def per_pole_reference(cfg, method, n_steps):
     through the scalar-API updaters (greens.advance_state and
     polarization_current_half_step, or ade_advance), on the medium's nodes,
     summing the currents into a zero array in pole order."""
-    n = cfg.n_grid
-    dx = cfg.system_length / (n - 1)
-    dt = cfg.cfl_factor * dx / C0
+    n, dx, dt = cfg.n_grid, cfg.dx, cfg.dt
     e = np.zeros(n)
     b = np.zeros(n - 1)
     idx = np.arange(interface_node(n), n)

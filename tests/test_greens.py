@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfdtd.constants import C0, EPS0
-from greenfdtd.dispersion import LorentzPole
+from greenfdtd.dispersion import LorentzPole, pole_roots
 from greenfdtd.errors import DegeneratePoleError, RealnessError
 from greenfdtd.greens import (
     IMAG_RESIDUAL_RTOL,
@@ -115,6 +115,37 @@ class TestGreenFunction:
             t = 0.5 * TABLE1_DT + 0.5 * k * TABLE1_DT
             rel = abs(green_function(TABLE1_POLE, t, 0.0, TABLE1_DT) - trace.at(t)) / gmax
             assert rel < 1e-6
+
+    def test_closed_form_from_roots(self):
+        """green_function and direct_convolution_sum against the rectangle
+        response written out from pole_roots, weights in the exp(+) - exp(-)
+        form.  Both take the recurrence's weights (half - 1/half), which
+        round differently; where G itself nearly cancels (the rectangle's
+        end, an undamped pole a whole period on) that reads up to ~1e-11 of
+        G, so the bound is 1e-12 of the response's scale: peak |G| over two
+        periods, times eps0 deps wp^2 sum|E_n| for the sum."""
+        rng = np.random.default_rng(3)
+        for pole, dt in ((TABLE1_POLE, TABLE1_DT), (LorentzPole(1.0, WP, 2.5 * WP), TABLE1_DT),
+                         (LorentzPole(2.0, WP, 0.0), TABLE1_DT), (TABLE1_POLE, 0.5 / WP)):
+            zp, zm = pole_roots(pole)
+            w_p = (np.exp(0.5j * zp * dt) - np.exp(-0.5j * zp * dt)) / (zp * (zm - zp))
+            w_m = (np.exp(0.5j * zm * dt) - np.exp(-0.5j * zm * dt)) / (zm * (zp - zm))
+
+            def closed_form(tau):
+                return (w_p * np.exp(1j * zp * tau) + w_m * np.exp(1j * zm * tau)).real
+
+            taus = 0.5 * dt + np.linspace(0.0, 4 * math.pi / pole.omega_p, 401)
+            ref = closed_form(taus)
+            gmax = np.abs(ref).max()
+            got = np.array([green_function(pole, t, 0.0, dt) for t in taus])
+            assert np.abs(got - ref).max() <= 1e-12 * gmax
+            for n in (1, 11, 2000):
+                e = rng.uniform(-1.0, 1.0, n)
+                t_eval = (n - 1) * dt + 0.5 * dt
+                strength = EPS0 * pole.delta_eps * pole.omega_p**2
+                expected = strength * np.sum(e * closed_form(t_eval - dt * np.arange(n)))
+                got_sum = direct_convolution_sum(e, pole, dt, t_eval)
+                assert abs(got_sum - expected) <= 1e-12 * strength * gmax * np.abs(e).sum()
 
     def test_damped_response_vanishes(self):
         late = green_function(TABLE1_POLE, 200.0 / (0.1 * WP), 0.0, TABLE1_DT)

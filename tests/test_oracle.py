@@ -129,6 +129,23 @@ class TestDirectConvolutionSum:
 
 
 class TestSmoothDriveRk4:
+    def test_fine_mesh_memory(self):
+        # the mesh is three 8-byte samples per fine step (times, y, y'); as
+        # Python floats in lists it took ~120 B per step
+        import tracemalloc
+
+        n = 200_000
+        w_drive = WP / 12.0
+        tracemalloc.start()
+        try:
+            trace = smooth_drive_rk4(TABLE1_POLE, lambda t: math.sin(w_drive * t),
+                                     n * TABLE1_DT / 400, TABLE1_DT / 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.values) == n + 1
+        assert peak / n < 48
+
     def test_matches_staircase_in_limit(self):
         # staircase with midpoint sampling converges to the smooth solution
         w_drive = WP / 15.0
