@@ -51,12 +51,12 @@ def _run_probes(config, method, medium=None):
     cfg = config if medium is None else config.with_medium(medium)
     sim = build_simulation(cfg, method=method)
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
-    return sim.run(config.n_steps, nodes), sim.grid.dt
+    return sim.run(config.n_steps, nodes)
 
 
 def cmd_run(config, out_path=None) -> int:
     """Single simulation; CSV of the raw probe series."""
-    series, _ = _run_probes(config, config.method)
+    series = _run_probes(config, config.method)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
     times = series[0].times if series else np.empty(0)
     rows = (
@@ -74,9 +74,9 @@ def cmd_reflection(config, out_path=None) -> int:
     # reflection is extracted at the vacuum-side probe nearest the
     # interface (the second of the default three)
     probe_slot = min(1, len(config.probes) - 1)
-    ref_series, dt = _run_probes(config, "tgm", medium=Medium.vacuum())
-    tgm_series, _ = _run_probes(config, "tgm")
-    ade_series, _ = _run_probes(config, "adem")
+    ref_series = _run_probes(config, "tgm", medium=Medium.vacuum())
+    tgm_series = _run_probes(config, "tgm")
+    ade_series = _run_probes(config, "adem")
 
     incident = ref_series[probe_slot]
     r_tgm = analysis.reflection_magnitude(incident, tgm_series[probe_slot],

@@ -9,7 +9,8 @@ All values are SI.  Keys:
     [source]  t0 (s), width (s), omega0 (rad/s)
     [medium]  eps_inf (default 1.0), sigma (default 0.0)
     [medium.pole.<k>]  delta_eps, omega_p (rad/s), delta_p (rad/s)
-    [run]     steps, probes (fractions of L, default 0.25, 0.499, 0.75),
+    [run]     steps (default 32768),
+              probes (fractions of L, default 0.25, 0.499, 0.75),
               method (tgm|adem, default tgm),
               band_threshold (default 0.001), out (optional path)
 
@@ -33,18 +34,6 @@ from .fdtd import GaussianSource
 
 _SECTIONS = ("grid", "source", "medium", "run")
 
-_DEFAULTS = {
-    ("grid", "cfl"): "0.9",
-    ("grid", "absorber_cells"): "0",
-    ("grid", "absorber_sigma"): "0.0",
-    ("medium", "eps_inf"): "1.0",
-    ("medium", "sigma"): "0.0",
-    ("run", "steps"): "32768",
-    ("run", "probes"): "0.25, 0.499, 0.75",
-    ("run", "method"): "tgm",
-    ("run", "band_threshold"): "0.001",
-}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,10 +41,10 @@ class SimConfig:
 
     system_length: float
     n_grid: int
-    cfl_factor: float
     source: GaussianSource
     medium: Medium
-    n_steps: int
+    cfl_factor: float = 0.9
+    n_steps: int = 32768
     probes: tuple = (0.25, 0.499, 0.75)
     method: str = "tgm"
     band_threshold: float = 0.001
@@ -129,17 +118,21 @@ def _parse_lines(text: str):
 
 
 def _take(values, section, key, conv, required=False):
+    """The converted value of `key`, or None when the document does not set it."""
     if (section, key) in values:
         raw, lineno = values.pop((section, key))
         try:
             return conv(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    if (section, key) in _DEFAULTS:
-        return conv(_DEFAULTS[(section, key)])
     if required:
         raise ConfigError(f"missing required key {key!r} in section [{section}]")
     return None
+
+
+def _set(**kwargs):
+    """The keyword arguments the document set; the rest keep their defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _float_list(raw: str):
@@ -154,18 +147,22 @@ def parse_config(text: str) -> SimConfig:
     """
     values = _parse_lines(text)
 
-    length = _take(values, "grid", "length", float, required=True)
-    nodes = _take(values, "grid", "nodes", int, required=True)
-    cfl = _take(values, "grid", "cfl", float)
-    absorber_cells = _take(values, "grid", "absorber_cells", int)
-    absorber_sigma = _take(values, "grid", "absorber_sigma", float)
+    grid = _set(
+        system_length=_take(values, "grid", "length", float, required=True),
+        n_grid=_take(values, "grid", "nodes", int, required=True),
+        cfl_factor=_take(values, "grid", "cfl", float),
+        absorber_cells=_take(values, "grid", "absorber_cells", int),
+        absorber_sigma=_take(values, "grid", "absorber_sigma", float),
+    )
 
     t0 = _take(values, "source", "t0", float, required=True)
     width = _take(values, "source", "width", float, required=True)
     omega0 = _take(values, "source", "omega0", float, required=True)
 
-    eps_inf = _take(values, "medium", "eps_inf", float)
-    sigma = _take(values, "medium", "sigma", float)
+    medium = _set(
+        eps_inf=_take(values, "medium", "eps_inf", float),
+        sigma=_take(values, "medium", "sigma", float),
+    )
 
     poles = []
     k = 1
@@ -182,11 +179,13 @@ def parse_config(text: str) -> SimConfig:
             raise ValidationError(f"[{sec}]: {exc}") from None
         k += 1
 
-    steps = _take(values, "run", "steps", int)
-    probes = _take(values, "run", "probes", _float_list)
-    method = _take(values, "run", "method", str)
-    band_threshold = _take(values, "run", "band_threshold", float)
-    out = _take(values, "run", "out", str)
+    run = _set(
+        n_steps=_take(values, "run", "steps", int),
+        probes=_take(values, "run", "probes", _float_list),
+        method=_take(values, "run", "method", str),
+        band_threshold=_take(values, "run", "band_threshold", float),
+        out=_take(values, "run", "out", str),
+    )
 
     if values:
         (sec, key), (_, lineno) = next(iter(values.items()))
@@ -194,24 +193,11 @@ def parse_config(text: str) -> SimConfig:
 
     try:
         source = GaussianSource(t0=t0, delta_t=width, omega0=omega0)
-        medium = Medium(eps_inf=eps_inf, sigma=sigma, poles=tuple(poles))
+        medium = Medium(**medium, poles=tuple(poles))
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
-    return SimConfig(
-        system_length=length,
-        n_grid=nodes,
-        cfl_factor=cfl,
-        source=source,
-        medium=medium,
-        n_steps=steps,
-        probes=probes,
-        method=method,
-        band_threshold=band_threshold,
-        absorber_cells=absorber_cells,
-        absorber_sigma=absorber_sigma,
-        out=out,
-    )
+    return SimConfig(source=source, medium=medium, **grid, **run)
 
 
 def load_config(path) -> SimConfig:

@@ -11,13 +11,13 @@ vacuum reduces to the standard wave equation:
 The dispersive current dP/dt is evaluated at t_N + dt/2 by the selected
 updater ("tgm" recursive Green-function accumulators or "adem" two-level
 ADE history) after injecting E^N, and enters the E update like a current
-density; the leapfrog itself is unmodified.  Each dispersive medium must
-occupy one contiguous run of nodes; all its poles are stacked into one
-bank over that run.  A "tgm" bank keeps one complex accumulator per
-underdamped pole and two real-valued ones per overdamped pole; the
-branch symmetry this relies on (greens.check_branch_symmetry) is checked
-per pole when the Simulation is built, so the step itself carries no
-realness check.
+density; the leapfrog itself is unmodified.  Nodes with x < L/2 are
+vacuum and nodes with x >= L/2 carry the configured medium, whose poles
+are stacked into one bank over those nodes.  A "tgm" bank keeps one
+complex accumulator per underdamped pole and two real-valued ones per
+overdamped pole; the branch symmetry this relies on
+(greens.check_branch_symmetry) is checked per pole when the Simulation
+is built, so the step itself carries no realness check.
 
 A Gaussian hard source pins node 0 while t < 2*t0; both end nodes then
 follow first-order Mur absorbing updates.  Optionally the last cells of
@@ -26,7 +26,7 @@ with a magnetic-loss ramp impedance-matched to the local static
 permittivity, so even quasi-static content is absorbed instead of
 reflected (a bare conductivity taper turns into a mirror at low
 frequency).  The absorber is part of the boundary treatment and leaves
-the medium map untouched.
+the medium's own eps_inf and sigma untouched.
 
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
@@ -34,7 +34,7 @@ Simulations are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,11 +87,10 @@ class ProbeSeries:
 
 @dataclass
 class Grid1D:
-    """Staggered field arrays and the per-node medium map."""
+    """Staggered field arrays."""
 
-    e: np.ndarray           # N values, V/m
-    b: np.ndarray           # N-1 values, T
-    medium_index: np.ndarray  # N ints into the media table
+    e: np.ndarray  # N values, V/m
+    b: np.ndarray  # N-1 values, T
     dx: float
     dt: float
 
@@ -167,57 +166,61 @@ class _AdeBank:
 
 
 class Simulation:
-    """Owns the grid, media table, source and dispersive updaters."""
+    """The half-space experiment of one SimConfig, which has already
+    checked every invariant and derives dx and dt.
 
-    def __init__(self, grid: Grid1D, media, source=None, method="tgm",
-                 absorber_sigma=None, absorber_beta_m=None, boundary="mur"):
+    Nodes with x < L/2 are vacuum; nodes from interface_node(n) on carry
+    the config medium.  Pole coefficients are baked once; all fields start
+    at zero.  An absorber taper over the last `absorber_cells` nodes is
+    added when configured, matched per node to the local static
+    permittivity.  `boundary="reflect"` keeps both end nodes fixed instead
+    of applying the Mur update.
+    """
+
+    def __init__(self, config, boundary="mur"):
         if boundary not in ("mur", "reflect"):
             raise ValueError(f"unknown boundary {boundary!r}")
-        if method not in ("tgm", "adem"):
-            raise ValueError(f"unknown method {method!r}")
-        self.grid = grid
-        self.media = tuple(media)
-        self.source = source
-        self.method = method
+        n, dt = config.n_grid, config.dt
+        i0 = interface_node(n)
+        medium = config.medium
+        self.grid = Grid1D(e=np.zeros(n), b=np.zeros(n - 1), dx=config.dx, dt=dt)
+        self.media = (Medium.vacuum(), medium)
+        self.source = config.source
+        self.method = config.method
         self.boundary = boundary
         self.step_index = 0
 
-        self.eps_inf_node = np.array([self.media[m].eps_inf for m in grid.medium_index])
-        self.sigma_node = np.array([self.media[m].sigma for m in grid.medium_index])
-        if absorber_sigma is not None:
-            self.sigma_node = self.sigma_node + absorber_sigma
+        self.eps_inf_node = np.ones(n)
+        self.eps_inf_node[i0:] = medium.eps_inf
+        self.sigma_node = np.zeros(n)
+        self.sigma_node[i0:] = medium.sigma
         # magnetic absorber loss on B nodes; scalars keep the lossless
         # update bit-identical to the plain Yee form
-        if absorber_beta_m is None:
-            self._bm_lo = 1.0
-            self._bm_hi = 1.0
-        else:
-            self._bm_lo = 1.0 - 0.5 * absorber_beta_m
-            self._bm_hi = 1.0 / (1.0 + 0.5 * absorber_beta_m)
-        self._dt_over_eps = grid.dt / (EPS0 * self.eps_inf_node[1:-1])
-        n = len(grid.e)
+        self._bm_lo = 1.0
+        self._bm_hi = 1.0
+        w = config.absorber_cells
+        if w > 0:
+            taper = np.zeros(n)
+            u = np.arange(w) / max(w - 1, 1)
+            taper[n - w:] = config.absorber_sigma * u**3
+            self.sigma_node += taper
+            eps_static = np.ones(n)
+            eps_static[i0:] = medium.eps_static
+            sig_b = 0.5 * (taper[:-1] + taper[1:])
+            eps_b = 0.5 * (eps_static[:-1] + eps_static[1:])
+            beta_m = sig_b * dt / (EPS0 * eps_b)
+            self._bm_lo = 1.0 - 0.5 * beta_m
+            self._bm_hi = 1.0 / (1.0 + 0.5 * beta_m)
+        self._dt_over_eps = dt / (EPS0 * self.eps_inf_node[1:-1])
         self._de = np.empty(n - 1)
         self._rhs = np.empty(n - 2)
 
-        # one stacked bank per dispersive medium on the interior nodes of
-        # its run; the end nodes' current is never used
+        # one stacked bank on the medium's interior nodes; the Mur node
+        # n-1 consumes no current
         self._banks = []
-        for m, medium in enumerate(self.media):
-            if not medium.dispersive:
-                continue
-            idx = np.flatnonzero(grid.medium_index == m)
-            if len(idx) == 0:
-                continue
-            if idx[-1] - idx[0] + 1 != len(idx):
-                raise ValueError(
-                    f"medium {m} ({medium}) must cover one contiguous run of "
-                    f"nodes, got {len(idx)} nodes spread over {idx[0]}..{idx[-1]}"
-                )
-            nodes = slice(max(int(idx[0]), 1), min(int(idx[-1]) + 1, n - 1))
-            if nodes.start >= nodes.stop:
-                continue
-            bank = _TgmBank if method == "tgm" else _AdeBank
-            self._banks.append(bank(nodes, medium.poles, grid.dt))
+        if medium.dispersive:
+            bank = _TgmBank if self.method == "tgm" else _AdeBank
+            self._banks.append(bank(slice(i0, n - 1), medium.poles, dt))
 
     @property
     def time(self) -> float:
@@ -229,7 +232,7 @@ class Simulation:
 
     def _pin_source(self, t) -> None:
         # hard source: overwrite node 0 while the envelope is alive
-        if self.source is not None and t < 2.0 * self.source.t0:
+        if t < 2.0 * self.source.t0:
             self.grid.e[0] = source_value(self.source, t)
 
     def step(self) -> None:
@@ -297,47 +300,8 @@ def interface_node(n_nodes: int) -> int:
 
 
 def build_simulation(config, *, method=None, boundary="mur") -> Simulation:
-    """Assemble the half-space experiment from a SimConfig, which has
-    already checked every invariant and derives dx and dt.
-
-    Nodes with x < L/2 are vacuum; nodes with x >= L/2 carry the config
-    medium.  Pole coefficients are baked once; all fields start at zero.
-    An absorber taper over the last `absorber_cells` nodes is added when
-    configured, matched per node to the local static permittivity.
-    """
-    n = config.n_grid
-    dt = config.dt
-
-    media = (Medium.vacuum(), config.medium)
-    medium_index = np.zeros(n, dtype=np.int8)
-    medium_index[interface_node(n):] = 1
-
-    absorber_sigma = None
-    absorber_beta_m = None
-    w = config.absorber_cells
-    if w > 0:
-        absorber_sigma = np.zeros(n)
-        u = np.arange(w) / max(w - 1, 1)
-        absorber_sigma[n - w:] = config.absorber_sigma * u**3
-        eps_static = np.array([media[m].eps_static for m in medium_index])
-        sig_b = 0.5 * (absorber_sigma[:-1] + absorber_sigma[1:])
-        eps_b = 0.5 * (eps_static[:-1] + eps_static[1:])
-        absorber_beta_m = sig_b * dt / (EPS0 * eps_b)
-
-    grid = Grid1D(
-        e=np.zeros(n),
-        b=np.zeros(n - 1),
-        medium_index=medium_index,
-        dx=config.dx,
-        dt=dt,
-    )
-    src = GaussianSource(config.source.t0, config.source.delta_t, config.source.omega0)
-    return Simulation(
-        grid,
-        media,
-        source=src,
-        method=config.method if method is None else method,
-        absorber_sigma=absorber_sigma,
-        absorber_beta_m=absorber_beta_m,
-        boundary=boundary,
-    )
+    """Simulation of `config`, with its method replaced by `method` when
+    given (SimConfig checks the name)."""
+    if method is not None:
+        config = replace(config, method=method)
+    return Simulation(config, boundary)

@@ -215,17 +215,23 @@ def check_temporal_order(pole, min_ratio=3.6):
 
 
 def run_checks(config, corrupt_propagator: float = 1.0) -> list:
-    """Run the whole suite against the config's first pole, or the bundled
-    table1 pole when the medium has none, at the config's dt."""
+    """Run the whole suite against every pole of the config medium, or the
+    bundled table1 pole when the medium has none, at the config's dt.
+    Each result's detail starts with the number of its pole."""
     poles = config.medium.poles or load_table1().medium.poles
-    pole, dt = poles[0], config.dt
-    return [
-        check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator),
-        check_green_closed_form(pole, dt),
-        check_steady_state(pole, dt),
-        check_conjugacy(pole, dt),
-        check_realness(pole, dt),
-        check_non_amplification(pole, dt),
-        check_ade_fixed_point(pole, dt),
-        check_temporal_order(pole),
-    ]
+    dt = config.dt
+    results = []
+    for k, pole in enumerate(poles, start=1):
+        for res in (
+            check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator),
+            check_green_closed_form(pole, dt),
+            check_steady_state(pole, dt),
+            check_conjugacy(pole, dt),
+            check_realness(pole, dt),
+            check_non_amplification(pole, dt),
+            check_ade_fixed_point(pole, dt),
+            check_temporal_order(pole),
+        ):
+            res.detail = f"pole {k}: {res.detail}"
+            results.append(res)
+    return results

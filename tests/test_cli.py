@@ -1,11 +1,18 @@
 """CLI contracts: CSV formats, exit codes, determinism, verify hooks."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from greenfdtd import cli
 from greenfdtd.config import load_table1, parse_config
+from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.verify import FAIL, PASS, SKIP, run_checks
+
+WP = 2 * math.pi * 20e9
+OVERDAMPED_POLE = LorentzPole(1.0, 1.5 * WP, 2.5 * 1.5 * WP)
 
 SMALL = """
 [grid]
@@ -111,6 +118,20 @@ class TestReflectionCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
 
+    def test_multipole_medium_matches_analytic(self, tmp_path):
+        # table1 with two underdamped poles and one overdamped pole, held to
+        # acceptance criterion 1's bound on the max |R| error
+        poles = (LorentzPole(3.0, WP, 0.1 * WP),
+                 LorentzPole(0.5, 2.3 * WP, 0.05 * 2.3 * WP),
+                 OVERDAMPED_POLE)
+        cfg = load_table1().with_medium(Medium(eps_inf=1.5, sigma=0.0, poles=poles))
+        out = tmp_path / "multipole.csv"
+        assert cli.cmd_reflection(cfg, str(out)) == 0
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        for method in ("tgm", "adem"):
+            err = np.abs(data[f"r_{method}"] - data["r_analytic"]).max()
+            assert err <= 0.02, f"{method}: max |R| error {err:.4f}"
+
 
 class TestGreenCommand:
     def test_closed_form_tracks_rk4(self, small_cfg, tmp_path):
@@ -152,11 +173,23 @@ class TestVerifyCommand:
         assert not cfg.medium.poles
         assert [r.status for r in run_checks(cfg)] == [PASS] * 8
 
+    def test_every_pole_checked(self):
+        cfg = two_pole_config()
+        results = run_checks(cfg)
+        assert len(results) == 16
+        assert [r.name for r in results[:8]] == [r.name for r in results[8:]]
+        assert all(r.detail.startswith("pole 1: ") for r in results[:8])
+        assert all(r.detail.startswith("pole 2: ") for r in results[8:])
+        # the overdamped pole has no conjugate pair; every other check runs
+        assert [(k, r.name) for k, r in enumerate(results) if r.status == SKIP] == \
+            [(11, "conjugacy")]
+        assert all(r.status == PASS for r in results if r.status != SKIP)
+
     def test_corrupted_propagator_fails_recurrence(self):
-        cfg = load_table1()
-        results = run_checks(cfg, corrupt_propagator=1.0 + 1e-4)
-        by_name = {r.name: r for r in results}
-        assert by_name["recurrence-vs-direct-sum"].status == FAIL
+        results = run_checks(two_pole_config(), corrupt_propagator=1.0 + 1e-4)
+        recurrence = [r for r in results if r.name == "recurrence-vs-direct-sum"]
+        assert [r.detail.split(":")[0] for r in recurrence] == ["pole 1", "pole 2"]
+        assert all(r.status == FAIL for r in recurrence)
 
     def test_overdamped_conjugacy_skipped(self, tmp_path):
         text = SMALL.replace("delta_p = 1.2566370614359172e10",
@@ -176,6 +209,13 @@ class TestVerifyCommand:
         )
         assert cli.main(["verify", "--config", str(small_cfg)]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+def two_pole_config():
+    """table1 with the overdamped pole added as pole 2."""
+    cfg = load_table1()
+    return cfg.with_medium(dataclasses.replace(
+        cfg.medium, poles=cfg.medium.poles + (OVERDAMPED_POLE,)))
 
 
 class TestRefinementMonotonicity:

@@ -14,8 +14,6 @@ from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.errors import RealnessError, ValidationError
 from greenfdtd.fdtd import (
     GaussianSource,
-    Grid1D,
-    Simulation,
     build_simulation,
     interface_node,
     mur_update,
@@ -209,9 +207,10 @@ class TestEnergyAndStability:
 class TestBuilder:
     def test_interface_location(self):
         assert interface_node(3000) == 1500
-        sim = build_simulation(small_config(medium=table1_like_medium(), n_grid=3000, length=0.05))
-        changes = np.flatnonzero(np.diff(sim.grid.medium_index))
-        assert list(changes) == [1499]  # index changes between 1499 and 1500
+        sim = build_simulation(small_config(medium=multipole_medium(), n_grid=3000, length=0.05))
+        # eps_inf and sigma change between nodes 1499 and 1500
+        assert list(np.flatnonzero(np.diff(sim.eps_inf_node))) == [1499]
+        assert list(np.flatnonzero(np.diff(sim.sigma_node))) == [1499]
 
     def test_grid_spacing_and_step(self):
         cfg = load_table1()
@@ -239,6 +238,11 @@ class TestBuilder:
         # SimConfig checks its invariants, so no bad config reaches the builder
         with pytest.raises(ValidationError, match="CFL"):
             small_config(cfl_factor=1.1)
+
+    def test_unknown_method_rejected(self):
+        # the method override goes through SimConfig, which names the key
+        with pytest.raises(ValidationError, match="run.method"):
+            build_simulation(small_config(), method="fdtd")
 
     def test_absorber_width_limited(self):
         with pytest.raises(ValidationError, match="absorber_cells"):
@@ -355,14 +359,3 @@ class TestPoleKernels:
             build_simulation(small_config(medium=table1_like_medium()))
         # adem does not use the recurrence coefficients
         build_simulation(small_config(medium=table1_like_medium()), method="adem")
-
-    def test_non_contiguous_medium_rejected(self):
-        n = 40
-        medium_index = np.zeros(n, dtype=np.int8)
-        medium_index[10:15] = 1
-        medium_index[20:30] = 1
-        grid = Grid1D(e=np.zeros(n), b=np.zeros(n - 1), medium_index=medium_index,
-                      dx=1e-4, dt=0.9e-4 / C0)
-        for method in ("tgm", "adem"):
-            with pytest.raises(ValueError, match="medium 1 .*contiguous"):
-                Simulation(grid, (Medium.vacuum(), table1_like_medium()), method=method)
