@@ -47,7 +47,7 @@ def spectrum(series: ProbeSeries) -> Spectrum:
 
 
 def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
-                         band_threshold: float = 0.01) -> list:
+                         band_threshold: float) -> list:
     """|R|(f) from a vacuum-reference incident series and a medium-run
     total series at the same node.
 

@@ -9,12 +9,12 @@
 `reflection` runs the vacuum reference plus both dispersive updaters,
 emits |R|(f) against the analytic coefficient and prints an error
 summary; `green` compares the closed-form rectangle response with the
-RK4 oracle; `verify` runs the invariant suite.
+RK4 oracle for every medium pole; `verify` runs the invariant suite.
 
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings) and goes to --out when given, the config's
 [run] out path otherwise, else stdout.  Exit status: 0 success, 1
-usage/config error, 2 verification failure.
+usage, config or file error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import sys
 
 import numpy as np
 
-from . import analysis, oracle, verify
+from . import analysis, verify
 from .config import load_config
 from .dispersion import Medium, reflection_coefficient
 from .errors import ConfigError, ValidationError
 from .fdtd import build_simulation, probe_nodes_from_fractions
-from .greens import green_function
 
 
 def _fmt(x: float) -> str:
@@ -100,19 +99,17 @@ def cmd_reflection(config, out_path=None) -> int:
 
 
 def cmd_green(config, out_path=None) -> int:
-    """Closed-form rectangle response vs RK4 oracle; CSV comparison."""
+    """Closed-form rectangle response vs RK4 oracle for each medium pole;
+    CSV comparison with the 1-based pole number in the first column."""
     if not config.medium.poles:
         raise ValidationError("green command needs at least one medium pole")
-    pole, dt = config.medium.poles[0], config.dt
-    t_end = 30.5 * dt
-    trace = oracle.green_rk4(pole, 0.0, dt, t_end, dt / 1000.0)
+    dt = config.dt
+    taus = np.arange(0.5 * dt, 30.5 * dt - 0.25 * dt, 0.25 * dt)
     rows = []
-    taus = np.arange(0.5 * dt, t_end - 0.25 * dt, 0.25 * dt)
-    for t in taus:
-        g_closed = green_function(pole, float(t), 0.0, dt)
-        g_rk4 = trace.at(float(t))
-        rows.append([t, g_closed, g_rk4, abs(g_closed - g_rk4)])
-    _write_csv("t_s,g_closed_form,g_rk4,abs_diff", rows, out_path)
+    for k, pole in enumerate(config.medium.poles, start=1):
+        closed, rk4 = verify.green_closed_and_rk4(pole, dt, taus)
+        rows.extend(zip([k] * len(taus), taus, closed, rk4, np.abs(closed - rk4)))
+    _write_csv("pole,t_s,g_closed_form,g_rk4,abs_diff", rows, out_path)
     return 0
 
 
@@ -153,26 +150,16 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config)
-    except FileNotFoundError as exc:
+        if args.command == "verify":
+            return cmd_verify(config)
+        command = {"run": cmd_run, "reflection": cmd_reflection, "green": cmd_green}
+        return command[args.command](config, args.out or config.out)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None) or config.out
-    try:
-        if args.command == "run":
-            return cmd_run(config, out)
-        if args.command == "reflection":
-            return cmd_reflection(config, out)
-        if args.command == "green":
-            return cmd_green(config, out)
-        if args.command == "verify":
-            return cmd_verify(config)
-    except (ConfigError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

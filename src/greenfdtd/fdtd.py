@@ -173,13 +173,12 @@ class Simulation:
     the config medium.  Pole coefficients are baked once; all fields start
     at zero.  An absorber taper over the last `absorber_cells` nodes is
     added when configured, matched per node to the local static
-    permittivity.  `boundary="reflect"` keeps both end nodes fixed instead
-    of applying the Mur update.
+    permittivity.
     """
 
-    def __init__(self, config, boundary="mur"):
-        if boundary not in ("mur", "reflect"):
-            raise ValueError(f"unknown boundary {boundary!r}")
+    boundary = "mur"
+
+    def __init__(self, config):
         n, dt = config.n_grid, config.dt
         i0 = interface_node(n)
         medium = config.medium
@@ -187,30 +186,26 @@ class Simulation:
         self.media = (Medium.vacuum(), medium)
         self.source = config.source
         self.method = config.method
-        self.boundary = boundary
         self.step_index = 0
 
         self.eps_inf_node = np.ones(n)
         self.eps_inf_node[i0:] = medium.eps_inf
         self.sigma_node = np.zeros(n)
         self.sigma_node[i0:] = medium.sigma
-        # magnetic absorber loss on B nodes; scalars keep the lossless
-        # update bit-identical to the plain Yee form
-        self._bm_lo = 1.0
-        self._bm_hi = 1.0
+        # magnetic absorber loss on B nodes; a zero taper gives factors of
+        # exactly 1, so the lossless update stays bit-identical to plain Yee
         w = config.absorber_cells
-        if w > 0:
-            taper = np.zeros(n)
-            u = np.arange(w) / max(w - 1, 1)
-            taper[n - w:] = config.absorber_sigma * u**3
-            self.sigma_node += taper
-            eps_static = np.ones(n)
-            eps_static[i0:] = medium.eps_static
-            sig_b = 0.5 * (taper[:-1] + taper[1:])
-            eps_b = 0.5 * (eps_static[:-1] + eps_static[1:])
-            beta_m = sig_b * dt / (EPS0 * eps_b)
-            self._bm_lo = 1.0 - 0.5 * beta_m
-            self._bm_hi = 1.0 / (1.0 + 0.5 * beta_m)
+        taper = np.zeros(n)
+        u = np.arange(w) / max(w - 1, 1)
+        taper[n - w:] = config.absorber_sigma * u**3
+        self.sigma_node += taper
+        eps_static = np.ones(n)
+        eps_static[i0:] = medium.eps_static
+        sig_b = 0.5 * (taper[:-1] + taper[1:])
+        eps_b = 0.5 * (eps_static[:-1] + eps_static[1:])
+        beta_m = sig_b * dt / (EPS0 * eps_b)
+        self._bm_lo = 1.0 - 0.5 * beta_m
+        self._bm_hi = 1.0 / (1.0 + 0.5 * beta_m)
         self._dt_over_eps = dt / (EPS0 * self.eps_inf_node[1:-1])
         self._de = np.empty(n - 1)
         self._rhs = np.empty(n - 2)
@@ -266,9 +261,8 @@ class Simulation:
             rhs[bank.rhs] -= bank.j
         rhs *= self._dt_over_eps
         e[1:-1] += rhs
-        if self.boundary == "mur":
-            e[0] = mur_update(e0_old, e1_old, e[1], dx, dt)
-            e[-1] = mur_update(en_old, enn_old, e[-2], dx, dt)
+        e[0] = mur_update(e0_old, e1_old, e[1], dx, dt)
+        e[-1] = mur_update(en_old, enn_old, e[-2], dx, dt)
         self.step_index += 1
         self._pin_source(self.time)
 
@@ -299,9 +293,9 @@ def interface_node(n_nodes: int) -> int:
     return int(np.ceil((n_nodes - 1) / 2))
 
 
-def build_simulation(config, *, method=None, boundary="mur") -> Simulation:
+def build_simulation(config, *, method=None) -> Simulation:
     """Simulation of `config`, with its method replaced by `method` when
     given (SimConfig checks the name)."""
     if method is not None:
         config = replace(config, method=method)
-    return Simulation(config, boundary)
+    return Simulation(config)

@@ -75,10 +75,6 @@ class PoleState:
     f_plus: complex | np.ndarray = 0j
     f_minus: complex | np.ndarray = 0j
 
-    @classmethod
-    def zeros(cls, n_cells: int) -> "PoleState":
-        return cls(np.zeros(n_cells, dtype=complex), np.zeros(n_cells, dtype=complex))
-
 
 def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     """Bake the recurrence constants for one pole at a fixed step dt."""

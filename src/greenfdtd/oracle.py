@@ -58,8 +58,9 @@ def direct_convolution_sum(e_history, pole: LorentzPole, dt: float, t_eval: floa
     return float(pole.strength * np.sum(e[mask] * g.real))
 
 
-def _rk4_phases(pole: LorentzPole, phases, y0=0.0, v0=0.0, t0=0.0):
-    """Integrate y'' + 2 dp y' + wp^2 y = f(t) through a list of phases.
+def _rk4_phases(pole: LorentzPole, phases, t0):
+    """Integrate y'' + 2 dp y' + wp^2 y = f(t) from rest at t0 through a
+    list of phases.
 
     Each phase is (duration, n_steps, forcing) with `forcing` either a
     constant or a callable of t; the right-hand side is smooth inside a
@@ -69,9 +70,9 @@ def _rk4_phases(pole: LorentzPole, phases, y0=0.0, v0=0.0, t0=0.0):
     wp2 = pole.omega_p**2
     two_dp = 2.0 * pole.delta_p
     times = array("d", [t0])
-    ys = array("d", [y0])
-    vs = array("d", [v0])
-    t, y, v = t0, y0, v0
+    ys = array("d", [0.0])
+    vs = array("d", [0.0])
+    t, y, v = t0, 0.0, 0.0
     for duration, n_steps, forcing in phases:
         h = duration / n_steps
         const = not callable(forcing)

@@ -39,10 +39,10 @@ def _corrupted(coeffs, factor):
     return _dc_replace(coeffs, prop_plus=coeffs.prop_plus * factor)
 
 
-def check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator=1.0,
-                                   n_samples=2000, n_sequences=5, rtol=1e-10,
+def check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator=1.0, n_sequences=5,
                                    seed=20240501):
     """Recurrence state after N random samples vs the explicit O(N) sum."""
+    n_samples, rtol = 2000, 1e-10
     rng = np.random.default_rng(seed)
     coeffs = _corrupted(greens.make_coefficients(pole, dt), corrupt_propagator)
     worst = 0.0
@@ -63,24 +63,29 @@ def check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator=1.0,
                        f"max relative difference {worst:.3e} (tol {rtol:.0e})")
 
 
-def check_green_closed_form(pole, dt, rtol=1e-6):
-    """Closed-form rectangle response vs RK4 at fine_step = dt/1000."""
-    t_end = 20.5 * dt
-    trace = oracle.green_rk4(pole, 0.0, dt, t_end, dt / 1000.0)
-    worst = 0.0
-    gmax = max(abs(trace.values).max(), 1e-300)
-    for k in range(41):
-        t = 0.5 * dt + k * 0.5 * dt
-        if t > t_end:
-            break
-        worst = max(worst, abs(greens.green_function(pole, t, 0.0, dt) - trace.at(t)) / gmax)
+def green_closed_and_rk4(pole, dt, times):
+    """Closed-form response to the unit rectangle on [-dt/2, dt/2] and its
+    RK4 integration at fine_step = dt/1000, at each of the ascending
+    `times` (>= dt/2)."""
+    trace = oracle.green_rk4(pole, 0.0, dt, times[-1], dt / 1000.0)
+    closed = np.array([greens.green_function(pole, float(t), 0.0, dt) for t in times])
+    return closed, np.array([trace.at(float(t)) for t in times])
+
+
+def check_green_closed_form(pole, dt):
+    """Closed-form rectangle response vs RK4 every half step to t_end."""
+    rtol, t_end = 1e-6, 20.5 * dt
+    times = 0.5 * dt + np.arange(41) * 0.5 * dt
+    closed, rk4 = green_closed_and_rk4(pole, dt, times[times <= t_end])
+    worst = float(np.abs(closed - rk4).max() / max(np.abs(rk4).max(), 1e-300))
     status = PASS if worst < rtol else FAIL
     return CheckResult("green-closed-form-vs-rk4", status,
                        f"max relative error {worst:.3e} (tol {rtol:.0e})")
 
 
-def check_steady_state(pole, dt, tol=1e-3):
+def check_steady_state(pole, dt):
     """Constant drive must settle to eps0*delta_eps*E0 for both updaters."""
+    tol = 1e-3
     if pole.delta_p <= 0.0:
         return CheckResult("steady-state", SKIP, "skipped (undamped pole never settles)")
     e0 = 1.0
@@ -104,15 +109,16 @@ def check_steady_state(pole, dt, tol=1e-3):
                        f"worst relative offset {err:.3e} after {n} steps (tol {tol:.0e})")
 
 
-def check_conjugacy(pole, dt, rtol=1e-12, n_steps=400, seed=7):
+def check_conjugacy(pole, dt):
     """f_minus == conj(f_plus) under real drive, underdamped poles only."""
     if pole.overdamped:
         return CheckResult("conjugacy", SKIP, "skipped (overdamped)")
-    rng = np.random.default_rng(seed)
+    rtol = 1e-12
+    rng = np.random.default_rng(7)
     coeffs = greens.make_coefficients(pole, dt)
     state = greens.PoleState()
     worst = 0.0
-    for e in rng.uniform(-1.0, 1.0, n_steps):
+    for e in rng.uniform(-1.0, 1.0, 400):
         state = greens.advance_state(state, e, coeffs)
         mag = max(abs(state.f_plus), 1e-300)
         worst = max(worst, abs(state.f_minus - np.conj(state.f_plus)) / mag)
@@ -121,10 +127,11 @@ def check_conjugacy(pole, dt, rtol=1e-12, n_steps=400, seed=7):
                        f"max |f_minus - conj(f_plus)| / |f_plus| = {worst:.3e} (tol {rtol:.0e})")
 
 
-def check_realness(pole, dt, n_steps=400, seed=11):
+def check_realness(pole, dt):
     """P and dP/dt evaluations must stay within the imaginary-residual
     tolerance (the accessors raise RealnessError otherwise)."""
-    rng = np.random.default_rng(seed)
+    n_steps = 400
+    rng = np.random.default_rng(11)
     coeffs = greens.make_coefficients(pole, dt)
     state = greens.PoleState()
     try:
@@ -138,9 +145,10 @@ def check_realness(pole, dt, n_steps=400, seed=11):
                        f"imaginary residuals below {greens.IMAG_RESIDUAL_RTOL:.0e} over {n_steps} steps")
 
 
-def check_non_amplification(pole, dt, n_steps=200, seed=13):
+def check_non_amplification(pole, dt):
     """|F+| must not grow under zero drive (strictly decay when damped)."""
-    rng = np.random.default_rng(seed)
+    n_steps = 200
+    rng = np.random.default_rng(13)
     coeffs = greens.make_coefficients(pole, dt)
     state = greens.PoleState()
     for e in rng.uniform(-1.0, 1.0, 50):
@@ -159,8 +167,9 @@ def check_non_amplification(pole, dt, n_steps=200, seed=13):
                        f"|f_plus| monotone under zero drive over {n_steps} steps")
 
 
-def check_ade_fixed_point(pole, dt, rtol=1e-13):
+def check_ade_fixed_point(pole, dt):
     """The exact steady state must be a fixed point of the ADE update."""
+    rtol = 1e-13
     p_star = EPS0 * pole.delta_eps * 1.0
     state = AdePoleState(p_now=p_star, p_prev=p_star)
     new_state, p_next = ade_advance(state, 1.0, pole, dt)
@@ -190,11 +199,12 @@ def staircase_error(pole, drive, dt, t_end, settle):
     return worst
 
 
-def check_temporal_order(pole, min_ratio=3.6):
+def check_temporal_order(pole):
     """Halving dt must shrink the error against the smooth-drive reference
     by at least `min_ratio` (second-order accuracy).  The max is taken
     over the final drive period, after the startup ring of the resonance
     has decayed."""
+    min_ratio = 3.6
     omega_d = pole.omega_p / 12.0
     period = 2.0 * np.pi / omega_d
     # resolve the pole itself (about ten steps per resonance period) so the

@@ -127,11 +127,11 @@ class TestReflectionMagnitude:
     def test_mismatched_series_rejected(self):
         x = np.ones(32)
         with pytest.raises(SeriesMismatchError):
-            reflection_magnitude(make_series(x, node=1), make_series(x, node=2))
+            reflection_magnitude(make_series(x, node=1), make_series(x, node=2), 0.01)
         with pytest.raises(SeriesMismatchError):
-            reflection_magnitude(make_series(x, dt=1e-12), make_series(x, dt=2e-12))
+            reflection_magnitude(make_series(x, dt=1e-12), make_series(x, dt=2e-12), 0.01)
         with pytest.raises(SeriesMismatchError):
-            reflection_magnitude(make_series(x), make_series(np.ones(33)))
+            reflection_magnitude(make_series(x), make_series(np.ones(33)), 0.01)
 
     def test_band_threshold_semantics(self):
         # with a broadband record plus one strong tone, a high threshold

@@ -138,7 +138,7 @@ class TestGreenCommand:
         out = tmp_path / "green.csv"
         assert cli.main(["green", "--config", str(small_cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "t_s,g_closed_form,g_rk4,abs_diff"
+        assert lines[0] == "pole,t_s,g_closed_form,g_rk4,abs_diff"
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert data["abs_diff"].max() < 1e-6 * np.abs(data["g_closed_form"]).max()
 
@@ -157,6 +157,18 @@ class TestGreenCommand:
 
     def test_needs_a_pole(self, vacuum_cfg):
         assert cli.main(["green", "--config", str(vacuum_cfg)]) == 1
+
+    def test_every_pole_compared(self, tmp_path):
+        out = tmp_path / "green.csv"
+        assert cli.cmd_green(two_pole_config(), str(out)) == 0
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        rows = [data[data["pole"] == k] for k in (1, 2)]
+        assert set(data["pole"]) == {1.0, 2.0}
+        assert np.array_equal(rows[0]["t_s"], rows[1]["t_s"])
+        assert not np.array_equal(rows[0]["g_closed_form"], rows[1]["g_closed_form"])
+        assert not np.array_equal(rows[0]["g_rk4"], rows[1]["g_rk4"])
+        for r in rows:
+            assert r["abs_diff"].max() < 1e-6 * np.abs(r["g_closed_form"]).max()
 
 
 class TestVerifyCommand:
@@ -264,6 +276,11 @@ class TestRefinementMonotonicity:
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    def test_unwritable_out_path(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "missing" / "run.csv"
+        assert cli.main(["run", "--config", str(small_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_error_exit(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -237,7 +237,7 @@ class TestRecurrence:
         rng = np.random.default_rng(9)
         e_cols = rng.uniform(-1, 1, (40, 3))
         coeffs = make_coefficients(TABLE1_POLE, TABLE1_DT)
-        state = PoleState.zeros(3)
+        state = PoleState(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
         for row in e_cols:
             state = advance_state(state, row, coeffs)
         for c in range(3):
