@@ -15,21 +15,13 @@ import time
 
 import numpy as np
 
-from greenfdtd.analysis import reflection_magnitude
+from greenfdtd.analysis import reflection_experiment
 from greenfdtd.config import load_table1
-from greenfdtd.dispersion import Medium, reflection_coefficient
-from greenfdtd.fdtd import build_simulation, probe_nodes_from_fractions
 
 
 def band_errors(cfg):
-    nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
-    ref = build_simulation(cfg.with_medium(Medium.vacuum()), method="tgm").run(cfg.n_steps, nodes)
-    tot = build_simulation(cfg, method="tgm").run(cfg.n_steps, nodes)
-    pairs = reflection_magnitude(ref[1], tot[1], cfg.band_threshold)
-    f = np.array([p[0] for p in pairs])
-    m = np.array([p[1] for p in pairs])
-    ra = np.abs(reflection_coefficient(cfg.medium, 2 * np.pi * f))
-    err = np.abs(m - ra)
+    f, ra, mags = reflection_experiment(cfg, ("tgm",))
+    err = np.abs(mags["tgm"] - ra)
     return err.max(), float(np.sqrt(np.mean(err**2))), f[err.argmax()]
 
 

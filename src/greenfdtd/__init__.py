@@ -10,7 +10,7 @@ benchmark.
 """
 
 from .ade import AdePoleState, ade_advance, ade_current_half_step
-from .analysis import Spectrum, reflection_magnitude, spectrum
+from .analysis import Spectrum, reflection_experiment, reflection_magnitude, spectrum
 from .config import SimConfig, load_config, load_table1, parse_config, table1_path
 from .constants import C0, EPS0, MU0
 from .dispersion import (

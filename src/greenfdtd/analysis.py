@@ -1,4 +1,6 @@
-"""Spectral post-processing: probe spectra and |R|(f) extraction.
+"""Spectral post-processing: probe spectra, |R|(f) extraction and
+`reflection_experiment`, the one copy of the half-space reflection
+experiment that the CLI, the absorber study and the tests share.
 
 The reflected wave is isolated by subtracting an all-vacuum reference run
 from the medium run at the same probe node, sample by sample; |R|(f) is
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBandError, SeriesMismatchError
-from .fdtd import ProbeSeries
+from .dispersion import Medium, reflection_coefficient
+from .errors import EmptyBandError, SeriesMismatchError, ValidationError
+from .fdtd import ProbeSeries, build_simulation, interface_node, probe_nodes_from_fractions
 
 
 @dataclass
@@ -81,3 +84,32 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
         )
     ratio = np.abs(ref.amps[mask]) / inc_mag[mask]
     return list(zip(inc.freqs[mask].tolist(), ratio.tolist()))
+
+
+def reflection_experiment(config, methods):
+    """(freqs, analytic |R|, {method: |R|}) over the band of `config`'s
+    half-space, one medium run per updater in `methods`.
+
+    Every run records only the vacuum-side probe nearest the interface,
+    the largest probe node below interface_node(n).  ValidationError when
+    no probe is in the vacuum half or the pulse never reaches the probe.
+    """
+    n = config.n_grid
+    vacuum_side = [i for i in probe_nodes_from_fractions(config.probes, n)
+                   if i < interface_node(n)]
+    if not vacuum_side:
+        raise ValidationError(
+            f"run.probes must include a probe in the vacuum half x < L/2, got {config.probes}")
+    node = [max(vacuum_side)]
+    [incident] = build_simulation(config.with_medium(Medium.vacuum()),
+                                  method="tgm").run(config.n_steps, node)
+    if not incident.samples.any():
+        raise ValidationError(f"run.steps = {config.n_steps} ends before the pulse "
+                              f"reaches the probe at node {node[0]}")
+    mags = {}
+    for method in methods:
+        [total] = build_simulation(config, method=method).run(config.n_steps, node)
+        pairs = reflection_magnitude(incident, total, config.band_threshold)
+        mags[method] = np.array([m for _, m in pairs])
+    freqs = np.array([f for f, _ in pairs])
+    return freqs, np.abs(reflection_coefficient(config.medium, 2.0 * np.pi * freqs)), mags

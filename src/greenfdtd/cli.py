@@ -6,9 +6,9 @@
     greenfdtd verify     --config <path>
 
 `run` executes one simulation and emits the raw probe series as CSV;
-`reflection` runs the vacuum reference plus both dispersive updaters,
-emits |R|(f) against the analytic coefficient and prints an error
-summary; `green` compares the closed-form rectangle response with the
+`reflection` runs analysis.reflection_experiment for both dispersive
+updaters, emits |R|(f) against the analytic coefficient and prints an
+error summary; `green` compares the closed-form rectangle response with the
 RK4 oracle for every medium pole; `verify` runs the invariant suite.
 
 CSV output is locale-independent (scientific notation, 12+ significant
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import analysis, verify
 from .config import load_config
-from .dispersion import Medium, reflection_coefficient
 from .errors import ConfigError, ValidationError
 from .fdtd import build_simulation, probe_nodes_from_fractions
 
@@ -46,21 +45,14 @@ def _write_csv(header, rows, out_path):
             fh.write(text)
 
 
-def _run_probes(config, method, medium=None):
-    cfg = config if medium is None else config.with_medium(medium)
-    sim = build_simulation(cfg, method=method)
-    nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
-    return sim.run(config.n_steps, nodes)
-
-
 def cmd_run(config, out_path=None) -> int:
     """Single simulation; CSV of the raw probe series."""
-    series = _run_probes(config, config.method)
+    nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
+    series = build_simulation(config).run(config.n_steps, nodes)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
-    times = series[0].times if series else np.empty(0)
     rows = (
         [t] + [s.samples[k] for s in series]
-        for k, t in enumerate(times)
+        for k, t in enumerate(series[0].times)
     )
     _write_csv(header, rows, out_path)
     return 0
@@ -70,27 +62,11 @@ def cmd_reflection(config, out_path=None) -> int:
     """Vacuum reference + both dispersive updaters; CSV of |R|(f) columns
     and a stdout summary of each method's error against the analytic
     coefficient."""
-    # reflection is extracted at the vacuum-side probe nearest the
-    # interface (the second of the default three)
-    probe_slot = min(1, len(config.probes) - 1)
-    ref_series = _run_probes(config, "tgm", medium=Medium.vacuum())
-    tgm_series = _run_probes(config, "tgm")
-    ade_series = _run_probes(config, "adem")
-
-    incident = ref_series[probe_slot]
-    r_tgm = analysis.reflection_magnitude(incident, tgm_series[probe_slot],
-                                          config.band_threshold)
-    r_ade = analysis.reflection_magnitude(incident, ade_series[probe_slot],
-                                          config.band_threshold)
-    freqs = np.array([f for f, _ in r_tgm])
-    tgm_mag = np.array([m for _, m in r_tgm])
-    ade_mag = np.array([m for _, m in r_ade])
-    analytic = np.abs(reflection_coefficient(config.medium, 2.0 * np.pi * freqs))
-
-    rows = zip(freqs, analytic, tgm_mag, ade_mag)
+    freqs, analytic, mags = analysis.reflection_experiment(config, ("tgm", "adem"))
+    rows = zip(freqs, analytic, mags["tgm"], mags["adem"])
     _write_csv("freq_hz,r_analytic,r_tgm,r_adem", rows, out_path)
 
-    for name, mag in (("tgm", tgm_mag), ("adem", ade_mag)):
+    for name, mag in mags.items():
         err = np.abs(mag - analytic)
         print(f"{name}: max abs error {err.max():.6f}, "
               f"rms error {np.sqrt(np.mean(err**2)):.6f} "

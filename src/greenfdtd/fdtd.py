@@ -210,12 +210,12 @@ class Simulation:
         self._de = np.empty(n - 1)
         self._rhs = np.empty(n - 2)
 
-        # one stacked bank on the medium's interior nodes; the Mur node
-        # n-1 consumes no current
-        self._banks = []
+        # at most one stacked bank, on the medium's interior nodes; the
+        # Mur node n-1 consumes no current
+        self._bank = None
         if medium.dispersive:
             bank = _TgmBank if self.method == "tgm" else _AdeBank
-            self._banks.append(bank(slice(i0, n - 1), medium.poles, dt))
+            self._bank = bank(slice(i0, n - 1), medium.poles, dt)
 
     @property
     def time(self) -> float:
@@ -241,9 +241,9 @@ class Simulation:
         """
         g = self.grid
         e, b, dt, dx = g.e, g.b, g.dt, g.dx
-        de, rhs = self._de, self._rhs
+        de, rhs, bank = self._de, self._rhs, self._bank
         self._pin_source(self.time)
-        for bank in self._banks:
+        if bank is not None:
             bank.advance(e)
         e0_old, e1_old = e[0], e[1]
         en_old, enn_old = e[-1], e[-2]
@@ -257,7 +257,7 @@ class Simulation:
         sigma_e = de[:-1]  # de is spent once b is updated
         np.multiply(self.sigma_node[1:-1], e[1:-1], out=sigma_e)
         rhs -= sigma_e
-        for bank in self._banks:
+        if bank is not None:
             rhs[bank.rhs] -= bank.j
         rhs *= self._dt_over_eps
         e[1:-1] += rhs

@@ -98,26 +98,25 @@ def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     )
 
 
-def green_function(pole: LorentzPole, t: float, t_n: float, dt: float) -> float:
-    """Closed-form response at time t to the unit rectangle centered at t_n.
+def green_function(pole: LorentzPole, t, t_n, dt: float):
+    """Closed-form response at time(s) t to the unit rectangle centered at
+    t_n: a float, or an array for array-valued t or t_n.
 
-    Valid only after the rectangle has ended, t >= t_n + dt/2.  The two
-    residue terms are conjugate (underdamped) or individually real
-    (overdamped); the imaginary residual of their sum is asserted small
-    and discarded.
+    Valid only after the rectangle has ended, t >= t_n + dt/2 for every
+    element.  The two residue terms are conjugate (underdamped) or
+    individually real (overdamped); the imaginary residual of their sum
+    is asserted small and discarded.
     """
-    tau = t - t_n
-    if tau < 0.5 * dt * (1.0 - 1e-12):
+    tau = np.subtract(t, t_n)
+    if np.any(tau < 0.5 * dt * (1.0 - 1e-12)):
         raise ValueError(
             f"green_function is the post-impulse branch: need t - t_n >= dt/2, "
-            f"got tau={tau!r} with dt={dt!r}"
+            f"got tau={float(np.min(tau))!r} with dt={dt!r}"
         )
     c = make_coefficients(pole, dt)
     term_p = c.inject_plus * np.exp(1j * c.z_plus * tau)
     term_m = c.inject_minus * np.exp(1j * c.z_minus * tau)
-    total = term_p + term_m
-    _check_real(total, abs(term_p) + abs(term_m), "green_function")
-    return float(total.real)
+    return _real_part(term_p, term_m, "green_function")
 
 
 def advance_state(state: PoleState, e_now, coeffs: PoleCoefficients) -> PoleState:

@@ -1,8 +1,8 @@
 """Brute-force references for the fast updaters.
 
 Two independent routes validate the recursive update: summing the
-closed-form rectangle responses term by term (no recurrence, weights
-w+/- from `greens.make_coefficients`), and classical fourth-order
+closed-form rectangle responses term by term (no recurrence, each
+response from `greens.green_function`), and classical fourth-order
 integration of the oscillator ODE itself, driven with
 `LorentzPole.strength`.  The integrators split the time axis at the
 rectangle edges so every RK4 stage sees a smooth right-hand side and
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import LorentzPole
-from .greens import make_coefficients
+from .greens import green_function
 
 
 @dataclass
@@ -52,10 +52,8 @@ def direct_convolution_sum(e_history, pole: LorentzPole, dt: float, t_eval: floa
     mask = tau >= 0.5 * dt * (1.0 - 1e-12)
     if not np.any(mask):
         return 0.0
-    c = make_coefficients(pole, dt)
-    g = (c.inject_plus * np.exp(1j * c.z_plus * tau[mask])
-         + c.inject_minus * np.exp(1j * c.z_minus * tau[mask]))
-    return float(pole.strength * np.sum(e[mask] * g.real))
+    g = green_function(pole, tau[mask], 0.0, dt)
+    return float(pole.strength * np.sum(e[mask] * g))
 
 
 def _rk4_phases(pole: LorentzPole, phases, t0):

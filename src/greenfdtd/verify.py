@@ -68,7 +68,7 @@ def green_closed_and_rk4(pole, dt, times):
     RK4 integration at fine_step = dt/1000, at each of the ascending
     `times` (>= dt/2)."""
     trace = oracle.green_rk4(pole, 0.0, dt, times[-1], dt / 1000.0)
-    closed = np.array([greens.green_function(pole, float(t), 0.0, dt) for t in times])
+    closed = greens.green_function(pole, times, 0.0, dt)
     return closed, np.array([trace.at(float(t)) for t in times])
 
 

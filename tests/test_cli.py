@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from greenfdtd import cli
-from greenfdtd.config import load_table1, parse_config
+from greenfdtd.analysis import reflection_experiment
+from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.verify import FAIL, PASS, SKIP, run_checks
 
@@ -232,15 +233,10 @@ def two_pole_config():
 
 class TestRefinementMonotonicity:
     def test_summary_errors_non_increasing_on_doubling(self):
-        import math
-
-        from greenfdtd.analysis import reflection_magnitude
         from greenfdtd.config import SimConfig
-        from greenfdtd.dispersion import LorentzPole, Medium, reflection_coefficient
-        from greenfdtd.fdtd import GaussianSource, build_simulation, probe_nodes_from_fractions
+        from greenfdtd.fdtd import GaussianSource
 
-        wp = 2 * math.pi * 20e9
-        medium = Medium(eps_inf=1.5, sigma=0.0, poles=(LorentzPole(3.0, wp, 0.1 * wp),))
+        medium = Medium(eps_inf=1.5, sigma=0.0, poles=(LorentzPole(3.0, WP, 0.1 * WP),))
 
         def summary_errors(n_grid, steps, absorber_cells):
             cfg = SimConfig(
@@ -250,19 +246,14 @@ class TestRefinementMonotonicity:
                 source=GaussianSource(1e-11, 1e-12, 2 * math.pi * 100e9),
                 medium=medium,
                 n_steps=steps,
+                band_threshold=1e-3,
                 absorber_cells=absorber_cells,
                 absorber_sigma=10.0,
             )
-            nodes = probe_nodes_from_fractions(cfg.probes, n_grid)
-            ref = build_simulation(cfg.with_medium(Medium.vacuum()), method="tgm").run(steps, nodes)
+            _, analytic, mags = reflection_experiment(cfg, ("tgm", "adem"))
             out = {}
-            for method in ("tgm", "adem"):
-                tot = build_simulation(cfg, method=method).run(steps, nodes)
-                pairs = reflection_magnitude(ref[1], tot[1], 1e-3)
-                f = np.array([p[0] for p in pairs])
-                m = np.array([p[1] for p in pairs])
-                ra = np.abs(reflection_coefficient(medium, 2 * np.pi * f))
-                err = np.abs(m - ra)
+            for method, mag in mags.items():
+                err = np.abs(mag - analytic)
                 out[method] = (err.max(), float(np.sqrt(np.mean(err**2))))
             return out
 
@@ -271,6 +262,50 @@ class TestRefinementMonotonicity:
         for method in ("tgm", "adem"):
             assert fine[method][0] <= coarse[method][0]
             assert fine[method][1] <= coarse[method][1]
+
+
+class TestReflectionProbe:
+    """The experiment reads |R| at the vacuum-side probe nearest the
+    interface, whatever the order of the configured probes."""
+
+    def test_probe_order_does_not_matter(self):
+        cfg = small_table1()
+        (fa, ra, ma), (fb, rb, mb) = (
+            reflection_experiment(dataclasses.replace(cfg, probes=probes), ("tgm",))
+            for probes in ((0.25, 0.75, 0.499), (0.25, 0.499, 0.75)))
+        assert np.array_equal(fa, fb) and np.array_equal(ra, rb)
+        assert np.array_equal(ma["tgm"], mb["tgm"])
+
+    def test_no_vacuum_side_probe(self, tmp_path, capsys):
+        p = table1_variant(tmp_path, "probes = 0.25, 0.499, 0.75", "probes = 0.75")
+        assert cli.main(["reflection", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "run.probes" in err
+
+    @pytest.mark.parametrize("steps", [0, 100])
+    def test_short_record_exits_cleanly(self, tmp_path, capfd, steps):
+        # after 100 steps the pulse has not yet reached the probe at node 1497
+        p = table1_variant(tmp_path, "steps = 32768", f"steps = {steps}")
+        assert cli.main(["reflection", "--config", str(p)]) == 1
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("config error: run.steps")
+
+
+def small_table1():
+    """A tenth of the table1 grid at table1's dx."""
+    base = load_table1()
+    return dataclasses.replace(base, n_grid=300, system_length=299 * base.dx,
+                               absorber_cells=66, n_steps=2048)
+
+
+def table1_variant(tmp_path, old, new):
+    """table1.cfg with the line `old` replaced by `new`, written to tmp_path."""
+    text = table1_path().read_text(encoding="utf-8")
+    assert old in text
+    p = tmp_path / "table1_variant.cfg"
+    p.write_text(text.replace(old, new))
+    return p
 
 
 class TestUsageErrors:

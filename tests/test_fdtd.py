@@ -173,7 +173,7 @@ class TestEnergyAndStability:
     def test_leapfrog_reduces_to_plain_yee_without_poles(self):
         cfg = small_config(medium=Medium(eps_inf=2.0, sigma=0.0), steps=300)
         sim = build_simulation(cfg, method="tgm")
-        assert sim._banks == []
+        assert sim._bank is None
 
         # independent plain-Yee reference with the same layout
         n, dx, dt = cfg.n_grid, cfg.dx, cfg.dt
@@ -223,7 +223,7 @@ class TestBuilder:
 
     def test_vacuum_config_allocates_no_pole_states(self):
         sim = build_simulation(small_config())
-        assert sim._banks == []
+        assert sim._bank is None
 
     def test_pole_states_cover_medium_nodes(self):
         # one bank on the medium's run up to the last updated node; the
@@ -231,10 +231,9 @@ class TestBuilder:
         cfg = small_config(medium=table1_like_medium())
         for method in ("tgm", "adem"):
             sim = build_simulation(cfg, method=method)
-            assert len(sim._banks) == 1
-            nodes = sim._banks[0].nodes
+            nodes = sim._bank.nodes
             assert nodes == slice(interface_node(cfg.n_grid), cfg.n_grid - 1)
-            assert sim._banks[0].j.shape == (nodes.stop - nodes.start,)
+            assert sim._bank.j.shape == (nodes.stop - nodes.start,)
 
     def test_cfl_violation_rejected(self):
         # SimConfig checks its invariants, so no bad config reaches the builder

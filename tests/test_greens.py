@@ -102,6 +102,15 @@ class TestGreenFunction:
         with pytest.raises(ValueError):
             green_function(TABLE1_POLE, 0.49 * TABLE1_DT, 0.0, TABLE1_DT)
 
+    def test_array_of_times(self):
+        # one call over an array gives the scalar values bit for bit, and
+        # one time inside the impulse rejects the whole array
+        taus = (0.5 + 0.37 * np.arange(30)) * TABLE1_DT
+        scalar = [green_function(TABLE1_POLE, float(t), 0.0, TABLE1_DT) for t in taus]
+        assert np.array_equal(green_function(TABLE1_POLE, taus, 0.0, TABLE1_DT), scalar)
+        with pytest.raises(ValueError, match="post-impulse"):
+            green_function(TABLE1_POLE, np.append(taus, 0.49 * TABLE1_DT), 0.0, TABLE1_DT)
+
     def test_against_rk4_at_leading_edge(self):
         trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 1.0 * TABLE1_DT, TABLE1_DT / 1000.0)
         got = green_function(TABLE1_POLE, 0.5 * TABLE1_DT, 0.0, TABLE1_DT)
