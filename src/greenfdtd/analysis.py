@@ -86,13 +86,25 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     return list(zip(inc.freqs[mask].tolist(), ratio.tolist()))
 
 
+def require_finite(series, run):
+    """ValidationError naming `run`, the first step whose recorded sample
+    is not finite and its probe node, when any of `series` has one."""
+    bad = [(int(np.argmin(np.isfinite(s.samples))), s.node_index)
+           for s in series if not np.isfinite(s.samples).all()]
+    if bad:
+        row, node = min(bad)
+        raise ValidationError(f"{run} run is non-finite from step {row + 1} at probe node "
+                              f"{node}: the update is unstable for this config")
+
+
 def reflection_experiment(config, methods):
     """(freqs, analytic |R|, {method: |R|}) over the band of `config`'s
     half-space, one medium run per updater in `methods`.
 
     Every run records only the vacuum-side probe nearest the interface,
     the largest probe node below interface_node(n).  ValidationError when
-    no probe is in the vacuum half or the pulse never reaches the probe.
+    no probe is in the vacuum half, the pulse never reaches the probe or a
+    run's record is not finite.
     """
     n = config.n_grid
     vacuum_side = [i for i in probe_nodes_from_fractions(config.probes, n)
@@ -103,12 +115,14 @@ def reflection_experiment(config, methods):
     node = [max(vacuum_side)]
     [incident] = build_simulation(config.with_medium(Medium.vacuum()),
                                   method="tgm").run(config.n_steps, node)
+    require_finite([incident], "vacuum reference")
     if not incident.samples.any():
         raise ValidationError(f"run.steps = {config.n_steps} ends before the pulse "
                               f"reaches the probe at node {node[0]}")
     mags = {}
     for method in methods:
         [total] = build_simulation(config, method=method).run(config.n_steps, node)
+        require_finite([total], method)
         pairs = reflection_magnitude(incident, total, config.band_threshold)
         mags[method] = np.array([m for _, m in pairs])
     freqs = np.array([f for f, _ in pairs])

@@ -14,7 +14,8 @@ RK4 oracle for every medium pole; `verify` runs the invariant suite.
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings) and goes to --out when given, the config's
 [run] out path otherwise, else stdout.  Exit status: 0 success, 1
-usage, config or file error, 2 verification failure.
+usage, config or file error or a run whose probe record is not finite,
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ def _write_csv(header, rows, out_path):
 
 
 def cmd_run(config, out_path=None) -> int:
-    """Single simulation; CSV of the raw probe series."""
+    """Single simulation; CSV of the raw probe series, written only when
+    every sample is finite."""
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
     series = build_simulation(config).run(config.n_steps, nodes)
+    analysis.require_finite(series, config.method)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
     rows = (
         [t] + [s.samples[k] for s in series]

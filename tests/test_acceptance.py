@@ -133,7 +133,7 @@ class TestCriterion6TemporalAccuracy:
     def test_order_two_against_smooth_drive(self):
         omega_d = 2 * math.pi * 10e9
         period = 2 * math.pi / omega_d
-        drive = lambda t: math.sin(omega_d * t)
+        drive = lambda t: np.sin(omega_d * t)
         # max over the settled window: the startup ring of the resonance
         # (itself O(dt^2) but phase-wandering) has decayed, leaving the
         # clean quadrature error

@@ -45,6 +45,23 @@ omega0 = 6.283185307179586e11
 steps = 500
 """
 
+# table1 at 300 nodes with a 66-cell absorber and no medium: the
+# absorber's explicit loss overflows the vacuum fields
+UNSTABLE = """
+[grid]
+length = 0.05
+nodes = 300
+cfl = 0.9
+absorber_cells = 66
+absorber_sigma = 10.0
+[source]
+t0 = 1.0e-11
+width = 1.0e-12
+omega0 = 6.283185307179586e11
+[run]
+steps = 8192
+"""
+
 
 @pytest.fixture
 def small_cfg(tmp_path):
@@ -290,6 +307,24 @@ class TestReflectionProbe:
         err = capfd.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("config error: run.steps")
+
+
+class TestNonFiniteRun:
+    # the overflow itself is expected; numpy warns about it on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, message", [
+        ("run", "tgm run is non-finite from step 4678 at probe node 224"),
+        ("reflection", "vacuum reference run is non-finite from step 4753 at probe node 149"),
+    ])
+    def test_exits_with_config_error(self, tmp_path, capfd, command, message):
+        p = tmp_path / "unstable.cfg"
+        p.write_text(UNSTABLE)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {message}: ")
+        assert not out.exists()
 
 
 def small_table1():
