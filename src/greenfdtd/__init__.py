@@ -27,6 +27,7 @@ from .fdtd import (
     Simulation,
     build_simulation,
     interface_node,
+    mur_coefficient,
     mur_update,
     probe_nodes_from_fractions,
     source_value,

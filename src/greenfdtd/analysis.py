@@ -86,15 +86,20 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     return list(zip(inc.freqs[mask].tolist(), ratio.tolist()))
 
 
-def require_finite(series, run):
-    """ValidationError naming `run`, the first step whose recorded sample
-    is not finite and its probe node, when any of `series` has one."""
+def finite_run(config, method, nodes, run):
+    """Probe series at `nodes` of `config` stepped with `method`, or
+    ValidationError naming `run`, the first step whose recorded sample is
+    not finite and its probe node.  numpy's overflow warnings are silenced
+    during the run: this error is the report of an unstable run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = build_simulation(config, method=method).run(config.n_steps, nodes)
     bad = [(int(np.argmin(np.isfinite(s.samples))), s.node_index)
            for s in series if not np.isfinite(s.samples).all()]
     if bad:
         row, node = min(bad)
         raise ValidationError(f"{run} run is non-finite from step {row + 1} at probe node "
                               f"{node}: the update is unstable for this config")
+    return series
 
 
 def reflection_experiment(config, methods):
@@ -113,16 +118,13 @@ def reflection_experiment(config, methods):
         raise ValidationError(
             f"run.probes must include a probe in the vacuum half x < L/2, got {config.probes}")
     node = [max(vacuum_side)]
-    [incident] = build_simulation(config.with_medium(Medium.vacuum()),
-                                  method="tgm").run(config.n_steps, node)
-    require_finite([incident], "vacuum reference")
+    [incident] = finite_run(config.with_medium(Medium.vacuum()), "tgm", node, "vacuum reference")
     if not incident.samples.any():
         raise ValidationError(f"run.steps = {config.n_steps} ends before the pulse "
                               f"reaches the probe at node {node[0]}")
     mags = {}
     for method in methods:
-        [total] = build_simulation(config, method=method).run(config.n_steps, node)
-        require_finite([total], method)
+        [total] = finite_run(config, method, node, method)
         pairs = reflection_magnitude(incident, total, config.band_threshold)
         mags[method] = np.array([m for _, m in pairs])
     freqs = np.array([f for f, _ in pairs])

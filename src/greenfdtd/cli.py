@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, verify
 from .config import load_config
 from .errors import ConfigError, ValidationError
-from .fdtd import build_simulation, probe_nodes_from_fractions
+from .fdtd import probe_nodes_from_fractions
 
 
 def _fmt(x: float) -> str:
@@ -50,8 +50,7 @@ def cmd_run(config, out_path=None) -> int:
     """Single simulation; CSV of the raw probe series, written only when
     every sample is finite."""
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
-    series = build_simulation(config).run(config.n_steps, nodes)
-    analysis.require_finite(series, config.method)
+    series = analysis.finite_run(config, config.method, nodes, config.method)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
     rows = (
         [t] + [s.samples[k] for s in series]

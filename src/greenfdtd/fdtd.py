@@ -28,6 +28,36 @@ reflected (a bare conductivity taper turns into a mirror at low
 frequency).  The absorber is part of the boundary treatment and leaves
 the medium's own eps_inf and sigma untouched.
 
+Step layout.  A step is a fixed sequence of in-place numpy operations
+(see Simulation.step for their order), and everything it can settle
+once is settled when the Simulation is built:
+
+- Every slice the step reads or writes (e[1:], e[:-1], b[1:], b[:-1],
+  e[1:-1], the bank's run of E and its run of the E right-hand side, the
+  lossy suffixes below) is a view bound at build, and so are the Mur
+  coefficient and the scalar factors dt/dx and -(mu0 dx).
+- Loss work covers only the lossy suffix.  The absorber taper and the
+  medium's sigma sit in the last nodes of the grid, so the B loss factors
+  are applied from the first B node whose magnetic loss is non-zero, and
+  sigma*E is formed from the first interior node whose sigma is non-zero.
+  Before those nodes the full-array update would compute b*1.0, which is
+  b for every float, and rhs - 0.0*e.  The latter differs from rhs only
+  in the sign of a zero rhs where e < 0; that zero stays a zero through
+  the rest of the update and is added to e != 0, giving e either way.
+  An interior E never holds -0.0 (it starts at +0.0 and changes only by
+  e += rhs, and a sum is -0.0 only when both terms are), so for finite
+  fields every value is bit-identical to the full-array update.  For
+  non-finite fields the two can differ between inf and nan, but not in
+  which entries are finite.
+- Every array the step touches (fields, scratch, bank state and
+  coefficients) starts on a 64-byte cache-line boundary (`_aligned`), so
+  a step's cost does not hinge on where the allocator put the arrays.
+  The pole coefficients are stored at the bank's full (rows, cells)
+  shape: on grids of up to a few thousand nodes a broadcast (rows, 1)
+  column makes each pass slower than a full-shape operand does, though
+  on grids ten times larger the full shape's extra memory traffic costs
+  more than it saves.
+
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
 """
@@ -66,10 +96,33 @@ def source_value(src: GaussianSource, t: float) -> float:
     return float(np.exp(-0.5 * arg * arg) * np.cos(src.omega0 * (t - src.t0)))
 
 
-def mur_update(e_boundary_old, e_neighbor_old, e_neighbor_new, dx, dt):
-    """First-order Mur absorbing update for an end node (vacuum speed)."""
-    k = (C0 * dt - dx) / (C0 * dt + dx)
+def mur_coefficient(dx, dt):
+    """Coefficient k of the first-order Mur update (vacuum speed)."""
+    return (C0 * dt - dx) / (C0 * dt + dx)
+
+
+def mur_update(e_boundary_old, e_neighbor_old, e_neighbor_new, k):
+    """First-order Mur absorbing update for an end node, with
+    k = mur_coefficient(dx, dt)."""
     return e_neighbor_old + k * (e_neighbor_new - e_boundary_old)
+
+
+def _aligned(shape, fill=0.0):
+    """Array of `shape` and of the dtype of `fill`, filled with `fill`
+    (broadcast), whose data starts on a 64-byte (cache-line) boundary."""
+    dtype = np.asarray(fill).dtype
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    out = raw[start:start + nbytes].view(dtype).reshape(shape)
+    out[...] = fill
+    return out
+
+
+def _first_nonzero(values):
+    """Index of the first non-zero entry of `values`; len(values) if none."""
+    nz = np.flatnonzero(values)
+    return int(nz[0]) if len(nz) else len(values)
 
 
 @dataclass
@@ -96,9 +149,9 @@ class Grid1D:
 
 
 class _TgmBank:
-    """`tgm` accumulators of all poles of a medium on the node run `nodes`,
-    one complex row per accumulator: F <- F*prop + inject*E^N, then the
-    half-step current j = sum over rows of Re(curr*F).
+    """`tgm` accumulators of all poles of a medium on the node run `nodes`
+    of the field `e`, one complex row per accumulator: F <- F*prop +
+    inject*E^N, then the half-step current j = sum over rows of Re(curr*F).
 
     An underdamped pole has one row, F+ with curr = 2 curr+, since real
     drive keeps F- == conj(F+); an overdamped pole has two, F+ and F-,
@@ -106,7 +159,7 @@ class _TgmBank:
     vouches for both when the bank is built.
     """
 
-    def __init__(self, nodes, poles, dt):
+    def __init__(self, e, nodes, poles, dt):
         rows = []
         for pole in poles:
             c = _greens.make_coefficients(pole, dt)
@@ -116,47 +169,52 @@ class _TgmBank:
                          (c.prop_minus, c.inject_minus, c.curr_minus)]
             else:
                 rows.append((c.prop_plus, c.inject_plus, 2.0 * c.curr_plus))
+        shape = (len(rows), nodes.stop - nodes.start)
         self.nodes = nodes
-        self.rhs = slice(nodes.start - 1, nodes.stop - 1)
-        self._prop, self._inject, self._curr = (np.array(col)[:, None] for col in zip(*rows))
-        self._f = np.zeros((len(rows), nodes.stop - nodes.start), dtype=complex)
-        self._t = np.empty_like(self._f)
-        self.j = np.empty(self._f.shape[1])
+        self._e = e[nodes]
+        self._prop, self._inject, self._curr = (
+            _aligned(shape, np.array(col)[:, None]) for col in zip(*rows))
+        self._f = _aligned(shape, 0j)
+        self._t = _aligned(shape, 0j)
+        self._t_real = self._t.real
+        self.j = _aligned(shape[1])
 
-    def advance(self, e):
+    def advance(self):
         # operand order as in greens.advance_state and
         # polarization_current_half_step: complex products round
         # differently when their operands are swapped
         f, t = self._f, self._t
         f *= self._prop
-        np.multiply(self._inject, e[self.nodes], out=t)
+        np.multiply(self._inject, self._e, out=t)
         f += t
         np.multiply(self._curr, f, out=t)
-        np.add.reduce(t.real, axis=0, out=self.j)
+        np.add.reduce(self._t_real, axis=0, out=self.j)
 
 
 class _AdeBank:
     """`adem` two-level histories of all poles of a medium on the node run
-    `nodes`, one row per pole, stepped as in ade.ade_advance; the
-    half-step current j is the sum over poles of (P^{N+1} - P^N)/dt."""
+    `nodes` of the field `e`, one row per pole, stepped as in
+    ade.ade_advance; the half-step current j is the sum over poles of
+    (P^{N+1} - P^N)/dt."""
 
-    def __init__(self, nodes, poles, dt):
+    def __init__(self, e, nodes, poles, dt):
+        shape = (len(poles), nodes.stop - nodes.start)
         self.nodes = nodes
-        self.rhs = slice(nodes.start - 1, nodes.stop - 1)
+        self._e = e[nodes]
         self._dt = dt
         self._a, self._b, self._k, self._d = (
-            np.array(col)[:, None] for col in zip(*(_ade.ade_coefficients(p, dt) for p in poles)))
-        shape = (len(poles), nodes.stop - nodes.start)
-        self._p_now, self._p_prev, self._p_next = (np.zeros(shape) for _ in range(3))
-        self.j = np.empty(shape[1])
+            _aligned(shape, np.array(col)[:, None])
+            for col in zip(*(_ade.ade_coefficients(p, dt) for p in poles)))
+        self._p_now, self._p_prev, self._p_next = (_aligned(shape) for _ in range(3))
+        self.j = _aligned(shape[1])
 
-    def advance(self, e):
+    def advance(self):
         # P^{N-1} is spent after its product, so its array is the scratch
         p_now, p_prev, p_next = self._p_now, self._p_prev, self._p_next
         np.multiply(self._a, p_now, out=p_next)
         p_prev *= self._b
         p_next -= p_prev
-        np.multiply(self._k, e[self.nodes], out=p_prev)
+        np.multiply(self._k, self._e, out=p_prev)
         p_next += p_prev
         p_next /= self._d
         np.subtract(p_next, p_now, out=p_prev)
@@ -179,10 +237,11 @@ class Simulation:
     boundary = "mur"
 
     def __init__(self, config):
-        n, dt = config.n_grid, config.dt
+        n, dt, dx = config.n_grid, config.dt, config.dx
         i0 = interface_node(n)
         medium = config.medium
-        self.grid = Grid1D(e=np.zeros(n), b=np.zeros(n - 1), dx=config.dx, dt=dt)
+        e, b = _aligned(n), _aligned(n - 1)
+        self.grid = Grid1D(e=e, b=b, dx=dx, dt=dt)
         self.media = (Medium.vacuum(), medium)
         self.source = config.source
         self.method = config.method
@@ -192,8 +251,8 @@ class Simulation:
         self.eps_inf_node[i0:] = medium.eps_inf
         self.sigma_node = np.zeros(n)
         self.sigma_node[i0:] = medium.sigma
-        # magnetic absorber loss on B nodes; a zero taper gives factors of
-        # exactly 1, so the lossless update stays bit-identical to plain Yee
+        # magnetic absorber loss on B nodes, matched to the local static
+        # permittivity
         w = config.absorber_cells
         taper = np.zeros(n)
         u = np.arange(w) / max(w - 1, 1)
@@ -204,18 +263,35 @@ class Simulation:
         sig_b = 0.5 * (taper[:-1] + taper[1:])
         eps_b = 0.5 * (eps_static[:-1] + eps_static[1:])
         beta_m = sig_b * dt / (EPS0 * eps_b)
-        self._bm_lo = 1.0 - 0.5 * beta_m
-        self._bm_hi = 1.0 / (1.0 + 0.5 * beta_m)
-        self._dt_over_eps = dt / (EPS0 * self.eps_inf_node[1:-1])
-        self._de = np.empty(n - 1)
-        self._rhs = np.empty(n - 2)
+
+        # bound views and constants of the step, in its order
+        self._e_hi, self._e_lo, self._e_in = e[1:], e[:-1], e[1:-1]
+        self._b_hi, self._b_lo = b[1:], b[:-1]
+        self._de = _aligned(n - 1)
+        self._rhs = _aligned(n - 2)
+        self._dt_dx = dt / dx
+        self._neg_mu0_dx = -(MU0 * dx)
+        self._dt_over_eps = _aligned(n - 2, dt / (EPS0 * self.eps_inf_node[1:-1]))
+        self._k_mur = mur_coefficient(dx, dt)
+        # lossy suffixes: before them the B factors are exactly 1 and
+        # sigma is 0 (see the module docstring)
+        kb = _first_nonzero(beta_m)
+        self._b_lossy = b[kb:]
+        self._bm_lo = _aligned(n - 1 - kb, 1.0 - 0.5 * beta_m[kb:])
+        self._bm_hi = _aligned(n - 1 - kb, 1.0 / (1.0 + 0.5 * beta_m[kb:]))
+        ks = _first_nonzero(self.sigma_node[1:-1])  # interior index
+        self._sigma = _aligned(n - 2 - ks, self.sigma_node[1 + ks:-1])
+        self._e_lossy = e[1 + ks:-1]
+        self._sigma_e = self._de[:n - 2 - ks]  # de is spent once b is updated
+        self._rhs_lossy = self._rhs[ks:]
 
         # at most one stacked bank, on the medium's interior nodes; the
         # Mur node n-1 consumes no current
         self._bank = None
         if medium.dispersive:
             bank = _TgmBank if self.method == "tgm" else _AdeBank
-            self._bank = bank(slice(i0, n - 1), medium.poles, dt)
+            self._bank = bank(e, slice(i0, n - 1), medium.poles, dt)
+            self._rhs_bank = self._rhs[i0 - 1:n - 2]
 
     @property
     def time(self) -> float:
@@ -233,36 +309,36 @@ class Simulation:
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle).
 
-        In place, in the operation order of
+        In place, in the operation order of the full-array update
             b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
             e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
                                             - sigma e[1:-1] - J)
-        so that a run without poles is bit-identical to plain Yee.
+        with J from the bank, advanced first from E^N.  The bm factors
+        and sigma*e are applied only on their lossy suffixes, which keeps
+        every finite value bit-identical to the full-array update (module
+        docstring), so a run without poles or loss is plain Yee.
         """
-        g = self.grid
-        e, b, dt, dx = g.e, g.b, g.dt, g.dx
-        de, rhs, bank = self._de, self._rhs, self._bank
+        e, b, de, rhs, bank = self.grid.e, self.grid.b, self._de, self._rhs, self._bank
         self._pin_source(self.time)
         if bank is not None:
-            bank.advance(e)
+            bank.advance()
         e0_old, e1_old = e[0], e[1]
         en_old, enn_old = e[-1], e[-2]
-        np.subtract(e[1:], e[:-1], out=de)
-        de *= dt / dx
-        b *= self._bm_lo
+        np.subtract(self._e_hi, self._e_lo, out=de)
+        de *= self._dt_dx
+        self._b_lossy *= self._bm_lo
         b -= de
-        b *= self._bm_hi
-        np.subtract(b[1:], b[:-1], out=rhs)
-        rhs /= -(MU0 * dx)  # (-x)/c == x/(-c) exactly
-        sigma_e = de[:-1]  # de is spent once b is updated
-        np.multiply(self.sigma_node[1:-1], e[1:-1], out=sigma_e)
-        rhs -= sigma_e
+        self._b_lossy *= self._bm_hi
+        np.subtract(self._b_hi, self._b_lo, out=rhs)
+        rhs /= self._neg_mu0_dx  # (-x)/c == x/(-c) exactly
+        np.multiply(self._sigma, self._e_lossy, out=self._sigma_e)
+        self._rhs_lossy -= self._sigma_e
         if bank is not None:
-            rhs[bank.rhs] -= bank.j
+            self._rhs_bank -= bank.j
         rhs *= self._dt_over_eps
-        e[1:-1] += rhs
-        e[0] = mur_update(e0_old, e1_old, e[1], dx, dt)
-        e[-1] = mur_update(en_old, enn_old, e[-2], dx, dt)
+        self._e_in += rhs
+        e[0] = mur_update(e0_old, e1_old, e[1], self._k_mur)
+        e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)
         self.step_index += 1
         self._pin_source(self.time)
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,13 +313,14 @@ class TestReflectionProbe:
         assert err.count("\n") == 1 and err.startswith("config error: run.steps")
 
 
+NON_FINITE = pytest.mark.parametrize("command, message", [
+    ("run", "tgm run is non-finite from step 4678 at probe node 224"),
+    ("reflection", "vacuum reference run is non-finite from step 4753 at probe node 149"),
+])
+
+
 class TestNonFiniteRun:
-    # the overflow itself is expected; numpy warns about it on the way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command, message", [
-        ("run", "tgm run is non-finite from step 4678 at probe node 224"),
-        ("reflection", "vacuum reference run is non-finite from step 4753 at probe node 149"),
-    ])
+    @NON_FINITE
     def test_exits_with_config_error(self, tmp_path, capfd, command, message):
         p = tmp_path / "unstable.cfg"
         p.write_text(UNSTABLE)
@@ -325,6 +330,22 @@ class TestNonFiniteRun:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith(f"config error: {message}: ")
         assert not out.exists()
+
+    @NON_FINITE
+    def test_stderr_is_the_one_error_line(self, tmp_path, command, message):
+        # in a fresh interpreter, so numpy's RuntimeWarnings would reach
+        # stderr as they do for a user
+        p = tmp_path / "unstable.cfg"
+        p.write_text(UNSTABLE)
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenfdtd", command, "--config", str(p),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"config error: {message}: ")
 
 
 def small_table1():

@@ -1,6 +1,7 @@
 """Leapfrog grid: source, boundaries, propagation, structural properties."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from greenfdtd.fdtd import (
     GaussianSource,
     build_simulation,
     interface_node,
+    mur_coefficient,
     mur_update,
     probe_nodes_from_fractions,
     source_value,
@@ -61,11 +63,12 @@ class TestMur:
     def test_magic_step_perfect_absorption(self):
         dx = 1e-5
         dt = dx / C0
-        assert mur_update(0.3, 0.7, 0.4, dx, dt) == 0.7
+        assert mur_update(0.3, 0.7, 0.4, mur_coefficient(dx, dt)) == 0.7
 
     def test_static_field_preserved(self):
         e0 = 1.7
-        assert mur_update(e0, e0, e0, 1e-5, 0.9e-5 / C0) == pytest.approx(e0, rel=1e-15)
+        k = mur_coefficient(1e-5, 0.9e-5 / C0)
+        assert mur_update(e0, e0, e0, k) == pytest.approx(e0, rel=1e-15)
 
     def test_vacuum_pulse_residual_below_one_percent(self):
         sim = build_simulation(small_config())
@@ -235,6 +238,18 @@ class TestBuilder:
             assert nodes == slice(interface_node(cfg.n_grid), cfg.n_grid - 1)
             assert sim._bank.j.shape == (nodes.stop - nodes.start,)
 
+    @pytest.mark.parametrize("method", ["tgm", "adem"])
+    def test_step_arrays_cache_line_aligned(self, method):
+        sim = build_simulation(small_config(medium=multipole_medium(), absorber_cells=40,
+                                            absorber_sigma=5.0), method=method)
+        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._dt_over_eps, sim._bm_lo,
+                  sim._bm_hi, sim._sigma, sim._bank.j]
+        # the bank's coefficient and state rows
+        arrays += [v for v in vars(sim._bank).values()
+                   if isinstance(v, np.ndarray) and v.ndim == 2 and v.flags.c_contiguous]
+        assert len(arrays) >= 14
+        assert all(a.ctypes.data % 64 == 0 for a in arrays)
+
     def test_cfl_violation_rejected(self):
         # SimConfig checks its invariants, so no bad config reaches the builder
         with pytest.raises(ValidationError, match="CFL"):
@@ -360,3 +375,97 @@ class TestPoleKernels:
             build_simulation(small_config(medium=table1_like_medium()))
         # adem does not use the recurrence coefficients
         build_simulation(small_config(medium=table1_like_medium()), method="adem")
+
+
+def full_array_leapfrog(cfg, method):
+    """(sim, step): a Simulation of `cfg` and a step that advances it by
+    the full-array update, with the absorber's B factors on every B node
+    and sigma*E on every interior node, in the operation order of
+    Simulation.step.  The pole current comes from the Simulation's own
+    bank, so only the leapfrog's loss handling differs from sim.step."""
+    sim = build_simulation(cfg, method=method)
+    e, b, bank = sim.grid.e, sim.grid.b, sim._bank
+    n, dx, dt = cfg.n_grid, cfg.dx, cfg.dt
+    medium_nodes = np.arange(n) >= interface_node(n)
+    w = cfg.absorber_cells
+    taper = np.zeros(n)
+    taper[n - w:] = cfg.absorber_sigma * (np.arange(w) / max(w - 1, 1)) ** 3
+    sigma = np.where(medium_nodes, cfg.medium.sigma, 0.0) + taper
+    eps_static = np.where(medium_nodes, cfg.medium.eps_static, 1.0)
+    beta_m = 0.5 * (taper[:-1] + taper[1:]) * dt / (EPS0 * (0.5 * (eps_static[:-1] + eps_static[1:])))
+    bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
+    dt_over_eps = dt / (EPS0 * np.where(medium_nodes, cfg.medium.eps_inf, 1.0)[1:-1])
+    k_mur = (C0 * dt - dx) / (C0 * dt + dx)
+
+    def pin(t):
+        if t < 2 * cfg.source.t0:
+            e[0] = source_value(cfg.source, t)
+
+    def step():
+        pin(sim.step_index * dt)
+        if bank is not None:
+            bank.advance()
+        e0_old, e1_old = e[0], e[1]
+        en_old, enn_old = e[-1], e[-2]
+        b[:] = (b * bm_lo - (dt / dx) * (e[1:] - e[:-1])) * bm_hi
+        rhs = -(b[1:] - b[:-1]) / (MU0 * dx) - sigma[1:-1] * e[1:-1]
+        if bank is not None:
+            rhs[bank.nodes.start - 1:] -= bank.j
+        e[1:-1] += dt_over_eps * rhs
+        e[0] = e1_old + k_mur * (e[1] - e0_old)
+        e[-1] = enn_old + k_mur * (e[-2] - en_old)
+        sim.step_index += 1
+        pin(sim.step_index * dt)
+
+    return sim, step
+
+
+class TestLossySuffix:
+    """Simulation.step applies the loss only from the first lossy node on;
+    the full-array update must give the same bits on every node."""
+
+    @pytest.mark.parametrize("method", ["vacuum", "tgm", "adem"])
+    @pytest.mark.parametrize("cells, peak", [(40, 5.0), (0, 5.0), (1, 5.0), (2, 5.0), (40, 0.0)])
+    def test_matches_full_array_update(self, method, cells, peak):
+        cfg = small_config(medium=multipole_medium(), absorber_cells=cells, absorber_sigma=peak)
+        if method == "vacuum":
+            cfg, method = cfg.with_medium(Medium.vacuum()), "tgm"
+        sim = build_simulation(cfg, method=method)
+        ref, ref_step = full_array_leapfrog(cfg, method)
+        for _ in range(600):
+            sim.step()
+            ref_step()
+            assert sim.grid.e.tobytes() == ref.grid.e.tobytes()
+            assert sim.grid.b.tobytes() == ref.grid.b.tobytes()
+        # the pulse has reached the absorber
+        assert np.abs(sim.grid.e[-45:]).max() > 1e-3
+
+
+# sha256 of the first 8192 samples (little-endian float64) of each
+# table1 probe series, recorded from the full-array leapfrog that the
+# lossy-suffix step replaced; a refactor of the step must keep them
+TABLE1_DIGESTS = {
+    ("vacuum", 750): "a8eb0e9a9f682a246b2b95c9bd0b0eaa28b21135f22c9963328e1fa9e490784e",
+    ("vacuum", 1497): "23d57388b1c8c6522cc0628b89c6173c8a3d088fc5bf4459a0f2e66c4062ebb5",
+    ("vacuum", 2249): "11d5e1d5460656ff328f41b25dd626d0de647b8fed12c196949a69f5eebd8590",
+    ("tgm", 750): "54e8619869b3e33603a9ff5be952b1d2273dd1852dfbaade91cbc39c1f2d7740",
+    ("tgm", 1497): "046a116aee2a7ff0e3b102b231c1af990223c1d5038ec16b311449161660a693",
+    ("tgm", 2249): "8bf89e08239723f10569c5dbc01ece1fc703a42f1de0b8db7e2c8868d1890d5d",
+    ("adem", 750): "618177d3499a50adb7a0b35e1c9aa3689ac566cb1e68376ddb3a46776df97821",
+    ("adem", 1497): "f4903cfdcf66516d9bd1afeb0bb282d53e25b17dae84feb488e6221062368899",
+    ("adem", 2249): "421c8f0527ae230d2a96cc69fd2a67ba4c59ab62a2d0b6cf0081db074c17b4f3",
+}
+
+
+@pytest.mark.parametrize("label", ["vacuum", "tgm", "adem"])
+def test_table1_probe_series_bit_identical(label):
+    cfg = dataclasses.replace(load_table1(), n_steps=8192)
+    if label == "vacuum":
+        cfg, method = cfg.with_medium(Medium.vacuum()), "tgm"
+    else:
+        method = label
+    nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
+    for series in build_simulation(cfg, method=method).run(cfg.n_steps, nodes):
+        assert series.samples.dtype == np.float64
+        digest = hashlib.sha256(series.samples.astype("<f8").tobytes()).hexdigest()
+        assert digest == TABLE1_DIGESTS[label, series.node_index]
