@@ -18,8 +18,8 @@ Stability requires wp*dt well below 2; no hard check is made.
 
 The functions here are the scalar (or one-pole ndarray) form; the grid
 solver steps all poles of a medium at once with the constants of
-`ade_coefficients`, in the same arithmetic order, so both give the same
-numbers bit for bit.  The update is real arithmetic throughout, so unlike
+`ade_coefficients`, 1/d folded into a, b and k, so the two agree to
+rounding (see the fdtd module).  The update is real throughout, so unlike
 the "tgm" path there is no realness check, at build time or per step.
 """
 

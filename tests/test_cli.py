@@ -314,8 +314,8 @@ class TestReflectionProbe:
 
 
 NON_FINITE = pytest.mark.parametrize("command, message", [
-    ("run", "tgm run is non-finite from step 4678 at probe node 224"),
-    ("reflection", "vacuum reference run is non-finite from step 4753 at probe node 149"),
+    ("run", "tgm run is non-finite from step 4693 at probe node 224"),
+    ("reflection", "vacuum reference run is non-finite from step 4768 at probe node 149"),
 ])
 
 
