@@ -17,10 +17,12 @@ Green-function update, so the two methods are structurally comparable.
 Stability requires wp*dt well below 2; no hard check is made.
 
 The functions here are the scalar (or one-pole ndarray) form; the grid
-solver steps all poles of a medium at once with the constants of
-`ade_coefficients`, 1/d folded into a, b and k, so the two agree to
-rounding (see the fdtd module).  The update is real throughout, so unlike
-the "tgm" path there is no realness check, at build time or per step.
+solver steps all poles of a medium in one matrix product, with each
+pole's state kept as (P^N, P^N - P^{N-1}) and the constants of
+`ade_coefficients` divided by d, so the current needs no difference of
+two polarizations and the two forms agree to rounding (see the fdtd
+module).  The update is real throughout, so unlike the "tgm" path there
+is no realness check, at build time or per step.
 """
 
 from __future__ import annotations

@@ -12,12 +12,15 @@ The dispersive current dP/dt is evaluated at t_N + dt/2 by the selected
 updater ("tgm" recursive Green-function accumulators or "adem" two-level
 ADE history) after injecting E^N, and enters the E update like a current
 density; the leapfrog itself is unmodified.  Nodes with x < L/2 are
-vacuum and nodes with x >= L/2 carry the configured medium, whose poles
-are stacked into one bank over those nodes.  A "tgm" bank keeps one
-complex accumulator per underdamped pole and two real-valued ones per
-overdamped pole; the branch symmetry this relies on
-(greens.check_branch_symmetry) is checked per pole when the Simulation
-is built, so the step itself carries no realness check.
+vacuum and nodes with x >= L/2 carry the configured medium.  Either
+updater is a fixed-order linear recursion in E^N (Young & Nelson, IEEE
+AP Magazine 43(1), 2001), so all poles of the medium are one state-space
+bank over those nodes: two real states per pole and one matrix M that
+maps (states, E^N) to (new states, summed current).  A "tgm" bank keeps
+the real and imaginary parts of one accumulator per underdamped pole
+and two real accumulators per overdamped pole; the branch symmetry this
+relies on (greens.check_branch_symmetry) is checked per pole when the
+Simulation is built, so the step itself carries no realness check.
 
 A Gaussian hard source pins node 0 while t < 2*t0; both end nodes then
 follow first-order Mur absorbing updates.  Optionally the last cells of
@@ -38,26 +41,26 @@ division and no reduction (see Simulation.step for the order):
   dt/(eps0 eps_inf)/(-mu0 dx) and ca_e = 1 - sigma dt/(eps0 eps_inf)
   for E.  The scheme is that of the full-array update in Simulation.step
   (explicit sigma E^N, the same leapfrog and Mur updates); only the
-  rounding moves.  Over 32768 steps the table1 probe series differ from
-  that update's by at most 4.4e-13 of their peak (`adem`; 3.8e-15 for
-  vacuum and `tgm`), and the tests hold it under 1e-12 of the peak.
-- The pole banks emit one current row per accumulator, already scaled
-  by dt/(eps0 eps_inf), and the step subtracts the rows in turn.  A
-  `tgm` row holds F/inject, so its update is one multiply-add.
+  rounding moves.  Over 32768 steps the nine table1 probe series differ
+  from that update's by at most 5.7e-15 of their peak, and the tests hold
+  it under 1e-12 of the peak.
+- The pole bank is 3 calls whatever the pole count and method: E^N is
+  copied into the last row of the (m+1, cells) input buffer, one
+  np.dot(M, input) writes the m new states and the current, already
+  scaled by dt/(eps0 eps_inf), into the other buffer, and the current
+  row is subtracted from the E update's right-hand side.  The buffers
+  then swap roles.  On grids of up to a few thousand nodes np.matmul,
+  einsum (no BLAS) and a (cells, m+1) layout measured no faster, and
+  OpenBLAS runs the product on one thread.
 - The ca factors cover only the lossy suffixes.  The absorber taper and
   the medium's sigma sit in the last nodes of the grid, so ca_b is
   applied from the first B node whose magnetic loss is non-zero and ca_e
   from the first interior node whose sigma is non-zero; before them both
   are exactly 1, and x*1.0 is x for every float.
 - Every slice the step reads or writes is a view bound at build, and
-  every array it touches (fields, scratch, coefficients, bank state)
-  starts on a 64-byte cache-line boundary (`_aligned`), so a step's cost
-  does not hinge on where the allocator put the arrays.  The pole
-  coefficients are stored at the bank's full (rows, cells) shape: on
-  grids of up to a few thousand nodes a broadcast (rows, 1) column makes
-  each pass slower than a full-shape operand does, though on grids ten
-  times larger the full shape's extra memory traffic costs more than it
-  saves.
+  every array it touches (fields, scratch, coefficients, bank matrix and
+  buffers) starts on a 64-byte cache-line boundary (`_aligned`), so a
+  step's cost does not hinge on where the allocator put the arrays.
 
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
@@ -150,78 +153,72 @@ class Grid1D:
     dt: float
 
 
-class _TgmBank:
-    """`tgm` accumulators of all poles of a medium on the node run `nodes`
-    of the field `e`, one complex row per accumulator.  A row holds
-    G = F/inject, so the recurrence F <- F*prop + inject*E^N is the one
-    multiply-add G <- G*prop + E^N, and its half-step current row
-    j = Re(curr*F) = Re(w*G), with the weight w = curr*inject*scale,
-    comes out already scaled by `scale` = dt/(eps0 eps_inf) per node.
+def _tgm_block(pole, dt, scale):
+    """(A, inject, curr, curr_e) of one `tgm` pole for _PoleBank.  The
+    state is G = F/inject, so F <- F*prop + inject*E^N is G <- G*prop +
+    E^N and the scaled current scale*Re(curr*F) is Re(w*G), w =
+    curr*inject*scale: (Re G+, Im G+) with curr = 2 curr+ for an
+    underdamped pole (real drive keeps F- == conj(F+)), the real G+ and
+    G- for an overdamped one, as greens.check_branch_symmetry vouches."""
+    c = _greens.make_coefficients(pole, dt)
+    _greens.check_branch_symmetry(pole, c)
+    if pole.overdamped:
+        prop = np.array([c.prop_plus.real, c.prop_minus.real])
+        w = np.array([(c.curr_plus * c.inject_plus).real,
+                      (c.curr_minus * c.inject_minus).real]) * scale
+        return np.diag(prop), (1.0, 1.0), w * prop, w.sum()
+    a, b = c.prop_plus.real, c.prop_plus.imag
+    w = 2.0 * c.curr_plus * c.inject_plus * scale
+    return ([[a, -b], [b, a]], (1.0, 0.0),
+            (w.real * a - w.imag * b, -w.real * b - w.imag * a), w.real)
 
-    An underdamped pole has one row, F+ with curr = 2 curr+, since real
-    drive keeps F- == conj(F+); an overdamped pole has two, F+ and F-,
-    whose coefficients and values are real.  greens.check_branch_symmetry
-    vouches for both when the bank is built.
-    """
 
-    def __init__(self, e, nodes, poles, dt, scale):
-        rows = []
-        for pole in poles:
-            c = _greens.make_coefficients(pole, dt)
-            _greens.check_branch_symmetry(pole, c)
-            if pole.overdamped:
-                rows += [(c.prop_plus, c.inject_plus, c.curr_plus),
-                         (c.prop_minus, c.inject_minus, c.curr_minus)]
-            else:
-                rows.append((c.prop_plus, c.inject_plus, 2.0 * c.curr_plus))
-        shape = (len(rows), nodes.stop - nodes.start)
+def _ade_block(pole, dt, scale):
+    """(A, inject, curr, curr_e) of one `adem` pole for _PoleBank.  The
+    state is (P^N, D^N = P^N - P^{N-1}), so ade.ade_advance reads
+    D^{N+1} = (-c P^N + b D^N + k E^N)/d, P^{N+1} = P^N + D^{N+1}, and the
+    scaled current is scale*D^{N+1}/dt, with no difference of two
+    polarizations; c = (d - a) + b is exact while wp dt and dp dt are
+    small (Sterbenz), so it is the scalar update's own wp^2 dt^2."""
+    a, b, k, d = _ade.ade_coefficients(pole, dt)
+    c, b, k, s = ((d - a) + b) / d, b / d, k / d, scale / dt
+    return [[1.0 - c, b], [-c, b]], (k, k), (-s * c, s * b), s * k
+
+
+class _PoleBank:
+    """Every pole of a medium on the node run `nodes` of the field `e` as
+    one linear state-space recursion per node, [X'; j] = M [X; E^N]: X
+    stacks the two real states of each pole, and j is the summed current
+    of all poles, already scaled by `scale` = dt/(eps0 eps_inf) (uniform
+    over the medium).  M holds each pole's block A, injection column and
+    current row block-diagonally.  `advance` subtracts j from the run of
+    `rhs` (which covers the interior nodes 1..n-2) under `nodes`.  The two
+    (m+1, cells) buffers take turns as input and output, since np.dot may
+    not write over its input."""
+
+    def __init__(self, poles, method, dt, scale, e, rhs, nodes):
+        block = _tgm_block if method == "tgm" else _ade_block
+        m = 2 * len(poles)
+        mat = np.zeros((m + 1, m + 1))
+        for i, pole in zip(range(0, m, 2), poles):
+            rows = slice(i, i + 2)
+            mat[rows, rows], mat[rows, m], mat[m, rows], curr_e = block(pole, dt, scale)
+            mat[m, m] += curr_e
         self.nodes = nodes
+        self.matrix = _aligned(mat.shape, mat)
         self._e = e[nodes]
-        prop, inject, curr = (np.array(col)[:, None] for col in zip(*rows))
-        self._prop = _aligned(shape, prop)
-        self._w = _aligned(shape, curr * inject * scale)
-        self._g = _aligned(shape, 0j)
-        self._g_real = self._g.real  # E^N is real
-        self._t = _aligned(shape, 0j)
-        self.j = self._t.real
+        self._rhs = rhs[nodes.start - 1:nodes.stop - 1]
+        self.buffers = x, y = tuple(_aligned((m + 1, nodes.stop - nodes.start)) for _ in range(2))
+        self._turns = (x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])
 
     def advance(self):
-        g = self._g
-        g *= self._prop
-        np.add(self._g_real, self._e, out=self._g_real)
-        np.multiply(self._w, g, out=self._t)
-
-
-class _AdeBank:
-    """`adem` two-level histories of all poles of a medium on the node run
-    `nodes` of the field `e`, one row per pole, stepped as in
-    ade.ade_advance with 1/d folded into (a, b, k); the half-step current
-    row j of each pole is (P^{N+1} - P^N)/dt, already scaled by
-    `scale` = dt/(eps0 eps_inf) per node."""
-
-    def __init__(self, e, nodes, poles, dt, scale):
-        shape = (len(poles), nodes.stop - nodes.start)
-        self.nodes = nodes
-        self._e = e[nodes]
-        coeffs = np.array([_ade.ade_coefficients(p, dt) for p in poles])
-        self._a, self._b, self._k = (
-            _aligned(shape, (coeffs[:, i] / coeffs[:, 3])[:, None]) for i in range(3))
-        self._scale = _aligned(shape[1], scale / dt)
-        self._p_now, self._p_prev, self._p_next = (_aligned(shape) for _ in range(3))
-        self.j = _aligned(shape)
-
-    def advance(self):
-        # P^{N-1} is spent after its product, so its array is the scratch
-        p_now, p_prev, p_next = self._p_now, self._p_prev, self._p_next
-        np.multiply(self._a, p_now, out=p_next)
-        p_prev *= self._b
-        p_next -= p_prev
-        np.multiply(self._k, self._e, out=p_prev)
-        p_next += p_prev
-        j = self.j
-        np.subtract(p_next, p_now, out=j)
-        j *= self._scale
-        self._p_prev, self._p_now, self._p_next = p_now, p_next, p_prev
+        """Step every pole from E^N and subtract the current from rhs."""
+        turn, other = self._turns
+        self._turns = other, turn
+        e_row, x, y, j = turn
+        np.copyto(e_row, self._e)
+        np.dot(self.matrix, x, out=y)
+        self._rhs -= j
 
 
 class Simulation:
@@ -280,15 +277,12 @@ class Simulation:
         self._ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
         self._k_mur = mur_coefficient(dx, dt)
 
-        # at most one stacked bank, on the medium's interior nodes; the
-        # Mur node n-1 consumes no current
-        self._bank, self._bank_rows = None, ()
+        # at most one pole bank, on the medium's interior nodes; the Mur
+        # node n-1 consumes no current
+        self._bank = None
         if medium.dispersive:
-            bank = _TgmBank if self.method == "tgm" else _AdeBank
-            nodes = slice(i0, n - 1)
-            self._bank = bank(e, nodes, medium.poles, dt, dt_over_eps[nodes])
-            rhs_bank = self._rhs[i0 - 1:n - 2]
-            self._bank_rows = tuple((rhs_bank, row) for row in self._bank.j)
+            self._bank = _PoleBank(medium.poles, self.method, dt, dt_over_eps[i0], e,
+                                   self._rhs, slice(i0, n - 1))
 
     @property
     def time(self) -> float:
@@ -308,10 +302,10 @@ class Simulation:
 
         In place, with the coefficient arrays of the module docstring:
             b = ca_b*b - cb*(e[1:] - e[:-1])
-            e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - (J rows)
-        where the J rows come from the bank, advanced first from E^N, and
-        the ca factors act only on their lossy suffixes.  That is the
-        full-array update
+            e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
+        where J, the bank's summed current, is stepped from E^N in one
+        matrix product before E changes, and the ca factors act only on
+        their lossy suffixes.  That is the full-array update
             b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
             e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
                                             - sigma e[1:-1] - J)
@@ -320,8 +314,6 @@ class Simulation:
         """
         e, b, de, rhs, bank = self.grid.e, self.grid.b, self._de, self._rhs, self._bank
         self._pin_source(self.time)
-        if bank is not None:
-            bank.advance()
         e0_old, e1_old, en_old, enn_old = e[0], e[1], e[-1], e[-2]
         np.subtract(self._e_hi, self._e_lo, out=de)
         de *= self._cb
@@ -329,9 +321,9 @@ class Simulation:
         b -= de
         np.subtract(self._b_hi, self._b_lo, out=rhs)
         rhs *= self._ce
+        if bank is not None:
+            bank.advance()
         self._e_lossy *= self._ca_e
-        for rhs_bank, row in self._bank_rows:
-            rhs_bank -= row
         self._e_in += rhs
         e[0] = mur_update(e0_old, e1_old, e[1], self._k_mur)
         e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)

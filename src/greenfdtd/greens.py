@@ -21,13 +21,13 @@ functions accept scalar or ndarray-valued states (one entry per cell).
 
 Under real drive the minus branch mirrors the plus branch: F- == conj(F+)
 for an underdamped pole, and both accumulators are real for an
-overdamped one.  The grid solver relies on this to keep one complex
-accumulator per underdamped pole (current 2 Re(curr+ F+)) and two
-real-valued ones per overdamped pole, and to drop the imaginary part of
-the current unchecked, so it checks the coefficients once per pole with
-`check_branch_symmetry` when it is built, not at every step.  The
-scalar evaluators below still check the imaginary residual of every
-value they return.
+overdamped one.  The grid solver relies on this to step an underdamped
+pole as the real and imaginary parts of F+ alone (current
+2 Re(curr+ F+)) and an overdamped pole as the real F+ and F-, all as
+rows of one real state-space bank (see the fdtd module), so it checks
+the coefficients once per pole with `check_branch_symmetry` when it is
+built, not at every step.  The scalar evaluators below still check the
+imaginary residual of every value they return.
 """
 
 from __future__ import annotations
