@@ -16,13 +16,14 @@ half-step current the leapfrog consumes is the central difference
 Green-function update, so the two methods are structurally comparable.
 Stability requires wp*dt well below 2; no hard check is made.
 
-The functions here are the scalar (or one-pole ndarray) form; the grid
-solver steps all poles of a medium in one matrix product, with each
-pole's state kept as (P^N, P^N - P^{N-1}) and the constants of
-`ade_coefficients` divided by d, so the current needs no difference of
-two polarizations and the two forms agree to rounding (see the fdtd
-module).  The update is real throughout, so unlike the "tgm" path there
-is no realness check, at build time or per step.
+`ade_advance` and `ade_current_half_step` are the scalar (or one-pole
+ndarray) form; the grid solver steps all poles of a medium in one matrix
+product, with each pole's state kept as (P^N, P^N - P^{N-1}) and the
+constants of `ade_coefficients` divided by d (`adem_block`), so the
+current needs no difference of two polarizations and the two forms
+agree to rounding (see the fdtd module).  The update is real
+throughout, so unlike the "tgm" path there is no realness check, at
+build time or per step.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def ade_coefficients(pole: LorentzPole, dt: float):
         pole.strength * dt * dt,
         1.0 + pole.delta_p * dt,
     )
+
+
+def adem_block(pole: LorentzPole, dt: float, scale: float):
+    """(A, inject, curr, curr_e) of one pole in the grid's state-space
+    bank (fdtd.pole_matrix).  The state is (P^N, D^N = P^N - P^{N-1}), so
+    ade_advance reads D^{N+1} = (-c P^N + b D^N + k E^N)/d,
+    P^{N+1} = P^N + D^{N+1}, and the scaled current is scale*D^{N+1}/dt,
+    with no difference of two polarizations; c = (d - a) + b is exact
+    while wp dt and dp dt are small (Sterbenz), so it is the scalar
+    update's own wp^2 dt^2."""
+    a, b, k, d = ade_coefficients(pole, dt)
+    c, b, k, s = ((d - a) + b) / d, b / d, k / d, scale / dt
+    return [[1.0 - c, b], [-c, b]], (k, k), (-s * c, s * b), s * k
 
 
 def ade_advance(state: AdePoleState, e_now, pole: LorentzPole, dt: float):

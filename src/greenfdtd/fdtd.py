@@ -15,12 +15,13 @@ density; the leapfrog itself is unmodified.  Nodes with x < L/2 are
 vacuum and nodes with x >= L/2 carry the configured medium.  Either
 updater is a fixed-order linear recursion in E^N (Young & Nelson, IEEE
 AP Magazine 43(1), 2001), so all poles of the medium are one state-space
-bank over those nodes: two real states per pole and one matrix M that
-maps (states, E^N) to (new states, summed current).  A "tgm" bank keeps
-the real and imaginary parts of one accumulator per underdamped pole
-and two real accumulators per overdamped pole; the branch symmetry this
-relies on (greens.check_branch_symmetry) is checked per pole when the
-Simulation is built, so the step itself carries no realness check.
+bank over those nodes: two real states per pole and one matrix M
+(`pole_matrix`) that maps (states, E^N) to (new states, summed
+current).  A "tgm" bank keeps the real and imaginary parts of one
+accumulator per underdamped pole and two real accumulators per
+overdamped pole; the branch symmetry this relies on
+(greens.check_branch_symmetry) is checked per pole when the Simulation
+is built, so the step itself carries no realness check.
 
 A Gaussian hard source pins node 0 while t < 2*t0; both end nodes then
 follow first-order Mur absorbing updates.  Optionally the last cells of
@@ -153,62 +154,38 @@ class Grid1D:
     dt: float
 
 
-def _tgm_block(pole, dt, scale):
-    """(A, inject, curr, curr_e) of one `tgm` pole for _PoleBank.  The
-    state is G = F/inject, so F <- F*prop + inject*E^N is G <- G*prop +
-    E^N and the scaled current scale*Re(curr*F) is Re(w*G), w =
-    curr*inject*scale: (Re G+, Im G+) with curr = 2 curr+ for an
-    underdamped pole (real drive keeps F- == conj(F+)), the real G+ and
-    G- for an overdamped one, as greens.check_branch_symmetry vouches."""
-    c = _greens.make_coefficients(pole, dt)
-    _greens.check_branch_symmetry(pole, c)
-    if pole.overdamped:
-        prop = np.array([c.prop_plus.real, c.prop_minus.real])
-        w = np.array([(c.curr_plus * c.inject_plus).real,
-                      (c.curr_minus * c.inject_minus).real]) * scale
-        return np.diag(prop), (1.0, 1.0), w * prop, w.sum()
-    a, b = c.prop_plus.real, c.prop_plus.imag
-    w = 2.0 * c.curr_plus * c.inject_plus * scale
-    return ([[a, -b], [b, a]], (1.0, 0.0),
-            (w.real * a - w.imag * b, -w.real * b - w.imag * a), w.real)
-
-
-def _ade_block(pole, dt, scale):
-    """(A, inject, curr, curr_e) of one `adem` pole for _PoleBank.  The
-    state is (P^N, D^N = P^N - P^{N-1}), so ade.ade_advance reads
-    D^{N+1} = (-c P^N + b D^N + k E^N)/d, P^{N+1} = P^N + D^{N+1}, and the
-    scaled current is scale*D^{N+1}/dt, with no difference of two
-    polarizations; c = (d - a) + b is exact while wp dt and dp dt are
-    small (Sterbenz), so it is the scalar update's own wp^2 dt^2."""
-    a, b, k, d = _ade.ade_coefficients(pole, dt)
-    c, b, k, s = ((d - a) + b) / d, b / d, k / d, scale / dt
-    return [[1.0 - c, b], [-c, b]], (k, k), (-s * c, s * b), s * k
+def pole_matrix(poles, method, dt, scale):
+    """The (m+1)x(m+1) state-space matrix M of `poles` under `method`,
+    [X'; j] = M [X; E^N]: X stacks the two real states of each pole, and
+    j is the summed current of all poles scaled by `scale`.  M holds each
+    pole's block A, injection column and current row (greens.tgm_block or
+    ade.adem_block) block-diagonally."""
+    block = _greens.tgm_block if method == "tgm" else _ade.adem_block
+    m = 2 * len(poles)
+    mat = np.zeros((m + 1, m + 1))
+    for i, pole in zip(range(0, m, 2), poles):
+        rows = slice(i, i + 2)
+        mat[rows, rows], mat[rows, m], mat[m, rows], curr_e = block(pole, dt, scale)
+        mat[m, m] += curr_e
+    return mat
 
 
 class _PoleBank:
-    """Every pole of a medium on the node run `nodes` of the field `e` as
-    one linear state-space recursion per node, [X'; j] = M [X; E^N]: X
-    stacks the two real states of each pole, and j is the summed current
-    of all poles, already scaled by `scale` = dt/(eps0 eps_inf) (uniform
-    over the medium).  M holds each pole's block A, injection column and
-    current row block-diagonally.  `advance` subtracts j from the run of
-    `rhs` (which covers the interior nodes 1..n-2) under `nodes`.  The two
-    (m+1, cells) buffers take turns as input and output, since np.dot may
-    not write over its input."""
+    """The pole matrix `matrix` (pole_matrix, its current scaled by
+    dt/(eps0 eps_inf), uniform over the medium) stepped on the node run
+    `nodes` of the field `e`, one state-space recursion per node.
+    `advance` subtracts the current from the run of `rhs` (which covers
+    the interior nodes 1..n-2) under `nodes`.  The two (m+1, cells)
+    buffers take turns as input and output, since np.dot may not write
+    over its input."""
 
-    def __init__(self, poles, method, dt, scale, e, rhs, nodes):
-        block = _tgm_block if method == "tgm" else _ade_block
-        m = 2 * len(poles)
-        mat = np.zeros((m + 1, m + 1))
-        for i, pole in zip(range(0, m, 2), poles):
-            rows = slice(i, i + 2)
-            mat[rows, rows], mat[rows, m], mat[m, rows], curr_e = block(pole, dt, scale)
-            mat[m, m] += curr_e
+    def __init__(self, matrix, e, rhs, nodes):
         self.nodes = nodes
-        self.matrix = _aligned(mat.shape, mat)
+        self.matrix = _aligned(matrix.shape, matrix)
         self._e = e[nodes]
         self._rhs = rhs[nodes.start - 1:nodes.stop - 1]
-        self.buffers = x, y = tuple(_aligned((m + 1, nodes.stop - nodes.start)) for _ in range(2))
+        self.buffers = x, y = tuple(_aligned((len(matrix), nodes.stop - nodes.start))
+                                    for _ in range(2))
         self._turns = (x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])
 
     def advance(self):
@@ -281,8 +258,8 @@ class Simulation:
         # node n-1 consumes no current
         self._bank = None
         if medium.dispersive:
-            self._bank = _PoleBank(medium.poles, self.method, dt, dt_over_eps[i0], e,
-                                   self._rhs, slice(i0, n - 1))
+            self._bank = _PoleBank(pole_matrix(medium.poles, self.method, dt, dt_over_eps[i0]),
+                                   e, self._rhs, slice(i0, n - 1))
 
     @property
     def time(self) -> float:

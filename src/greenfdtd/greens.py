@@ -24,10 +24,11 @@ for an underdamped pole, and both accumulators are real for an
 overdamped one.  The grid solver relies on this to step an underdamped
 pole as the real and imaginary parts of F+ alone (current
 2 Re(curr+ F+)) and an overdamped pole as the real F+ and F-, all as
-rows of one real state-space bank (see the fdtd module), so it checks
-the coefficients once per pole with `check_branch_symmetry` when it is
-built, not at every step.  The scalar evaluators below still check the
-imaginary residual of every value they return.
+rows of one real state-space bank (`tgm_block`, assembled by
+fdtd.pole_matrix), so it checks the coefficients once per pole with
+`check_branch_symmetry` when the block is built, not at every step.
+The scalar evaluators below still check the imaginary residual of every
+value they return.
 """
 
 from __future__ import annotations
@@ -171,6 +172,40 @@ def check_branch_symmetry(pole: LorentzPole, coeffs: PoleCoefficients) -> None:
                     f"{pole}: needs {what}, residual {resid:.3e} exceeds "
                     f"{IMAG_RESIDUAL_RTOL:.0e} of {scale:.3e}"
                 )
+
+
+def tgm_block(pole: LorentzPole, dt: float, scale: float):
+    """(A, inject, curr, curr_e) of one pole in the grid's state-space
+    bank (fdtd.pole_matrix).  The state is G = F/inject, so
+    F <- F*prop + inject*E^N is G <- G*prop + E^N and the scaled current
+    scale*Re(curr*F) is Re(w*G), w = curr*inject*scale: (Re G+, Im G+)
+    with curr = 2 curr+ for an underdamped pole (real drive keeps
+    F- == conj(F+)), the real G+ and G- for an overdamped one, as
+    check_branch_symmetry vouches."""
+    c = make_coefficients(pole, dt)
+    check_branch_symmetry(pole, c)
+    if pole.overdamped:
+        prop = np.array([c.prop_plus.real, c.prop_minus.real])
+        w = np.array([(c.curr_plus * c.inject_plus).real,
+                      (c.curr_minus * c.inject_minus).real]) * scale
+        return np.diag(prop), (1.0, 1.0), w * prop, w.sum()
+    a, b = c.prop_plus.real, c.prop_plus.imag
+    w = 2.0 * c.curr_plus * c.inject_plus * scale
+    return ([[a, -b], [b, a]], (1.0, 0.0),
+            (w.real * a - w.imag * b, -w.real * b - w.imag * a), w.real)
+
+
+def polarization_row(pole: LorentzPole, dt: float, tau: float):
+    """Row r with P(t_N + tau) = r . G over the two states G of
+    tgm_block (after E^N is injected): P = strength sum e^{i z tau} inject
+    G, so r = 2 (Re w, -Im w) with w = strength e^{i z+ tau} inject+ for
+    an underdamped pole, and the real w+ and w- for an overdamped one."""
+    c = make_coefficients(pole, dt)
+    w_plus = pole.strength * np.exp(1j * c.z_plus * tau) * c.inject_plus
+    if pole.overdamped:
+        w_minus = pole.strength * np.exp(1j * c.z_minus * tau) * c.inject_minus
+        return np.array([w_plus.real, w_minus.real])
+    return 2.0 * np.array([w_plus.real, -w_plus.imag])
 
 
 def _real_part(term_p, term_m, what: str):

@@ -49,12 +49,14 @@ class OdeTrace:
     values: np.ndarray
     derivs: np.ndarray
 
-    def at(self, t: float) -> float:
-        """Value at the mesh point nearest t (the mesh is uniform)."""
-        i = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not 0 <= i < len(self.times):
+    def at(self, t):
+        """Value at the mesh point nearest t, a float or an array of times
+        (the mesh is uniform)."""
+        h = self.times[1] - self.times[0]
+        i = np.rint((np.asarray(t) - self.times[0]) / h).astype(np.intp)
+        if np.any((i < 0) | (i >= len(self.times))):
             raise ValueError(f"t={t} outside trace [{self.times[0]}, {self.times[-1]}]")
-        return float(self.values[i])
+        return self.values[i] if i.ndim else float(self.values[i])
 
 
 def direct_convolution_sum(e_history, pole: LorentzPole, dt: float, t_eval: float) -> float:

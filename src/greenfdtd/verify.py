@@ -2,22 +2,31 @@
 
 Each check exercises one structural invariant of the dispersive updaters
 against an independent reference and reports PASS / FAIL / SKIP with a
-one-line detail.  The `corrupt_propagator` hook multiplies the plus-branch
-step propagator before the recurrence runs; tests use it to prove the
-recurrence check actually bites.
+one-line detail.
+
+Five checks run on the grid's own pole matrix (fdtd.pole_matrix of one
+pole, its current at the bank's scale dt/(eps0 eps_inf)), stepped as
+fdtd._PoleBank.advance steps it, each drive sequence a column of one
+np.dot: recurrence-vs-direct-sum (`tgm`'s P, read through
+greens.polarization_row), steady-state (the fixed point (I - A)^-1 b of
+both methods), non-amplification (the spectral radius of both methods'
+block A), ade-fixed-point (one `adem` step, current row included) and
+temporal-convergence-order (`tgm`).  conjugacy and realness step the
+complex two-accumulator form (greens.advance_state), whose branch
+symmetry greens.tgm_block relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import greens, oracle
-from .ade import AdePoleState, ade_advance, ade_current_half_step
 from .config import load_table1
 from .constants import EPS0
-from .dispersion import pole_roots
+from .fdtd import pole_matrix
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -33,31 +42,34 @@ class CheckResult:
         return self.status in (PASS, SKIP)
 
 
-def _corrupted(coeffs, factor):
-    if factor == 1.0:
-        return coeffs
-    return _dc_replace(coeffs, prop_plus=coeffs.prop_plus * factor)
+def _step(mat, drives):
+    """Step the pole matrix `mat` as fdtd._PoleBank.advance does, one
+    np.dot on an (m+1, S) buffer per sample: `drives` is (n, S), row k
+    holding E^k of each of the S drive sequences.  Returns the (n, m, S)
+    states after each sample."""
+    m = len(mat) - 1
+    x, y = np.zeros((2, m + 1, drives.shape[1]))
+    states = np.empty((len(drives), m, drives.shape[1]))
+    for k, e in enumerate(drives):
+        x[m] = e
+        np.dot(mat, x, out=y)
+        states[k] = y[:m]
+        x, y = y, x
+    return states
 
 
-def check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator=1.0, n_sequences=5,
-                                   seed=20240501):
-    """Recurrence state after N random samples vs the explicit O(N) sum."""
+def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501):
+    """P of the `tgm` matrix after N random samples vs the explicit O(N)
+    sum, every sequence a column of one pass."""
     n_samples, rtol = 2000, 1e-10
     rng = np.random.default_rng(seed)
-    coeffs = _corrupted(greens.make_coefficients(pole, dt), corrupt_propagator)
-    worst = 0.0
-    try:
-        for _ in range(n_sequences):
-            e_hist = rng.uniform(-1.0, 1.0, n_samples)
-            state = greens.PoleState()
-            for e in e_hist:
-                state = greens.advance_state(state, e, coeffs)
-            p_rec = greens.polarization(state, pole, coeffs, 0.5 * dt)
-            t_eval = (n_samples - 1) * dt + 0.5 * dt
-            p_sum = oracle.direct_convolution_sum(e_hist, pole, dt, t_eval)
-            worst = max(worst, abs(p_rec - p_sum) / max(abs(p_sum), abs(p_rec), 1e-300))
-    except greens.RealnessError as exc:
-        return CheckResult("recurrence-vs-direct-sum", FAIL, str(exc))
+    e_hist = np.array([rng.uniform(-1.0, 1.0, n_samples) for _ in range(n_sequences)])
+    states = _step(pole_matrix((pole,), "tgm", dt, scale), e_hist.T)
+    p_rec = greens.polarization_row(pole, dt, 0.5 * dt) @ states[-1]
+    t_eval = (n_samples - 1) * dt + 0.5 * dt
+    p_sum = np.array([oracle.direct_convolution_sum(e, pole, dt, t_eval) for e in e_hist])
+    worst = float(np.max(np.abs(p_rec - p_sum)
+                         / np.maximum(np.maximum(abs(p_rec), abs(p_sum)), 1e-300)))
     status = PASS if worst < rtol else FAIL
     return CheckResult("recurrence-vs-direct-sum", status,
                        f"max relative difference {worst:.3e} (tol {rtol:.0e})")
@@ -68,8 +80,7 @@ def green_closed_and_rk4(pole, dt, times):
     RK4 integration at fine_step = dt/1000, at each of the ascending
     `times` (>= dt/2)."""
     trace = oracle.green_rk4(pole, 0.0, dt, times[-1], dt / 1000.0)
-    closed = greens.green_function(pole, times, 0.0, dt)
-    return closed, np.array([trace.at(float(t)) for t in times])
+    return greens.green_function(pole, times, 0.0, dt), trace.at(times)
 
 
 def check_green_closed_form(pole, dt):
@@ -83,30 +94,26 @@ def check_green_closed_form(pole, dt):
                        f"max relative error {worst:.3e} (tol {rtol:.0e})")
 
 
-def check_steady_state(pole, dt):
-    """Constant drive must settle to eps0*delta_eps*E0 for both updaters."""
+def check_steady_state(pole, dt, scale):
+    """Under the constant drive E = 1 the fixed point (I - A)^-1 b of
+    each method's matrix must read P = eps0*delta_eps."""
     tol = 1e-3
     if pole.delta_p <= 0.0:
         return CheckResult("steady-state", SKIP, "skipped (undamped pole never settles)")
-    e0 = 1.0
-    target = EPS0 * pole.delta_eps * e0
-    # slowest decay rate: delta_p when underdamped, the slow imaginary
-    # root when overdamped
-    gamma = min(z.imag for z in pole_roots(pole))
-    n = int(np.ceil(10.0 / (gamma * dt))) + 1
-    coeffs = greens.make_coefficients(pole, dt)
-    state = greens.PoleState()
-    for _ in range(n):
-        state = greens.advance_state(state, e0, coeffs)
-    p_tgm = greens.polarization(state, pole, coeffs, 0.5 * dt)
-    astate = AdePoleState()
-    for _ in range(n):
-        astate, _ = ade_advance(astate, e0, pole, dt)
-    p_ade = astate.p_now
-    err = max(abs(p_tgm - target), abs(p_ade - target)) / target
+    target = EPS0 * pole.delta_eps
+    # P of the tgm state through its readout row; the adem state is (P, D)
+    readout = {"tgm": greens.polarization_row(pole, dt, 0.5 * dt), "adem": np.array([1.0, 0.0])}
+    err = 0.0
+    for method, row in readout.items():
+        mat = pole_matrix((pole,), method, dt, scale)
+        # Cramer's rule: np.linalg would map LAPACK into verify's RSS
+        (p, q), (r, s) = np.eye(2) - mat[:2, :2]
+        b0, b1 = mat[:2, 2]
+        x = np.array([s * b0 - q * b1, p * b1 - r * b0]) / (p * s - q * r)
+        err = max(err, abs(row @ x - target) / target)
     status = PASS if err < tol else FAIL
     return CheckResult("steady-state", status,
-                       f"worst relative offset {err:.3e} after {n} steps (tol {tol:.0e})")
+                       f"worst relative offset {err:.3e} at the fixed point (tol {tol:.0e})")
 
 
 def check_conjugacy(pole, dt):
@@ -145,58 +152,55 @@ def check_realness(pole, dt):
                        f"imaginary residuals below {greens.IMAG_RESIDUAL_RTOL:.0e} over {n_steps} steps")
 
 
-def check_non_amplification(pole, dt):
-    """|F+| must not grow under zero drive (strictly decay when damped)."""
-    n_steps = 200
-    rng = np.random.default_rng(13)
-    coeffs = greens.make_coefficients(pole, dt)
-    state = greens.PoleState()
-    for e in rng.uniform(-1.0, 1.0, 50):
-        state = greens.advance_state(state, e, coeffs)
-    prev = abs(state.f_plus)
+def _spectral_radius(a):
+    """Largest |eigenvalue| of the 2x2 block `a`: the eigenvalues are
+    (a00 + a11)/2 +- sqrt(disc), disc = ((a00 - a11)/2)^2 + a01 a10, and
+    a complex pair has modulus sqrt(det)."""
+    half_diff = 0.5 * (a[0, 0] - a[1, 1])
+    disc = half_diff * half_diff + a[0, 1] * a[1, 0]
+    if disc >= 0.0:
+        return 0.5 * abs(a[0, 0] + a[1, 1]) + math.sqrt(disc)
+    return math.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+
+
+def check_non_amplification(pole, dt, scale):
+    """The spectral radius of each method's block A must not exceed 1
+    (and stay below 1 when damped), so no state grows under zero drive."""
     strict = pole.delta_p > 0.0
-    for _ in range(n_steps):
-        state = greens.advance_state(state, 0.0, coeffs)
-        mag = abs(state.f_plus)
-        growing = mag > prev if strict else mag > prev * (1.0 + 1e-14)
-        if growing:
-            return CheckResult("non-amplification", FAIL,
-                               f"|f_plus| grew from {prev:.6e} to {mag:.6e} under zero drive")
-        prev = mag
-    return CheckResult("non-amplification", PASS,
-                       f"|f_plus| monotone under zero drive over {n_steps} steps")
+    radii = {method: _spectral_radius(pole_matrix((pole,), method, dt, scale)[:2, :2])
+             for method in ("tgm", "adem")}
+    ok = all(r < 1.0 if strict else r <= 1.0 + 1e-14 for r in radii.values())
+    detail = ", ".join(f"{method} {r:.9f}" for method, r in radii.items())
+    return CheckResult("non-amplification", PASS if ok else FAIL,
+                       f"spectral radius {detail} (need {'< 1' if strict else '<= 1'})")
 
 
-def check_ade_fixed_point(pole, dt):
-    """The exact steady state must be a fixed point of the ADE update."""
+def check_ade_fixed_point(pole, dt, scale):
+    """The exact steady state (P*, 0) under E = 1 must be a fixed point of
+    the `adem` matrix, with a zero current row."""
     rtol = 1e-13
     p_star = EPS0 * pole.delta_eps * 1.0
-    state = AdePoleState(p_now=p_star, p_prev=p_star)
-    new_state, p_next = ade_advance(state, 1.0, pole, dt)
-    err = abs(p_next - p_star) / p_star
-    curr = abs(ade_current_half_step(new_state, dt)) * dt / p_star
-    worst = max(err, curr)
+    p_next, _, j = pole_matrix((pole,), "adem", dt, scale) @ [p_star, 0.0, 1.0]
+    worst = max(abs(p_next - p_star), abs(j) * dt / scale) / p_star
     status = PASS if worst < rtol else FAIL
     return CheckResult("ade-fixed-point", status,
                        f"fixed-point drift {worst:.3e} (tol {rtol:.0e})")
 
 
 def staircase_error(pole, drive, dt, t_end, settle):
-    """Max |P - P_ref| of the recurrence fed the samples drive(k dt),
+    """Max |P - P_ref| of the `tgm` matrix fed the samples drive(k dt),
     k < round(t_end/dt), over the half steps k dt + dt/2 >= settle, where
-    P_ref is the RK4 solution under the smooth drive at dt/400."""
+    P_ref is the RK4 solution under the smooth drive at dt/400; `drive`
+    takes an array of times."""
     n = int(round(t_end / dt))
     ref = oracle.smooth_drive_rk4(pole, drive, (n + 1) * dt, dt / 400.0)
-    coeffs = greens.make_coefficients(pole, dt)
-    state = greens.PoleState()
-    worst = 0.0
-    for k in range(n):
-        state = greens.advance_state(state, drive(k * dt), coeffs)
-        t_eval = k * dt + 0.5 * dt
-        p = greens.polarization(state, pole, coeffs, 0.5 * dt)
-        if t_eval >= settle:
-            worst = max(worst, abs(p - ref.at(t_eval)))
-    return worst
+    t = np.arange(n) * dt
+    # only P is read, so the current's scale is immaterial
+    states = _step(pole_matrix((pole,), "tgm", dt, 1.0), drive(t)[:, None])
+    p = greens.polarization_row(pole, dt, 0.5 * dt) @ states[:, :, 0].T
+    t_eval = t + 0.5 * dt
+    keep = t_eval >= settle
+    return float(np.abs(p[keep] - ref.at(t_eval[keep])).max(initial=0.0))
 
 
 def check_temporal_order(pole):
@@ -224,22 +228,24 @@ def check_temporal_order(pole):
                        f"order {np.log2(max(ratio, 1e-300)):.2f})")
 
 
-def run_checks(config, corrupt_propagator: float = 1.0) -> list:
+def run_checks(config) -> list:
     """Run the whole suite against every pole of the config medium, or the
-    bundled table1 pole when the medium has none, at the config's dt.
-    Each result's detail starts with the number of its pole."""
+    bundled table1 pole when the medium has none, at the config's dt and
+    the grid bank's current scale dt/(eps0 eps_inf).  Each result's
+    detail starts with the number of its pole."""
     poles = config.medium.poles or load_table1().medium.poles
     dt = config.dt
+    scale = dt / (EPS0 * config.medium.eps_inf)
     results = []
     for k, pole in enumerate(poles, start=1):
         for res in (
-            check_recurrence_vs_direct_sum(pole, dt, corrupt_propagator),
+            check_recurrence_vs_direct_sum(pole, dt, scale),
             check_green_closed_form(pole, dt),
-            check_steady_state(pole, dt),
+            check_steady_state(pole, dt, scale),
             check_conjugacy(pole, dt),
             check_realness(pole, dt),
-            check_non_amplification(pole, dt),
-            check_ade_fixed_point(pole, dt),
+            check_non_amplification(pole, dt, scale),
+            check_ade_fixed_point(pole, dt, scale),
             check_temporal_order(pole),
         ):
             res.detail = f"pole {k}: {res.detail}"

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from greenfdtd import cli
+from greenfdtd import ade, cli, greens, verify
 from greenfdtd.analysis import reflection_experiment
 from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.dispersion import LorentzPole, Medium
+from greenfdtd.fdtd import build_simulation
 from greenfdtd.verify import FAIL, PASS, SKIP, run_checks
 
 WP = 2 * math.pi * 20e9
@@ -219,11 +220,31 @@ class TestVerifyCommand:
             [(11, "conjugacy")]
         assert all(r.status == PASS for r in results if r.status != SKIP)
 
-    def test_corrupted_propagator_fails_recurrence(self):
-        results = run_checks(two_pole_config(), corrupt_propagator=1.0 + 1e-4)
+    def test_corrupted_propagator_fails_recurrence(self, monkeypatch):
+        corrupt_block(monkeypatch, greens, "tgm_block", scaled_propagator)
+        results = run_checks(two_pole_config())
         recurrence = [r for r in results if r.name == "recurrence-vs-direct-sum"]
         assert [r.detail.split(":")[0] for r in recurrence] == ["pole 1", "pole 2"]
         assert all(r.status == FAIL for r in recurrence)
+
+    @pytest.mark.parametrize("method", ["tgm", "adem"])
+    def test_checks_step_the_grid_matrix(self, monkeypatch, method):
+        # every matrix the checks build at the config's dt is the table1
+        # grid's bank matrix, bit for bit, current scale included
+        cfg = load_table1()
+        real, built = verify.pole_matrix, []
+
+        def spy(poles, kind, dt, scale):
+            mat = real(poles, kind, dt, scale)
+            if kind == method and dt == cfg.dt:
+                built.append(mat)
+            return mat
+
+        monkeypatch.setattr(verify, "pole_matrix", spy)
+        assert all(r.ok for r in run_checks(cfg))
+        bank = build_simulation(cfg, method=method)._bank.matrix
+        assert len(built) == 3
+        assert all(np.array_equal(mat, bank) for mat in built)
 
     def test_overdamped_conjugacy_skipped(self, tmp_path):
         text = SMALL.replace("delta_p = 1.2566370614359172e10",
@@ -236,13 +257,43 @@ class TestVerifyCommand:
         assert all(r.status in (PASS, SKIP) for r in results)
 
     def test_exit_code_two_on_failure(self, small_cfg, capsys, monkeypatch):
-        real = cli.verify.run_checks
-        monkeypatch.setattr(
-            cli.verify, "run_checks",
-            lambda config, corrupt_propagator=1.0: real(config, 1.0 + 1e-4),
-        )
+        corrupt_block(monkeypatch, greens, "tgm_block", scaled_propagator)
         assert cli.main(["verify", "--config", str(small_cfg)]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestVerifyCatchesCorruptBlocks:
+    """verify steps the blocks the grid steps, so a fault in either
+    method's block fails it on table1."""
+
+    def test_conjugated_tgm_block(self, monkeypatch, capsys):
+        # [[a, -b], [b, a]] -> [[a, b], [-b, a]]: the accumulator turns
+        # the wrong way
+        corrupt_block(monkeypatch, greens, "tgm_block",
+                      lambda a, inject, curr, curr_e: (np.transpose(a), inject, curr, curr_e))
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        assert "FAIL recurrence-vs-direct-sum" in capsys.readouterr().out
+
+    def test_adem_block_with_scaled_k(self, monkeypatch, capsys):
+        # k enters the injection column and the current's E entry
+        corrupt_block(monkeypatch, ade, "adem_block",
+                      lambda a, inject, curr, curr_e: (a, np.multiply(inject, 1.01), curr,
+                                                        1.01 * curr_e))
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL steady-state" in out and "FAIL ade-fixed-point" in out
+
+
+def corrupt_block(monkeypatch, module, name, fault):
+    """Replace the block builder `module.name` by one that passes its
+    (A, inject, curr, curr_e) through `fault`."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda pole, dt, scale: fault(*real(pole, dt, scale)))
+
+
+def scaled_propagator(a, inject, curr, curr_e):
+    """Every state of the block grows by 1e-4 a step more than it should."""
+    return np.multiply(a, 1.0 + 1e-4), inject, curr, curr_e
 
 
 def two_pole_config():

@@ -21,6 +21,7 @@ from greenfdtd.fdtd import (
     interface_node,
     mur_coefficient,
     mur_update,
+    pole_matrix,
     probe_nodes_from_fractions,
     source_value,
 )
@@ -363,7 +364,7 @@ class TestPoleKernels:
         n, dt = 64, small_config().dt
         scale = dt / (EPS0 * 1.5)
         e, rhs, nodes = np.zeros(n), np.zeros(n - 2), slice(1, n - 1)
-        bank = _PoleBank(poles, method, dt, scale, e, rhs, nodes)
+        bank = _PoleBank(pole_matrix(poles, method, dt, scale), e, rhs, nodes)
         coeffs = [greens.make_coefficients(p, dt) for p in poles]
         states = [greens.PoleState() if method == "tgm" else AdePoleState() for _ in poles]
         rng = np.random.default_rng(3)
