@@ -50,13 +50,13 @@ def spectrum(series: ProbeSeries) -> Spectrum:
 
 
 def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
-                         band_threshold: float) -> list:
+                         band_threshold: float) -> np.ndarray:
     """|R|(f) from a vacuum-reference incident series and a medium-run
     total series at the same node.
 
     reflected = total - incident sample-wise; |R| = |DFT(reflected)| /
     |DFT(incident)| at bins where |DFT(incident)| >= band_threshold times
-    its maximum.  Returns a list of (freq_hz, magnitude) pairs.
+    its maximum.  Returns an (n, 2) array of (freq_hz, magnitude) rows.
     """
     if (incident.node_index != total.node_index
             or incident.dt != total.dt
@@ -83,7 +83,7 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
             f"band_threshold={band_threshold} excluded every frequency bin"
         )
     ratio = np.abs(ref.amps[mask]) / inc_mag[mask]
-    return list(zip(inc.freqs[mask].tolist(), ratio.tolist()))
+    return np.column_stack((inc.freqs[mask], ratio))
 
 
 def finite_run(config, method, nodes, run):
@@ -125,7 +125,5 @@ def reflection_experiment(config, methods):
     mags = {}
     for method in methods:
         [total] = finite_run(config, method, node, method)
-        pairs = reflection_magnitude(incident, total, config.band_threshold)
-        mags[method] = np.array([m for _, m in pairs])
-    freqs = np.array([f for f, _ in pairs])
+        freqs, mags[method] = reflection_magnitude(incident, total, config.band_threshold).T
     return freqs, np.abs(reflection_coefficient(config.medium, 2.0 * np.pi * freqs)), mags

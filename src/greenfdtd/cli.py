@@ -46,7 +46,7 @@ def _write_csv(header, rows, out_path):
             fh.write(text)
 
 
-def cmd_run(config, out_path=None) -> int:
+def cmd_run(config, out_path) -> int:
     """Single simulation; CSV of the raw probe series, written only when
     every sample is finite."""
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
@@ -60,7 +60,7 @@ def cmd_run(config, out_path=None) -> int:
     return 0
 
 
-def cmd_reflection(config, out_path=None) -> int:
+def cmd_reflection(config, out_path) -> int:
     """Vacuum reference + both dispersive updaters; CSV of |R|(f) columns
     and a stdout summary of each method's error against the analytic
     coefficient."""
@@ -76,7 +76,7 @@ def cmd_reflection(config, out_path=None) -> int:
     return 0
 
 
-def cmd_green(config, out_path=None) -> int:
+def cmd_green(config, out_path) -> int:
     """Closed-form rectangle response vs RK4 oracle for each medium pole;
     CSV comparison with the 1-based pole number in the first column."""
     if not config.medium.poles:

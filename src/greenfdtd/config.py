@@ -1,18 +1,18 @@
 """Line-oriented config files for the half-space reflection experiment.
 
 Grammar: `[section]` headers, `key = value` lines, `#` comments, blank
-lines ignored.  Sections: grid, source, medium, medium.pole.<k>, run.
-All values are SI.  Keys:
+lines ignored.  The table `_GRAMMAR` is the grammar: it maps each section
+(grid, source, medium, medium.pole.<k>, run) to its keys, and each key to
+the keyword it fills in SimConfig, GaussianSource, Medium or LorentzPole
+and the converter of its value.  A key is required when its keyword has
+no default there.  All values are SI:
 
-    [grid]    length (m), nodes, cfl (default 0.9),
-              absorber_cells (default 0), absorber_sigma (S/m, default 0)
+    [grid]    length (m), nodes, cfl, absorber_cells, absorber_sigma (S/m)
     [source]  t0 (s), width (s), omega0 (rad/s)
-    [medium]  eps_inf (default 1.0), sigma (default 0.0)
+    [medium]  eps_inf, sigma (S/m)
     [medium.pole.<k>]  delta_eps, omega_p (rad/s), delta_p (rad/s)
-    [run]     steps (default 32768),
-              probes (fractions of L, default 0.25, 0.499, 0.75),
-              method (tgm|adem, default tgm),
-              band_threshold (default 0.001), out (optional path)
+    [run]     steps, probes (fractions of L), method (tgm|adem),
+              band_threshold, out (optional path)
 
 An empty or absent [medium] section means vacuum.  Pole sections must be
 numbered 1..P.
@@ -24,16 +24,13 @@ the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 from .constants import C0
 from .dispersion import LorentzPole, Medium
 from .errors import ConfigError, ValidationError
 from .fdtd import GaussianSource
-
-_SECTIONS = ("grid", "source", "medium", "run")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -63,6 +60,9 @@ class SimConfig:
         if not 0 <= self.absorber_cells <= self.n_grid // 3:
             raise ValidationError(f"grid.absorber_cells must lie in [0, nodes/3 = "
                                   f"{self.n_grid // 3}], got {self.absorber_cells}")
+        if self.absorber_cells == 1:
+            raise ValidationError("grid.absorber_cells = 1 adds no absorber: the cubic grading "
+                                  "puts zero loss on the first absorber cell; use 0 or >= 2")
         if self.absorber_sigma < 0.0:
             raise ValidationError(f"grid.absorber_sigma must be >= 0, got {self.absorber_sigma}")
         if self.n_steps < 0:
@@ -89,6 +89,28 @@ class SimConfig:
         return replace(self, medium=medium)
 
 
+def _float_list(raw: str):
+    return tuple(float(part) for part in raw.split(","))
+
+
+# section -> {key: (keyword, converter)}, in the order the parser reads
+# them, so that a document with several faults reports the same first one
+_GRAMMAR = {
+    "grid": {"length": ("system_length", float), "nodes": ("n_grid", int),
+             "cfl": ("cfl_factor", float), "absorber_cells": ("absorber_cells", int),
+             "absorber_sigma": ("absorber_sigma", float)},
+    "source": {"t0": ("t0", float), "width": ("delta_t", float), "omega0": ("omega0", float)},
+    "medium": {"eps_inf": ("eps_inf", float), "sigma": ("sigma", float)},
+    "medium.pole.": {"delta_eps": ("delta_eps", float), "omega_p": ("omega_p", float),
+                     "delta_p": ("delta_p", float)},
+    "run": {"steps": ("n_steps", int), "probes": ("probes", _float_list),
+            "method": ("method", str), "band_threshold": ("band_threshold", float),
+            "out": ("out", str)},
+}
+_REQUIRED = {f.name for cls in (SimConfig, GaussianSource, Medium, LorentzPole)
+             for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+
+
 def _parse_lines(text: str):
     """Raw pass: {(section, key): value} with line-number diagnostics."""
     values = {}
@@ -99,7 +121,7 @@ def _parse_lines(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if not (section in _SECTIONS or section.startswith("medium.pole.")):
+            if not (section in _GRAMMAR or section.startswith("medium.pole.")):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -117,26 +139,21 @@ def _parse_lines(text: str):
     return values
 
 
-def _take(values, section, key, conv, required=False):
-    """The converted value of `key`, or None when the document does not set it."""
-    if (section, key) in values:
-        raw, lineno = values.pop((section, key))
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    if required:
-        raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    return None
-
-
-def _set(**kwargs):
-    """The keyword arguments the document set; the rest keep their defaults."""
-    return {k: v for k, v in kwargs.items() if v is not None}
-
-
-def _float_list(raw: str):
-    return tuple(float(part) for part in raw.split(","))
+def _section(values, section):
+    """{keyword: value} of the keys of `section` that the document sets,
+    popped from `values`; ConfigError for a bad value or a missing
+    required key.  Every [medium.pole.<k>] reads the "medium.pole." row."""
+    out = {}
+    for key, (keyword, conv) in _GRAMMAR[section.rstrip("0123456789")].items():
+        if (section, key) in values:
+            raw, lineno = values.pop((section, key))
+            try:
+                out[keyword] = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        elif keyword in _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    return out
 
 
 def parse_config(text: str) -> SimConfig:
@@ -146,53 +163,27 @@ def parse_config(text: str) -> SimConfig:
     ValidationError naming the violated invariant (from SimConfig).
     """
     values = _parse_lines(text)
-
-    grid = _set(
-        system_length=_take(values, "grid", "length", float, required=True),
-        n_grid=_take(values, "grid", "nodes", int, required=True),
-        cfl_factor=_take(values, "grid", "cfl", float),
-        absorber_cells=_take(values, "grid", "absorber_cells", int),
-        absorber_sigma=_take(values, "grid", "absorber_sigma", float),
-    )
-
-    t0 = _take(values, "source", "t0", float, required=True)
-    width = _take(values, "source", "width", float, required=True)
-    omega0 = _take(values, "source", "omega0", float, required=True)
-
-    medium = _set(
-        eps_inf=_take(values, "medium", "eps_inf", float),
-        sigma=_take(values, "medium", "sigma", float),
-    )
-
+    grid = _section(values, "grid")
+    source = _section(values, "source")
+    medium = _section(values, "medium")
     poles = []
     k = 1
     while any(sec == f"medium.pole.{k}" for sec, _ in values):
         sec = f"medium.pole.{k}"
-        fields = dict(
-            delta_eps=_take(values, sec, "delta_eps", float, required=True),
-            omega_p=_take(values, sec, "omega_p", float, required=True),
-            delta_p=_take(values, sec, "delta_p", float, required=True),
-        )
+        pole = _section(values, sec)  # outside the try: ConfigError is a ValueError
         try:
-            poles.append(LorentzPole(**fields))
+            poles.append(LorentzPole(**pole))
         except ValueError as exc:
             raise ValidationError(f"[{sec}]: {exc}") from None
         k += 1
-
-    run = _set(
-        n_steps=_take(values, "run", "steps", int),
-        probes=_take(values, "run", "probes", _float_list),
-        method=_take(values, "run", "method", str),
-        band_threshold=_take(values, "run", "band_threshold", float),
-        out=_take(values, "run", "out", str),
-    )
+    run = _section(values, "run")
 
     if values:
         (sec, key), (_, lineno) = next(iter(values.items()))
         raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{sec}]")
 
     try:
-        source = GaussianSource(t0=t0, delta_t=width, omega0=omega0)
+        source = GaussianSource(**source)
         medium = Medium(**medium, poles=tuple(poles))
     except ValueError as exc:
         raise ValidationError(str(exc)) from None

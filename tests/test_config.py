@@ -1,10 +1,16 @@
 """Config grammar, defaults, validation and the bundled experiment file."""
 
 import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from greenfdtd import config
 from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.constants import C0
 from greenfdtd.errors import ConfigError, ValidationError
@@ -20,6 +26,41 @@ omega0 = 6.283185307179586e11
 [run]
 steps = 100
 """
+
+# every key of the grammar, each optional one away from its default
+FULL = """
+[grid]
+length = 0.05
+nodes = 3000
+cfl = 0.8
+absorber_cells = 100
+absorber_sigma = 5.0
+[source]
+t0 = 1.0e-11
+width = 1.0e-12
+omega0 = 6.283185307179586e11
+[medium]
+eps_inf = 1.5
+sigma = 0.1
+[medium.pole.1]
+delta_eps = 3.0
+omega_p = 1.2566370614359172e11
+delta_p = 1.2566370614359172e10
+[run]
+steps = 100
+probes = 0.25, 0.75
+method = adem
+band_threshold = 0.01
+out = out.csv
+"""
+REQUIRED = ("length", "nodes", "t0", "width", "omega0", "delta_eps", "omega_p", "delta_p")
+OPTIONAL = ("cfl", "absorber_cells", "absorber_sigma", "eps_inf", "sigma", "steps", "probes",
+            "method", "band_threshold", "out")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def without(key):
+    return "\n".join(line for line in FULL.splitlines() if line.partition("=")[0].strip() != key)
 
 
 class TestBundledConfig:
@@ -46,6 +87,11 @@ class TestBundledConfig:
 
     def test_bundled_file_exists(self):
         assert table1_path().is_file()
+
+    def test_readme_example_is_table1(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block) == load_table1()
 
 
 class TestParsing:
@@ -121,6 +167,16 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="omega0"):
             parse_config(MINIMAL.replace("omega0 = 6.283185307179586e11", ""))
 
+    @pytest.mark.parametrize("key", REQUIRED)
+    def test_every_required_key_named_when_missing(self, key):
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            parse_config(without(key))
+
+    @pytest.mark.parametrize("key", OPTIONAL)
+    def test_every_optional_key_may_be_omitted(self, key):
+        # the key is read when present: omitting it restores a default
+        assert parse_config(without(key)) != parse_config(FULL)
+
 
 class TestValidation:
     def test_cfl_named_in_error(self):
@@ -136,6 +192,13 @@ class TestValidation:
         parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 1000\n")
         with pytest.raises(ValidationError, match="absorber_cells"):
             parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 1001\n")
+
+    def test_one_absorber_cell_rejected(self):
+        # the cubic grading puts zero loss on the first absorber cell, so
+        # one cell would silently add no absorber
+        with pytest.raises(ValidationError, match="absorber_cells = 1"):
+            parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 1\nabsorber_sigma = 10.0\n")
+        parse_config(MINIMAL + "\n[grid]\nabsorber_cells = 2\nabsorber_sigma = 10.0\n")
 
     def test_replaced_config_is_checked(self):
         cfg = load_table1()
@@ -165,3 +228,16 @@ delta_p = 1.0e10
 """
         with pytest.raises(ValidationError, match="critically damped"):
             parse_config(text)
+
+
+def test_config_import_loads_no_analysis_layer():
+    # the config path (the benchmark's set-up) imports only what a
+    # SimConfig needs, in a fresh interpreter
+    src = pathlib.Path(config.__file__).resolve().parents[1]
+    code = "import sys, json, greenfdtd.config; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "greenfdtd.config" in loaded
+    for name in ("analysis", "oracle", "verify", "cli"):
+        assert f"greenfdtd.{name}" not in loaded
