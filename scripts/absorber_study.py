@@ -6,7 +6,7 @@ do that across the band in a dispersive half-space (its reflection at a
 mismatched phase velocity is O((n - 1)/(n + 1)), and a conductivity-only
 taper turns into a mirror at low frequency).  This sweep reproduces the
 numbers behind the bundled taper choice: 660 cells, sigma_max = 10 S/m,
-cubic grading, magnetic loss matched to the local static permittivity.
+cubic grading, magnetic loss matched to the medium's static permittivity.
 """
 
 import dataclasses

@@ -8,14 +8,14 @@ and the converter of its value.  A key is required when its keyword has
 no default there.  All values are SI:
 
     [grid]    length (m), nodes, cfl, absorber_cells, absorber_sigma (S/m)
-    [source]  t0 (s), width (s), omega0 (rad/s)
+    [source]  t0 (s, > 0), width (s), omega0 (rad/s)
     [medium]  eps_inf, sigma (S/m)
-    [medium.pole.<k>]  delta_eps, omega_p (rad/s), delta_p (rad/s)
+    [medium.pole.<k>]  delta_eps (> 0), omega_p (rad/s), delta_p (rad/s)
     [run]     steps, probes (fractions of L), method (tgm|adem),
               band_threshold, out (optional path)
 
-An empty or absent [medium] section means vacuum.  Pole sections must be
-numbered 1..P.
+An empty or absent [medium] section means vacuum.  Pole sections are
+numbered 1..P, each k a decimal without leading zeros.
 
 Every invariant is checked in `SimConfig.__post_init__`, so a config built
 directly or by `dataclasses.replace` obeys the same rules as a parsed one;
@@ -24,6 +24,7 @@ the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
@@ -112,8 +113,9 @@ _REQUIRED = {f.name for cls in (SimConfig, GaussianSource, Medium, LorentzPole)
 
 
 def _parse_lines(text: str):
-    """Raw pass: {(section, key): value} with line-number diagnostics."""
-    values = {}
+    """Raw pass with line-number diagnostics: {(section, key): (value,
+    lineno)} and the set of numbers k of the [medium.pole.<k>] headers."""
+    values, pole_numbers = {}, set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +123,10 @@ def _parse_lines(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if not (section in _GRAMMAR or section.startswith("medium.pole.")):
+            pole = re.fullmatch(r"medium\.pole\.([1-9][0-9]*)", section)
+            if pole:
+                pole_numbers.add(int(pole[1]))
+            elif section not in _GRAMMAR or section.startswith("medium.pole."):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -129,14 +134,13 @@ def _parse_lines(text: str):
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: malformed 'key = value' pair")
         if (section, key) in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         values[(section, key)] = (value, lineno)
-    return values
+    return values, pole_numbers
 
 
 def _section(values, section):
@@ -162,20 +166,20 @@ def parse_config(text: str) -> SimConfig:
     Raises ConfigError for syntax problems (with line numbers) and
     ValidationError naming the violated invariant (from SimConfig).
     """
-    values = _parse_lines(text)
+    values, pole_numbers = _parse_lines(text)
     grid = _section(values, "grid")
     source = _section(values, "source")
     medium = _section(values, "medium")
     poles = []
-    k = 1
-    while any(sec == f"medium.pole.{k}" for sec, _ in values):
+    for k in range(1, max(pole_numbers, default=0) + 1):
         sec = f"medium.pole.{k}"
+        if k not in pole_numbers:
+            raise ConfigError(f"missing section [{sec}]: pole sections are numbered 1..P")
         pole = _section(values, sec)  # outside the try: ConfigError is a ValueError
         try:
             poles.append(LorentzPole(**pole))
         except ValueError as exc:
             raise ValidationError(f"[{sec}]: {exc}") from None
-        k += 1
     run = _section(values, "run")
 
     if values:

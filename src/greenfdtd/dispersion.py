@@ -23,17 +23,14 @@ import numpy as np
 from .constants import EPS0
 from .errors import DegeneratePoleError, ResonanceError
 
-# Relative gap below which omega_p and delta_p are treated as coalesced.
-_DEGENERACY_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LorentzPole:
     """One damped-oscillator resonance.
 
-    delta_eps : dimensionless oscillator strength
+    delta_eps : dimensionless oscillator strength (> 0)
     omega_p   : resonance angular frequency, rad/s (> 0)
-    delta_p   : damping rate, rad/s (>= 0, != omega_p)
+    delta_p   : damping rate, rad/s (>= 0, not within 1e-9 of omega_p)
     """
 
     delta_eps: float
@@ -41,11 +38,14 @@ class LorentzPole:
     delta_p: float
 
     def __post_init__(self):
+        if not self.delta_eps > 0.0:
+            raise ValueError(f"delta_eps must be positive, got {self.delta_eps}: a zero pole "
+                             "does nothing and a negative one is a gain medium")
         if not self.omega_p > 0.0:
             raise ValueError(f"omega_p must be positive, got {self.omega_p}")
         if self.delta_p < 0.0:
             raise ValueError(f"delta_p must be non-negative, got {self.delta_p}")
-        if abs(self.delta_p - self.omega_p) <= _DEGENERACY_RTOL * self.omega_p:
+        if abs(self.delta_p - self.omega_p) <= 1e-9 * self.omega_p:
             raise DegeneratePoleError(
                 f"delta_p == omega_p ({self.omega_p}): critically damped pole "
                 "has a double root and is not supported"
@@ -121,10 +121,6 @@ def pole_roots(pole: LorentzPole):
     Underdamped poles give a conjugate-like pair (z- == -conj(z+));
     overdamped poles give two distinct purely imaginary roots.
     """
-    # LorentzPole construction already rejects the degenerate case; guard
-    # anyway so raw namespaces cannot sneak one in.
-    if abs(pole.delta_p - pole.omega_p) <= _DEGENERACY_RTOL * pole.omega_p:
-        raise DegeneratePoleError("delta_p == omega_p: double root")
     s = np.sqrt(complex(pole.omega_p**2 - pole.delta_p**2, 0.0))
     z_plus = 1j * pole.delta_p + s
     z_minus = 1j * pole.delta_p - s

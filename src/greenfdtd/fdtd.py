@@ -23,14 +23,16 @@ overdamped pole; the branch symmetry this relies on
 (greens.check_branch_symmetry) is checked per pole when the Simulation
 is built, so the step itself carries no realness check.
 
-A Gaussian hard source pins node 0 while t < 2*t0; both end nodes then
-follow first-order Mur absorbing updates.  Optionally the last cells of
-the grid carry a graded absorber: an electric conductivity ramp paired
-with a magnetic-loss ramp impedance-matched to the local static
-permittivity, so even quasi-static content is absorbed instead of
-reflected (a bare conductivity taper turns into a mirror at low
-frequency).  The absorber is part of the boundary treatment and leaves
-the medium's own eps_inf and sigma untouched.
+A Gaussian hard source pins node 0 while t < 2*t0; t0 > 0, so node 0
+holds the source's t = 0 value once the Simulation is built.  Each step
+writes either end node once: node 0 with the source or, after it, a
+first-order Mur update, like node N-1.  Optionally the last cells of the
+grid, inside the medium, carry a graded absorber: an electric
+conductivity ramp paired with a magnetic-loss ramp impedance-matched to
+the medium's static permittivity, so even quasi-static content is
+absorbed instead of reflected (a bare conductivity taper turns into a
+mirror at low frequency).  The absorber is part of the boundary
+treatment and leaves the medium's own eps_inf and sigma untouched.
 
 Step layout.  The step is the update-coefficient form of Taflove &
 Hagness (Computational Electrodynamics, ch. 3 and 9): every per-node
@@ -92,6 +94,9 @@ class GaussianSource:
     omega0: float
 
     def __post_init__(self):
+        if not self.t0 > 0.0:
+            raise ValueError(f"t0 must be positive, got {self.t0}: the hard source pins node 0 "
+                             "while t < 2*t0, so it must be live at t = 0")
         if not self.delta_t > 0.0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
 
@@ -204,9 +209,10 @@ class Simulation:
 
     Nodes with x < L/2 are vacuum; nodes from interface_node(n) on carry
     the config medium.  The step's per-node constants are baked once into
-    coefficient arrays; all fields start at zero.  An absorber taper over
-    the last `absorber_cells` nodes is added when configured, matched per
-    node to the local static permittivity.
+    coefficient arrays.  All fields start at zero but node 0, which holds
+    the source's t = 0 value; a step writes each end node once.  The
+    absorber taper over the last `absorber_cells` nodes lies inside the
+    medium and is matched to its static permittivity.
     """
 
     boundary = "mur"
@@ -216,6 +222,7 @@ class Simulation:
         i0 = interface_node(n)
         medium = config.medium
         e, b = _aligned(n), _aligned(n - 1)
+        e[0] = source_value(config.source, 0.0)
         self.grid = Grid1D(e=e, b=b, dx=dx, dt=dt)
         self.media = (Medium.vacuum(), medium)
         self.source = config.source
@@ -225,16 +232,12 @@ class Simulation:
         medium_nodes = np.arange(n) >= i0
         self.eps_inf_node = np.where(medium_nodes, medium.eps_inf, 1.0)
         self.sigma_node = np.where(medium_nodes, medium.sigma, 0.0)
-        # magnetic absorber loss on B nodes, matched to the local static
-        # permittivity
+        # magnetic absorber loss on B nodes, matched to the medium's eps_static
         w = config.absorber_cells
         taper = np.zeros(n)
-        u = np.arange(w) / max(w - 1, 1)
-        taper[n - w:] = config.absorber_sigma * u**3
+        taper[n - w:] = config.absorber_sigma * (np.arange(w) / (w - 1)) ** 3
         self.sigma_node += taper
-        eps_static = np.where(medium_nodes, medium.eps_static, 1.0)
-        sig_b, eps_b = (0.5 * (x[:-1] + x[1:]) for x in (taper, eps_static))
-        beta_m = sig_b * dt / (EPS0 * eps_b)
+        beta_m = 0.5 * (taper[:-1] + taper[1:]) * dt / (EPS0 * medium.eps_static)
 
         # coefficient arrays and bound views of the step (module
         # docstring); ca_b and ca_e cover only the lossy suffixes
@@ -269,11 +272,6 @@ class Simulation:
     def n_nodes(self) -> int:
         return len(self.grid.e)
 
-    def _pin_source(self, t) -> None:
-        # hard source: overwrite node 0 while the envelope is alive
-        if t < 2.0 * self.source.t0:
-            self.grid.e[0] = source_value(self.source, t)
-
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle).
 
@@ -290,7 +288,6 @@ class Simulation:
         run without poles or loss is plain Yee.
         """
         e, b, de, rhs, bank = self.grid.e, self.grid.b, self._de, self._rhs, self._bank
-        self._pin_source(self.time)
         e0_old, e1_old, en_old, enn_old = e[0], e[1], e[-1], e[-2]
         np.subtract(self._e_hi, self._e_lo, out=de)
         de *= self._cb
@@ -302,10 +299,11 @@ class Simulation:
             bank.advance()
         self._e_lossy *= self._ca_e
         self._e_in += rhs
-        e[0] = mur_update(e0_old, e1_old, e[1], self._k_mur)
-        e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)
         self.step_index += 1
-        self._pin_source(self.time)
+        t = self.time
+        e[0] = (source_value(self.source, t) if t < 2.0 * self.source.t0
+                else mur_update(e0_old, e1_old, e[1], self._k_mur))
+        e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)
 
     def run(self, n_steps: int, probe_nodes) -> list:
         """Execute n_steps, recording E at each probe node after every step.

@@ -13,6 +13,7 @@ import pytest
 from greenfdtd import ade, cli, greens, verify
 from greenfdtd.analysis import reflection_experiment
 from greenfdtd.config import load_table1, parse_config, table1_path
+from greenfdtd.constants import EPS0
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.fdtd import build_simulation
 from greenfdtd.verify import FAIL, PASS, SKIP, run_checks
@@ -255,6 +256,30 @@ class TestVerifyCommand:
         assert by_name["conjugacy"].status == SKIP
         assert "overdamped" in by_name["conjugacy"].detail
         assert all(r.status in (PASS, SKIP) for r in results)
+
+    def test_undamped_steady_state_skipped(self):
+        pole = LorentzPole(3.0, WP, 0.0)
+        cfg = load_table1()
+        res = verify.check_steady_state(pole, cfg.dt, cfg.dt / (EPS0 * cfg.medium.eps_inf))
+        assert (res.status, res.detail) == (SKIP, "skipped (undamped pole never settles)")
+
+    def test_skewed_coefficients_fail_realness(self, monkeypatch):
+        make = greens.make_coefficients
+
+        def skewed(pole, dt):
+            c = make(pole, dt)
+            return dataclasses.replace(c, curr_minus=c.curr_minus * (1.0 + 1e-6))
+
+        cfg = load_table1()
+        assert verify.check_realness(cfg.medium.poles[0], cfg.dt).status == PASS
+        monkeypatch.setattr(greens, "make_coefficients", skewed)
+        res = verify.check_realness(cfg.medium.poles[0], cfg.dt)
+        assert res.status == FAIL and "imaginary residual" in res.detail
+
+    def test_lightly_damped_pole_settles_longer(self):
+        # 0 < delta_p < 0.02 omega_p: the settle window grows to 5/delta_p
+        res = verify.check_temporal_order(LorentzPole(3.0, WP, 0.01 * WP))
+        assert res.status == PASS, res.detail
 
     def test_exit_code_two_on_failure(self, small_cfg, capsys, monkeypatch):
         corrupt_block(monkeypatch, greens, "tgm_block", scaled_propagator)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -151,6 +152,11 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("[grid]\nlength 0.05\n")
 
+    @pytest.mark.parametrize("line", ["length =", "= 0.05"])
+    def test_malformed_pair(self, line):
+        with pytest.raises(ConfigError, match="line 2: malformed 'key = value' pair"):
+            parse_config(f"[grid]\n{line}\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[grid]\nlength = 0.05\nlength = 0.06\n")
@@ -176,6 +182,41 @@ class TestParseErrors:
     def test_every_optional_key_may_be_omitted(self, key):
         # the key is read when present: omitting it restores a default
         assert parse_config(without(key)) != parse_config(FULL)
+
+
+POLE = "delta_eps = 1.0\nomega_p = 1.0e10\ndelta_p = 1.0e9\n"
+
+
+class TestPoleSections:
+    """Pole sections are [medium.pole.1] .. [medium.pole.P]; each header
+    counts, whether or not keys follow it."""
+
+    def test_empty_pole_section_reports_first_missing_key(self):
+        with pytest.raises(ConfigError, match=r"missing required key 'delta_eps' "
+                                              r"in section \[medium\.pole\.1\]"):
+            parse_config(MINIMAL + "[medium.pole.1]\n")
+
+    def test_first_pole_section_missing(self):
+        with pytest.raises(ConfigError, match=r"missing section \[medium\.pole\.1\]"):
+            parse_config(MINIMAL + "[medium.pole.2]\n" + POLE)
+
+    def test_gap_names_first_missing_section(self):
+        text = MINIMAL + "[medium.pole.1]\n" + POLE + "[medium.pole.3]\n" + POLE
+        with pytest.raises(ConfigError, match=r"missing section \[medium\.pole\.2\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("number", ["01", "x", "", "0", "1.0", "+1"])
+    def test_pole_number_not_a_positive_decimal(self, number):
+        lineno = len(MINIMAL.splitlines()) + 1
+        with pytest.raises(ConfigError, match=rf"line {lineno}: unknown section "
+                                              rf"\[medium\.pole\.{re.escape(number)}\]"):
+            parse_config(MINIMAL + f"[medium.pole.{number}]\n" + POLE)
+
+    def test_reopened_pole_section(self):
+        # the keys of one pole may be split over two headers
+        split = parse_config(MINIMAL + "[medium.pole.1]\ndelta_eps = 1.0\n[run]\n"
+                             "[medium.pole.1]\nomega_p = 1.0e10\ndelta_p = 1.0e9\n")
+        assert split == parse_config(MINIMAL + "[medium.pole.1]\n" + POLE)
 
 
 class TestValidation:
@@ -218,6 +259,34 @@ class TestValidation:
     def test_medium_invariants_reported(self):
         with pytest.raises(ValidationError, match="eps_inf"):
             parse_config(MINIMAL + "\n[medium]\neps_inf = 0.0\n")
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("length = 0.05", "length = 0.0", "grid.length must be positive"),
+        ("length = 0.05", "length = -0.05", "grid.length must be positive"),
+        ("absorber_sigma = 5.0", "absorber_sigma = -1.0", "grid.absorber_sigma must be >= 0"),
+        ("steps = 100", "steps = -1", "run.steps must be >= 0"),
+        ("band_threshold = 0.01", "band_threshold = 0.0", r"run.band_threshold must lie in \("),
+        ("band_threshold = 0.01", "band_threshold = 1.5", r"run.band_threshold must lie in \("),
+    ], ids=["length=0", "length<0", "absorber_sigma<0", "steps<0", "band_threshold=0",
+            "band_threshold>1"])
+    def test_invariant_named(self, old, new, match):
+        assert old in FULL
+        with pytest.raises(ValidationError, match=match):
+            parse_config(FULL.replace(old, new))
+
+    @pytest.mark.parametrize("value", ["0.0", "-1.0e-11"])
+    def test_source_t0_must_be_positive(self, value):
+        # with t0 <= 0 the source is dead from t = 0 on and the run is all zero
+        with pytest.raises(ValidationError, match=r"^t0 must be positive.*live at t = 0"):
+            parse_config(FULL.replace("t0 = 1.0e-11", f"t0 = {value}"))
+
+    @pytest.mark.parametrize("value", ["0", "-2.0"])
+    def test_pole_delta_eps_must_be_positive(self, value):
+        # a negative pole is a gain medium: the grid goes non-finite while
+        # verify's checks, relative to eps0*delta_eps, cannot fail
+        with pytest.raises(ValidationError,
+                           match=r"^\[medium\.pole\.1\]: delta_eps must be positive.*gain medium"):
+            parse_config(FULL.replace("delta_eps = 3.0", f"delta_eps = {value}"))
 
     def test_degenerate_pole_reported(self):
         text = MINIMAL + """

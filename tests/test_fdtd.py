@@ -80,6 +80,12 @@ class TestSource:
         with pytest.raises(ValueError):
             GaussianSource(t0=1e-11, delta_t=0.0, omega0=1e11)
 
+    @pytest.mark.parametrize("t0", [0.0, -1e-11, math.nan])
+    def test_t0_must_be_positive(self, t0):
+        # the source must be live at t = 0, where the Simulation pins it
+        with pytest.raises(ValueError, match="t0 must be positive"):
+            GaussianSource(t0=t0, delta_t=1e-12, omega0=1e11)
+
 
 class TestMur:
     def test_magic_step_perfect_absorption(self):
@@ -91,6 +97,20 @@ class TestMur:
         e0 = 1.7
         k = mur_coefficient(1e-5, 0.9e-5 / C0)
         assert mur_update(e0, e0, e0, k) == pytest.approx(e0, rel=1e-15)
+
+    def test_node0_holds_source_then_takes_mur(self):
+        # node 0 holds the source's t = 0 value from build on; the first
+        # step past t = 2 t0 gives it the Mur update of the fields before it
+        sim = build_simulation(small_config())
+        e, dx, dt = sim.grid.e, sim.grid.dx, sim.grid.dt
+        assert e[0] == source_value(TABLE1_SRC, 0.0) != 0.0
+        while (sim.step_index + 1) * dt < 2 * TABLE1_SRC.t0:
+            sim.step()
+            assert e[0] == source_value(TABLE1_SRC, sim.time)
+        e0_old, e1_old = float(e[0]), float(e[1])
+        sim.step()
+        k = (C0 * dt - dx) / (C0 * dt + dx)
+        assert e[0] == e1_old + k * (float(e[1]) - e0_old)
 
     def test_vacuum_pulse_residual_below_one_percent(self):
         sim = build_simulation(small_config())

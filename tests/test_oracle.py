@@ -67,6 +67,20 @@ class TestGreenRk4:
         with pytest.raises(ValueError):
             green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 50)
 
+    @pytest.mark.parametrize("t_end", [0.5 * TABLE1_DT, 0.2 * TABLE1_DT],
+                             ids=["at-trailing-edge", "inside"])
+    def test_t_end_precondition(self, t_end):
+        with pytest.raises(ValueError, match="t_end must lie beyond the rectangle"):
+            green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, t_end, TABLE1_DT / 200)
+
+    @pytest.mark.parametrize("t", [-0.6 * TABLE1_DT, 5.6 * TABLE1_DT], ids=["before", "after"])
+    def test_trace_lookup_out_of_range(self, t):
+        trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 200)
+        with pytest.raises(ValueError, match="outside trace"):
+            trace.at(t)
+        with pytest.raises(ValueError, match="outside trace"):
+            trace.at(np.array([TABLE1_DT, t]))
+
     def test_damped_decay_to_zero(self):
         pole = LorentzPole(1.0, 1.0, 0.8)
         trace = green_rk4(pole, 0.0, 1.0, 40.0, 1e-2)
@@ -96,6 +110,10 @@ class TestGreenRk4:
 
 
 class TestPolarizationRk4:
+    def test_fine_step_precondition(self):
+        with pytest.raises(ValueError, match="fine_step must be <= dt/100"):
+            polarization_rk4(np.zeros(8), TABLE1_POLE, TABLE1_DT, TABLE1_DT / 50)
+
     def test_zero_drive(self):
         trace = polarization_rk4(np.zeros(8), TABLE1_POLE, TABLE1_DT, TABLE1_DT / 100)
         assert np.all(trace.values == 0.0)
