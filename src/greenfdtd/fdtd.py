@@ -65,6 +65,21 @@ division and no reduction (see Simulation.step for the order):
   buffers) starts on a 64-byte cache-line boundary (`_aligned`), so a
   step's cost does not hinge on where the allocator put the arrays.
 
+Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
+checks the grid every QUIET_CHECK_STEPS = 256 steps.  It is quiet when
+the largest |E|, the largest |B| and the largest magnitude in each bank
+buffer are each at most QUIET_TOL = 1e-14 times that array's own peak
+over the run's checks; a NaN or an inf is never quiet.  A quiet grid is
+set to exactly zero and the rest of the run is not stepped: a zero grid
+with the source off stays zero under the leapfrog, both Mur updates and
+the bank, so the flush is the only approximation.  Table1's vacuum
+reference goes quiet at step 12032 of 32768; its probe series then
+differ from stepping every step by at most 4.9e-16 of their peak, and
+its |R| by at most 2.3e-14 for either updater (the tests hold 1e-14 and
+1e-12).  Its medium runs, and every run on the 300-node media of
+perfbench's sweep_multipole (seeds 1-3), keep a field above 1e-14 of
+their peak to the end and step every step.
+
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
 """
@@ -80,6 +95,11 @@ from . import ade as _ade
 from . import greens as _greens
 from .constants import C0, EPS0, MU0
 from .dispersion import Medium
+
+# Simulation.run's quiet exit: the check period in steps and the level,
+# relative to each array's own peak, below which the grid counts as quiet
+QUIET_CHECK_STEPS = 256
+QUIET_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -263,6 +283,8 @@ class Simulation:
         if medium.dispersive:
             self._bank = _PoleBank(pole_matrix(medium.poles, self.method, dt, dt_over_eps[i0]),
                                    e, self._rhs, slice(i0, n - 1))
+        # every array a step carries forward: what `run` checks and flushes
+        self._state = (e, b) + (self._bank.buffers if self._bank else ())
 
     @property
     def time(self) -> float:
@@ -305,8 +327,26 @@ class Simulation:
                 else mur_update(e0_old, e1_old, e[1], self._k_mur))
         e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)
 
+    def _quiet(self, peaks) -> bool:
+        """Whether the largest magnitude of E, of B and of each bank buffer
+        (`_state`) is at most QUIET_TOL times its own peak.  `peaks`, one
+        entry per array, is first raised in place to the current levels.
+        A grid holding a NaN or an inf is never quiet: np.maximum carries
+        a NaN into the peaks, and an inf peak is not finite."""
+        levels = np.array([np.abs(a).max() for a in self._state])
+        np.maximum(peaks, levels, out=peaks)
+        return bool(np.isfinite(peaks).all() and (levels <= QUIET_TOL * peaks).all())
+
     def run(self, n_steps: int, probe_nodes) -> list:
-        """Execute n_steps, recording E at each probe node after every step.
+        """Execute n_steps, one call of `step` each, recording E at each
+        probe node after every step.
+
+        Quiet exit (module docstring): every QUIET_CHECK_STEPS = 256 steps
+        once t >= 2*t0, a grid that `_quiet` finds within QUIET_TOL = 1e-14
+        of its peaks is set to exactly zero, step_index moves to the end
+        of the run and the rest of the record stays 0.0.  Table1's vacuum
+        reference exits at step 12032 of 32768, within 4.9e-16 of the peak
+        of stepping on.
 
         Deterministic: identical configuration gives bit-identical series.
         """
@@ -314,11 +354,19 @@ class Simulation:
         for i in nodes:
             if not 0 <= i < self.n_nodes:
                 raise ValueError(f"probe node {i} outside grid of {self.n_nodes} nodes")
-        rec = np.empty((n_steps, len(nodes)))
+        rec = np.zeros((n_steps, len(nodes)))
         e = self.grid.e
-        for row in rec:
-            self.step()
-            row[:] = e[nodes]
+        peaks = np.zeros(len(self._state))
+        end = self.step_index + n_steps
+        for start in range(0, n_steps, QUIET_CHECK_STEPS):
+            for row in rec[start:start + QUIET_CHECK_STEPS]:
+                self.step()
+                row[:] = e[nodes]
+            if self.time >= 2.0 * self.source.t0 and self._quiet(peaks):
+                for a in self._state:
+                    a[...] = 0.0
+                self.step_index = end
+                break
         return [ProbeSeries(int(i), rec[:, c].copy(), self.grid.dt) for c, i in enumerate(nodes)]
 
 

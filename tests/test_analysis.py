@@ -1,13 +1,16 @@
 """Spectral post-processing: transform properties and |R| extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from greenfdtd.analysis import reflection_magnitude, spectrum, _padded_length
-from greenfdtd.errors import EmptyBandError, SeriesMismatchError
-from greenfdtd.fdtd import GaussianSource, ProbeSeries, source_value
+from greenfdtd.analysis import finite_run, reflection_magnitude, spectrum, _padded_length
+from greenfdtd.config import load_table1
+from greenfdtd.dispersion import Medium
+from greenfdtd.errors import EmptyBandError, SeriesMismatchError, ValidationError
+from greenfdtd.fdtd import GaussianSource, ProbeSeries, probe_nodes_from_fractions, source_value
 
 
 def make_series(samples, dt=1e-12, node=7):
@@ -149,6 +152,15 @@ class TestReflectionMagnitude:
         with pytest.raises((EmptyBandError, ValueError)):
             reflection_magnitude(make_series(x), make_series(x), band_threshold=0.5)
 
+    @pytest.mark.parametrize("threshold", [2.0, float("nan")])
+    def test_threshold_outside_unit_interval_empties_band(self, threshold):
+        # no bin reaches twice the peak, and no comparison with NaN holds;
+        # SimConfig keeps its threshold in (0, 1], so only direct callers
+        # get here
+        x = np.sin(2 * np.pi * np.arange(64) * 4 / 64)
+        with pytest.raises(EmptyBandError, match=f"band_threshold={threshold} excluded"):
+            reflection_magnitude(make_series(x), make_series(x), band_threshold=threshold)
+
     def test_experiment_pulse_band_coverage(self):
         # the 1 ps pulse is extremely broadband: at threshold 0.01 the
         # reported band must cover at least [40, 160] GHz, and at 1e-4 it
@@ -161,3 +173,17 @@ class TestReflectionMagnitude:
             freqs = np.array([f for f, _ in reflection_magnitude(inc, inc, threshold)])
             assert freqs.min() <= f_lo
             assert freqs.max() >= f_hi
+
+
+def test_diverging_run_reported_at_its_first_non_finite_step():
+    # table1's vacuum at 300 nodes with a 66-cell, 10 S/m taper diverges
+    # long after its pulse has let go of the source: the quiet exit of
+    # Simulation.run must not flush it, so the report names the same step
+    # and probe node as stepping every step does
+    cfg = dataclasses.replace(load_table1(), n_grid=300, absorber_cells=66)
+    cfg = cfg.with_medium(Medium.vacuum())
+    assert cfg.absorber_sigma == 10.0
+    nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
+    with pytest.raises(ValidationError, match="^vacuum reference run is non-finite from step "
+                                              "4693 at probe node 224: "):
+        finite_run(cfg, "tgm", nodes, "vacuum reference")

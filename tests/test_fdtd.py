@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from greenfdtd import greens
+from greenfdtd.analysis import finite_run, reflection_magnitude
 from greenfdtd.ade import AdePoleState, ade_advance, ade_current_half_step
 from greenfdtd.config import SimConfig, load_table1
 from greenfdtd.constants import C0, EPS0, MU0
@@ -16,6 +17,8 @@ from greenfdtd.errors import RealnessError, ValidationError
 from greenfdtd.fdtd import (
     GaussianSource,
     Grid1D,
+    ProbeSeries,
+    QUIET_CHECK_STEPS,
     _PoleBank,
     build_simulation,
     interface_node,
@@ -169,6 +172,76 @@ class TestPropagation:
                         for _ in range(2))
                 for sa, sb in zip(a, b):
                     assert np.array_equal(sa.samples, sb.samples)
+
+
+class TestQuietExit:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["e", "b", "bank"])
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_non_finite_grid_never_quiet(self, bad, where, pos):
+        sim = build_simulation(small_config(medium=table1_like_medium()))
+        sim.grid.e[0] = 0.0
+        assert sim._quiet(np.ones(4))  # a zero grid is quiet
+        arr = {"e": sim.grid.e, "b": sim.grid.b, "bank": sim._bank.buffers[1]}[where]
+        arr.flat[pos] = bad
+        for peaks in (np.ones(4), np.full(4, np.inf)):
+            assert not sim._quiet(peaks)
+
+    def test_quiet_needs_every_array_below_its_own_peak(self):
+        sim = build_simulation(small_config(medium=table1_like_medium()))
+        sim.grid.e[0] = 0.0
+        sim._bank.buffers[0][0, 5] = 1e-13
+        peaks = np.array([1.0, 1.0, 1.0, 1.0])
+        assert not sim._quiet(peaks)
+        assert sim._quiet(np.array([1.0, 1.0, 100.0, 1.0]))
+
+
+@pytest.fixture(scope="module")
+def table1_vacuum():
+    """Table1's vacuum reference at its probes, from `run` (counting its
+    calls of `step`) and from stepping all n_steps steps."""
+    cfg = load_table1().with_medium(Medium.vacuum())
+    nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
+    sim = build_simulation(cfg)
+    calls = []
+    step = sim.step
+    sim.step = lambda: calls.append(step())
+    series = sim.run(cfg.n_steps, nodes)
+    ref = build_simulation(cfg)
+    full = np.empty((cfg.n_steps, len(nodes)))
+    for row in full:
+        ref.step()
+        row[:] = ref.grid.e[nodes]
+    return {"config": cfg, "sim": sim, "series": series, "full": full.T, "steps_run": len(calls)}
+
+
+class TestTable1QuietExit:
+    def test_vacuum_reference_goes_quiet_before_step_13000(self, table1_vacuum):
+        # measured: quiet at step 12032 of 32768
+        steps_run = table1_vacuum["steps_run"]
+        assert steps_run < 13000 and steps_run % QUIET_CHECK_STEPS == 0
+        for series, full in zip(table1_vacuum["series"], table1_vacuum["full"]):
+            assert not series.samples[steps_run:].any()
+            assert full[steps_run:].all()  # stepped on, the grid keeps its rounding noise
+
+    def test_matches_full_stepping(self, table1_vacuum):
+        sim = table1_vacuum["sim"]
+        assert sim.step_index == table1_vacuum["config"].n_steps
+        assert not sim.grid.e.any() and not sim.grid.b.any()
+        for series, full in zip(table1_vacuum["series"], table1_vacuum["full"]):
+            assert np.abs(series.samples - full).max() <= 1e-14 * np.abs(full).max()
+
+    @pytest.mark.parametrize("method", ["tgm", "adem"])
+    def test_reflection_within_1e12_of_full_run(self, table1_vacuum, method):
+        cfg, dt = load_table1(), table1_vacuum["sim"].grid.dt
+        nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
+        col = nodes.index(max(i for i in nodes if i < interface_node(cfg.n_grid)))
+        [total] = finite_run(cfg, method, [nodes[col]], method)
+        quiet = reflection_magnitude(table1_vacuum["series"][col], total, cfg.band_threshold)
+        full = reflection_magnitude(ProbeSeries(nodes[col], table1_vacuum["full"][col], dt),
+                                    total, cfg.band_threshold)
+        assert np.array_equal(quiet[:, 0], full[:, 0])
+        assert np.abs(quiet[:, 1] - full[:, 1]).max() <= 1e-12
 
 
 class TestEnergyAndStability:

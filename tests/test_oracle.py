@@ -188,6 +188,14 @@ class TestDirectConvolutionSum:
         assert only_first == single
 
 
+    def test_nothing_ended_before_half_step(self):
+        # the first rectangle ends at dt/2: before it, no term contributes
+        e = np.ones(3)
+        for t_eval in (0.0, 0.49 * TABLE1_DT):
+            assert direct_convolution_sum(e, TABLE1_POLE, TABLE1_DT, t_eval) == 0.0
+        assert direct_convolution_sum(e, TABLE1_POLE, TABLE1_DT, 0.5 * TABLE1_DT) != 0.0
+
+
 class TestSmoothDriveRk4:
     def test_fine_mesh_memory(self):
         # the mesh is three 8-byte samples per fine step (times, y, y'); as
