@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, verify
+from . import analysis
 from .config import load_config
 from .errors import ConfigError, ValidationError
 from .fdtd import probe_nodes_from_fractions
@@ -79,6 +79,8 @@ def cmd_reflection(config, out_path) -> int:
 def cmd_green(config, out_path) -> int:
     """Closed-form rectangle response vs RK4 oracle for each medium pole;
     CSV comparison with the 1-based pole number in the first column."""
+    from . import verify
+
     if not config.medium.poles:
         raise ValidationError("green command needs at least one medium pole")
     dt = config.dt
@@ -93,6 +95,8 @@ def cmd_green(config, out_path) -> int:
 
 def cmd_verify(config) -> int:
     """Invariant suite; per-check status lines; exit 2 on any failure."""
+    from . import verify
+
     results = verify.run_checks(config)
     for res in results:
         print(f"{res.status:4s} {res.name}: {res.detail}")

@@ -47,23 +47,29 @@ division and no reduction (see Simulation.step for the order):
   rounding moves.  Over 32768 steps the nine table1 probe series differ
   from that update's by at most 5.7e-15 of their peak, and the tests hold
   it under 1e-12 of the peak.
-- The pole bank is 3 calls whatever the pole count and method: E^N is
-  copied into the last row of the (m+1, cells) input buffer, one
-  np.dot(M, input) writes the m new states and the current, already
-  scaled by dt/(eps0 eps_inf), into the other buffer, and the current
-  row is subtracted from the E update's right-hand side.  The buffers
-  then swap roles.  On grids of up to a few thousand nodes np.matmul,
-  einsum (no BLAS) and a (cells, m+1) layout measured no faster, and
-  OpenBLAS runs the product on one thread.
+- The pole bank is 3 numpy operations whatever the pole count and
+  method: E^N is copied into the last row of the (m+1, cells) input
+  buffer, one np.dot(M, input) writes the m new states and the current,
+  already scaled by dt/(eps0 eps_inf), into the other buffer, and the
+  current row is subtracted from the E update's right-hand side.  The
+  buffers then swap roles.  On grids of up to a few thousand nodes
+  np.matmul, einsum (no BLAS) and a (cells, m+1) layout measured no
+  faster, and OpenBLAS runs the product on one thread.
 - The ca factors cover only the lossy suffixes.  The absorber taper and
   the medium's sigma sit in the last nodes of the grid, so ca_b is
   applied from the first B node whose magnetic loss is non-zero and ca_e
   from the first interior node whose sigma is non-zero; before them both
   are exactly 1, and x*1.0 is x for every float.
-- Every slice the step reads or writes is a view bound at build, and
-  every array it touches (fields, scratch, coefficients, bank matrix and
-  buffers) starts on a 64-byte cache-line boundary (`_aligned`), so a
-  step's cost does not hinge on where the allocator put the arrays.
+- The step is a kernel bound once, at build: a closure over the views,
+  coefficient arrays and ufuncs it uses, each ufunc called with a
+  positional out, and the Mur and source scalars read as Python floats
+  (e.item).  Simulation.step only advances step_index and calls it, and
+  the bank's advance is a closure that takes its buffers' turn from an
+  itertools.cycle, so no attribute load, method call or numpy scalar
+  sits between the passes.  Every array it touches (fields, scratch,
+  coefficients, bank matrix and buffers) starts on a 64-byte cache-line
+  boundary (`_aligned`), so a step's cost does not hinge on where the
+  allocator put the arrays.
 
 Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
 checks the grid every QUIET_CHECK_STEPS = 256 steps.  It is quiet when
@@ -72,13 +78,17 @@ buffer are each at most QUIET_TOL = 1e-14 times that array's own peak
 over the run's checks; a NaN or an inf is never quiet.  A quiet grid is
 set to exactly zero and the rest of the run is not stepped: a zero grid
 with the source off stays zero under the leapfrog, both Mur updates and
-the bank, so the flush is the only approximation.  Table1's vacuum
-reference goes quiet at step 12032 of 32768; its probe series then
-differ from stepping every step by at most 4.9e-16 of their peak, and
-its |R| by at most 2.3e-14 for either updater (the tests hold 1e-14 and
-1e-12).  Its medium runs, and every run on the 300-node media of
-perfbench's sweep_multipole (seeds 1-3), keep a field above 1e-14 of
-their peak to the end and step every step.
+the bank, so the flush is the only approximation.  Each check also sets
+the subnormal entries (below 2.2e-308) of those arrays to zero: numpy
+keeps them, and behind table1's pulse front they slow the bank's np.dot
+up to ~3x while the front crosses the medium.  The table1 probe series
+and reflection output stay bit-identical.  Table1's vacuum reference
+goes quiet at step 12032 of 32768; its probe series then differ from
+stepping every step by at most 4.9e-16 of their peak, and its |R| by at
+most 2.3e-14 for either updater (the tests hold 1e-14 and 1e-12).  Its
+medium runs, and every run on the 300-node media of perfbench's
+sweep_multipole (seeds 1-3), keep a field above 1e-14 of their peak to
+the end and step every step.
 
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
@@ -86,6 +96,7 @@ Simulations are independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -100,6 +111,7 @@ from .dispersion import Medium
 # relative to each array's own peak, below which the grid counts as quiet
 QUIET_CHECK_STEPS = 256
 QUIET_TOL = 1e-14
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 @dataclass(frozen=True)
@@ -199,28 +211,28 @@ class _PoleBank:
     """The pole matrix `matrix` (pole_matrix, its current scaled by
     dt/(eps0 eps_inf), uniform over the medium) stepped on the node run
     `nodes` of the field `e`, one state-space recursion per node.
-    `advance` subtracts the current from the run of `rhs` (which covers
-    the interior nodes 1..n-2) under `nodes`.  The two (m+1, cells)
-    buffers take turns as input and output, since np.dot may not write
-    over its input."""
+    `advance`, a closure bound at build, subtracts the current from the
+    run of `rhs` (which covers the interior nodes 1..n-2) under `nodes`.
+    The two (m+1, cells) buffers take turns as input and output, since
+    np.dot may not write over its input."""
 
     def __init__(self, matrix, e, rhs, nodes):
         self.nodes = nodes
-        self.matrix = _aligned(matrix.shape, matrix)
-        self._e = e[nodes]
-        self._rhs = rhs[nodes.start - 1:nodes.stop - 1]
+        self.matrix = mat = _aligned(matrix.shape, matrix)
         self.buffers = x, y = tuple(_aligned((len(matrix), nodes.stop - nodes.start))
                                     for _ in range(2))
-        self._turns = (x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])
+        e_run, rhs_run = e[nodes], rhs[nodes.start - 1:nodes.stop - 1]
+        turns = itertools.cycle(((x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])))
+        dot, subtract = np.dot, np.subtract
 
-    def advance(self):
-        """Step every pole from E^N and subtract the current from rhs."""
-        turn, other = self._turns
-        self._turns = other, turn
-        e_row, x, y, j = turn
-        np.copyto(e_row, self._e)
-        np.dot(self.matrix, x, out=y)
-        self._rhs -= j
+        def advance():
+            """Step every pole from E^N and subtract the current from rhs."""
+            e_row, x_now, x_next, j = next(turns)
+            e_row[...] = e_run
+            dot(mat, x_now, x_next)
+            subtract(rhs_run, j, rhs_run)
+
+        self.advance = advance
 
 
 class Simulation:
@@ -259,32 +271,52 @@ class Simulation:
         self.sigma_node += taper
         beta_m = 0.5 * (taper[:-1] + taper[1:]) * dt / (EPS0 * medium.eps_static)
 
-        # coefficient arrays and bound views of the step (module
-        # docstring); ca_b and ca_e cover only the lossy suffixes
+        # coefficient arrays of the step (module docstring); ca_b and ca_e
+        # cover only the lossy suffixes
         kb = _first_nonzero(beta_m)
         ks = _first_nonzero(self.sigma_node[1:-1])  # interior index
         dt_over_eps = dt / (EPS0 * self.eps_inf_node)
-        self._e_hi, self._e_lo, self._e_in = e[1:], e[:-1], e[1:-1]
-        self._b_hi, self._b_lo = b[1:], b[:-1]
-        self._de = _aligned(n - 1)
-        self._rhs = _aligned(n - 2)
+        self._de, self._rhs = de, rhs = _aligned(n - 1), _aligned(n - 2)
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
-        self._cb = _aligned(n - 1, dt / dx * bm_hi)
-        self._b_lossy = b[kb:]
-        self._ca_b = _aligned(n - 1 - kb, (bm_lo * bm_hi)[kb:])
-        self._ce = _aligned(n - 2, dt_over_eps[1:-1] / -(MU0 * dx))
-        self._e_lossy = e[1 + ks:-1]
-        self._ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
-        self._k_mur = mur_coefficient(dx, dt)
+        self._cb = cb = _aligned(n - 1, dt / dx * bm_hi)
+        self._ca_b = ca_b = _aligned(n - 1 - kb, (bm_lo * bm_hi)[kb:])
+        self._ce = ce = _aligned(n - 2, dt_over_eps[1:-1] / -(MU0 * dx))
+        self._ca_e = ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
 
         # at most one pole bank, on the medium's interior nodes; the Mur
         # node n-1 consumes no current
         self._bank = None
         if medium.dispersive:
             self._bank = _PoleBank(pole_matrix(medium.poles, self.method, dt, dt_over_eps[i0]),
-                                   e, self._rhs, slice(i0, n - 1))
+                                   e, rhs, slice(i0, n - 1))
         # every array a step carries forward: what `run` checks and flushes
         self._state = (e, b) + (self._bank.buffers if self._bank else ())
+
+        # the step's kernel, bound once (module docstring, "Step layout")
+        e_hi, e_lo, e_in, b_hi, b_lo = e[1:], e[:-1], e[1:-1], b[1:], b[:-1]
+        b_lossy, e_lossy = b[kb:], e[1 + ks:-1]
+        advance = self._bank.advance if self._bank else None
+        item, add, multiply, subtract = e.item, np.add, np.multiply, np.subtract
+        src, src_end, k_mur = config.source, 2.0 * config.source.t0, mur_coefficient(dx, dt)
+
+        def kernel(step_index):
+            e0_old, e1_old, en_old, enn_old = item(0), item(1), item(-1), item(-2)
+            subtract(e_hi, e_lo, de)
+            multiply(de, cb, de)
+            multiply(b_lossy, ca_b, b_lossy)
+            subtract(b, de, b)
+            subtract(b_hi, b_lo, rhs)
+            multiply(rhs, ce, rhs)
+            if advance is not None:
+                advance()
+            multiply(e_lossy, ca_e, e_lossy)
+            add(e_in, rhs, e_in)
+            t = step_index * dt
+            e[0] = (source_value(src, t) if t < src_end
+                    else mur_update(e0_old, e1_old, item(1), k_mur))
+            e[-1] = mur_update(en_old, enn_old, item(-2), k_mur)
+
+        self._kernel = kernel
 
     @property
     def time(self) -> float:
@@ -297,7 +329,8 @@ class Simulation:
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle).
 
-        In place, with the coefficient arrays of the module docstring:
+        The kernel bound at build computes, in place, with the
+        coefficient arrays of the module docstring:
             b = ca_b*b - cb*(e[1:] - e[:-1])
             e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
         where J, the bank's summed current, is stepped from E^N in one
@@ -309,31 +342,22 @@ class Simulation:
         with its constants multiplied out, equal to it up to rounding; a
         run without poles or loss is plain Yee.
         """
-        e, b, de, rhs, bank = self.grid.e, self.grid.b, self._de, self._rhs, self._bank
-        e0_old, e1_old, en_old, enn_old = e[0], e[1], e[-1], e[-2]
-        np.subtract(self._e_hi, self._e_lo, out=de)
-        de *= self._cb
-        self._b_lossy *= self._ca_b
-        b -= de
-        np.subtract(self._b_hi, self._b_lo, out=rhs)
-        rhs *= self._ce
-        if bank is not None:
-            bank.advance()
-        self._e_lossy *= self._ca_e
-        self._e_in += rhs
         self.step_index += 1
-        t = self.time
-        e[0] = (source_value(self.source, t) if t < 2.0 * self.source.t0
-                else mur_update(e0_old, e1_old, e[1], self._k_mur))
-        e[-1] = mur_update(en_old, enn_old, e[-2], self._k_mur)
+        self._kernel(self.step_index)
 
     def _quiet(self, peaks) -> bool:
         """Whether the largest magnitude of E, of B and of each bank buffer
         (`_state`) is at most QUIET_TOL times its own peak.  `peaks`, one
         entry per array, is first raised in place to the current levels.
         A grid holding a NaN or an inf is never quiet: np.maximum carries
-        a NaN into the peaks, and an inf peak is not finite."""
-        levels = np.array([np.abs(a).max() for a in self._state])
+        a NaN into the peaks, and an inf peak is not finite.  The same
+        pass sets every subnormal entry of those arrays to zero (module
+        docstring)."""
+        levels = np.empty(len(self._state))
+        for i, a in enumerate(self._state):
+            mag = np.abs(a)
+            levels[i] = mag.max()
+            a[mag < _SMALLEST_NORMAL] = 0.0
         np.maximum(peaks, levels, out=peaks)
         return bool(np.isfinite(peaks).all() and (levels <= QUIET_TOL * peaks).all())
 
@@ -355,13 +379,13 @@ class Simulation:
             if not 0 <= i < self.n_nodes:
                 raise ValueError(f"probe node {i} outside grid of {self.n_nodes} nodes")
         rec = np.zeros((n_steps, len(nodes)))
-        e = self.grid.e
+        e, step = self.grid.e, self.step
         peaks = np.zeros(len(self._state))
         end = self.step_index + n_steps
         for start in range(0, n_steps, QUIET_CHECK_STEPS):
-            for row in rec[start:start + QUIET_CHECK_STEPS]:
-                self.step()
-                row[:] = e[nodes]
+            for r in range(start, min(start + QUIET_CHECK_STEPS, n_steps)):
+                step()
+                rec[r] = e[nodes]
             if self.time >= 2.0 * self.source.t0 and self._quiet(peaks):
                 for a in self._state:
                     a[...] = 0.0

@@ -457,3 +457,16 @@ class TestUsageErrors:
 
     def test_usage_error(self):
         assert cli.main(["frobnicate"]) == 1
+
+
+def test_cli_import_loads_no_verify_layer():
+    # `run` and `reflection` need no oracle: cli imports verify only in
+    # the commands that use it, in a fresh interpreter
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = "import sys, greenfdtd.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"greenfdtd.cli", "greenfdtd.analysis"} <= loaded
+    for name in ("verify", "oracle"):
+        assert f"greenfdtd.{name}" not in loaded
