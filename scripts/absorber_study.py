@@ -13,16 +13,13 @@ import dataclasses
 import sys
 import time
 
-import numpy as np
-
-from greenfdtd.analysis import reflection_experiment
+from greenfdtd.analysis import reflection_errors, reflection_experiment
 from greenfdtd.config import load_table1
 
 
 def band_errors(cfg):
     f, ra, mags = reflection_experiment(cfg, ("tgm",))
-    err = np.abs(mags["tgm"] - ra)
-    return err.max(), float(np.sqrt(np.mean(err**2))), f[err.argmax()]
+    return reflection_errors(f, ra, mags["tgm"])
 
 
 def main():

@@ -1,6 +1,7 @@
 """Spectral post-processing: probe spectra, |R|(f) extraction and
 `reflection_experiment`, the one copy of the half-space reflection
-experiment that the CLI, the absorber study and the tests share.
+experiment that the CLI, the absorber study and the tests share, with
+`reflection_errors`, its error summary against the analytic |R|.
 
 The reflected wave is isolated by subtracting an all-vacuum reference run
 from the medium run at the same probe node, sample by sample; |R|(f) is
@@ -84,6 +85,12 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
         )
     ratio = np.abs(ref.amps[mask]) / inc_mag[mask]
     return np.column_stack((inc.freqs[mask], ratio))
+
+
+def reflection_errors(freqs, analytic, mag):
+    """(max, rms, frequency of the max) of |mag - analytic| over the band."""
+    err = np.abs(mag - analytic)
+    return err.max(), float(np.sqrt(np.mean(err**2))), freqs[err.argmax()]
 
 
 def finite_run(config, method, nodes, run):

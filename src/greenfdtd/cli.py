@@ -69,9 +69,8 @@ def cmd_reflection(config, out_path) -> int:
     _write_csv("freq_hz,r_analytic,r_tgm,r_adem", rows, out_path)
 
     for name, mag in mags.items():
-        err = np.abs(mag - analytic)
-        print(f"{name}: max abs error {err.max():.6f}, "
-              f"rms error {np.sqrt(np.mean(err**2)):.6f} "
+        worst, rms, _ = analysis.reflection_errors(freqs, analytic, mag)
+        print(f"{name}: max abs error {worst:.6f}, rms error {rms:.6f} "
               f"over {len(freqs)} bins in [{freqs[0]:.3e}, {freqs[-1]:.3e}] Hz")
     return 0
 

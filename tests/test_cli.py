@@ -221,6 +221,22 @@ class TestVerifyCommand:
             [(11, "conjugacy")]
         assert all(r.status == PASS for r in results if r.status != SKIP)
 
+    def test_checks_never_step_the_scalar_form(self, monkeypatch):
+        # every check reads the coefficients or the matrix the grid uses,
+        # never the scalar two-accumulator or ADE form
+        def scalar_form(*args, **kwargs):
+            raise AssertionError("verify stepped the scalar pole form")
+
+        for module, name in ((greens, "advance_state"), (greens, "polarization"),
+                             (greens, "polarization_current_half_step"),
+                             (ade, "ade_advance"), (ade, "ade_current_half_step")):
+            monkeypatch.setattr(module, name, scalar_form)
+        results = run_checks(two_pole_config())
+        assert len(results) == 16
+        assert [(k, r.name) for k, r in enumerate(results) if r.status == SKIP] == \
+            [(11, "conjugacy")]
+        assert all(r.status == PASS for r in results if r.status != SKIP)
+
     def test_corrupted_propagator_fails_recurrence(self, monkeypatch):
         corrupt_block(monkeypatch, greens, "tgm_block", scaled_propagator)
         results = run_checks(two_pole_config())
@@ -263,18 +279,27 @@ class TestVerifyCommand:
         res = verify.check_steady_state(pole, cfg.dt, cfg.dt / (EPS0 * cfg.medium.eps_inf))
         assert (res.status, res.detail) == (SKIP, "skipped (undamped pole never settles)")
 
-    def test_skewed_coefficients_fail_realness(self, monkeypatch):
+    @pytest.mark.parametrize("field, skew, conjugacy", [
+        ("prop_minus", 1.0 + 1e-9, FAIL),
+        ("inject_minus", 1.0 + 1e-9, FAIL),
+        ("curr_minus", 1.0 + 1e-6, PASS),
+    ], ids=["prop_minus", "inject_minus", "curr_minus"])
+    def test_skewed_coefficients_fail_realness(self, monkeypatch, field, skew, conjugacy):
+        # any skewed minus branch fails realness; F- == conj(F+) needs only
+        # prop and inject, so conjugacy passes a skewed current
         make = greens.make_coefficients
 
         def skewed(pole, dt):
             c = make(pole, dt)
-            return dataclasses.replace(c, curr_minus=c.curr_minus * (1.0 + 1e-6))
+            return dataclasses.replace(c, **{field: getattr(c, field) * skew})
 
         cfg = load_table1()
-        assert verify.check_realness(cfg.medium.poles[0], cfg.dt).status == PASS
+        pole = cfg.medium.poles[0]
+        assert verify.check_conjugacy(pole, cfg.dt).status == PASS
+        assert verify.check_realness(pole, cfg.dt).status == PASS
         monkeypatch.setattr(greens, "make_coefficients", skewed)
-        res = verify.check_realness(cfg.medium.poles[0], cfg.dt)
-        assert res.status == FAIL and "imaginary residual" in res.detail
+        assert verify.check_conjugacy(pole, cfg.dt).status == conjugacy
+        assert verify.check_realness(pole, cfg.dt).status == FAIL
 
     def test_lightly_damped_pole_settles_longer(self):
         # 0 < delta_p < 0.02 omega_p: the settle window grows to 5/delta_p

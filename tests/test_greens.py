@@ -16,6 +16,7 @@ from greenfdtd.greens import (
     PoleCoefficients,
     PoleState,
     advance_state,
+    branch_residuals,
     check_branch_symmetry,
     green_function,
     make_coefficients,
@@ -68,6 +69,19 @@ class TestCoefficients:
             broken = dataclasses.replace(co, inject_minus=co.inject_minus * (1.0 + 1e-6j))
             with pytest.raises(RealnessError, match=r"LorentzPole\(.*inject_minus"):
                 check_branch_symmetry(pole, broken)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1.5),
+           st.one_of(st.just(0.0), st.floats(1e-3, 0.99), st.floats(1.01, 20.0)),
+           st.floats(0.1, 10.0))
+    def test_branch_residuals_exactly_zero(self, wp_dt, damping, delta_eps):
+        # complex +, * and exp commute with conjugation, so the minus branch
+        # is the exact conjugate of the plus branch (undamped and
+        # underdamped) or every value exactly real (overdamped)
+        pole = LorentzPole(delta_eps, WP, damping * WP)
+        resid = branch_residuals(pole, make_coefficients(pole, wp_dt / WP))
+        assert len(resid) == (6 if pole.overdamped else 3)
+        assert all(r == 0.0 for r in resid.values()), resid
 
     def test_injection_sum_matches_half_step_response(self):
         # w+ e^{iz+ dt/2} + w- e^{iz- dt/2} is the rectangle response right
