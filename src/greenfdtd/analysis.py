@@ -3,8 +3,11 @@
 experiment that the CLI, the absorber study and the tests share, with
 `reflection_errors`, its error summary against the analytic |R|.
 
-The reflected wave is isolated by subtracting an all-vacuum reference run
-from the medium run at the same probe node, sample by sample; |R|(f) is
+The experiment steps one Simulation with one lane per run: each medium
+run, then the all-vacuum reference (fdtd module docstring, "Step
+layout"); each lane's record is that of its run alone.  The reflected
+wave is isolated by subtracting the vacuum reference run from the medium
+run at the same probe node, sample by sample; |R|(f) is
 the one-sided DFT magnitude ratio, reported only where the incident
 spectrum carries meaningful energy.  No window is applied: the records
 are quiet at both ends by construction, and propagation from probe to
@@ -13,7 +16,7 @@ interface and back in lossless vacuum leaves magnitudes unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,13 +96,9 @@ def reflection_errors(freqs, analytic, mag):
     return err.max(), float(np.sqrt(np.mean(err**2))), freqs[err.argmax()]
 
 
-def finite_run(config, method, nodes, run):
-    """Probe series at `nodes` of `config` stepped with `method`, or
-    ValidationError naming `run`, the first step whose recorded sample is
-    not finite and its probe node.  numpy's overflow warnings are silenced
-    during the run: this error is the report of an unstable run."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = build_simulation(config, method=method).run(config.n_steps, nodes)
+def _check_finite(series, run):
+    """`series`, or ValidationError naming `run`, the first step whose
+    recorded sample is not finite and its probe node."""
     bad = [(int(np.argmin(np.isfinite(s.samples))), s.node_index)
            for s in series if not np.isfinite(s.samples).all()]
     if bad:
@@ -109,14 +108,28 @@ def finite_run(config, method, nodes, run):
     return series
 
 
+def finite_run(config, method, nodes, run):
+    """Probe series at `nodes` of `config` stepped with `method`, or
+    ValidationError naming `run`, the first step whose recorded sample is
+    not finite and its probe node.  numpy's overflow warnings are silenced
+    during the run: this error is the report of an unstable run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = build_simulation(config, method=method).run(config.n_steps, nodes)
+    return _check_finite(series, run)
+
+
 def reflection_experiment(config, methods):
     """(freqs, analytic |R|, {method: |R|}) over the band of `config`'s
     half-space, one medium run per updater in `methods`.
 
-    Every run records only the vacuum-side probe nearest the interface,
-    the largest probe node below interface_node(n).  ValidationError when
-    no probe is in the vacuum half, the pulse never reaches the probe or a
-    run's record is not finite.
+    The runs are the lanes of one Simulation, stepped in one `run` call:
+    the medium runs in the order of `methods`, then the vacuum reference,
+    last so that the kernel drops it once it is quiet.  Every run records
+    only the vacuum-side probe nearest the interface, the largest probe
+    node below interface_node(n).  ValidationError when no probe is in the
+    vacuum half, the pulse never reaches the probe or a run's record is
+    not finite; the records are checked as finite_run would check the
+    runs one by one: the vacuum reference first, then `methods` in order.
     """
     n = config.n_grid
     vacuum_side = [i for i in probe_nodes_from_fractions(config.probes, n)
@@ -125,12 +138,16 @@ def reflection_experiment(config, methods):
         raise ValidationError(
             f"run.probes must include a probe in the vacuum half x < L/2, got {config.probes}")
     node = [max(vacuum_side)]
-    [incident] = finite_run(config.with_medium(Medium.vacuum()), "tgm", node, "vacuum reference")
+    lanes = [replace(config, method=method) for method in methods]
+    lanes.append(replace(config.with_medium(Medium.vacuum()), method="tgm"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        *totals, incident = build_simulation(*lanes).run(config.n_steps, node)
+    _check_finite([incident], "vacuum reference")
     if not incident.samples.any():
         raise ValidationError(f"run.steps = {config.n_steps} ends before the pulse "
                               f"reaches the probe at node {node[0]}")
     mags = {}
-    for method in methods:
-        [total] = finite_run(config, method, node, method)
+    for method, total in zip(methods, totals):
+        _check_finite([total], method)
         freqs, mags[method] = reflection_magnitude(incident, total, config.band_threshold).T
     return freqs, np.abs(reflection_coefficient(config.medium, 2.0 * np.pi * freqs)), mags

@@ -60,35 +60,55 @@ division and no reduction (see Simulation.step for the order):
   applied from the first B node whose magnetic loss is non-zero and ca_e
   from the first interior node whose sigma is non-zero; before them both
   are exactly 1, and x*1.0 is x for every float.
-- The step is a kernel bound once, at build: a closure over the views,
-  coefficient arrays and ufuncs it uses, each ufunc called with a
-  positional out, and the Mur and source scalars read as Python floats
-  (e.item).  Simulation.step only advances step_index and calls it, and
-  the bank's advance is a closure that takes its buffers' turn from an
-  itertools.cycle, so no attribute load, method call or numpy scalar
-  sits between the passes.  Every array it touches (fields, scratch,
+- The step is a kernel bound at build (`Simulation._bind`): a function
+  compiled from the template _KERNEL, one line per lane for each
+  per-lane term below, over the views, coefficient arrays and ufuncs it
+  uses.  Each ufunc is called with a positional out and the Mur and
+  source scalars are read as Python floats (e.item), so no Python loop,
+  attribute load, method call or numpy scalar sits between the passes,
+  and one lane makes the calls of a kernel written for one run.
+  Simulation.step only advances step_index and calls it; the bank's
+  advance is a closure that takes its buffers' turn from an
+  itertools.cycle.  Every array the step allocates (fields, scratch,
   coefficients, bank matrix and buffers) starts on a 64-byte cache-line
   boundary (`_aligned`), so a step's cost does not hinge on where the
   allocator put the arrays.
+- Lanes.  A Simulation steps one or more configs that differ only in
+  medium and method, like the runs of the reflection experiment.  With n
+  nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
+  term above is one contiguous numpy pass over every lane.  The seam node
+  B[k*n+n-1] has cb = 0 and stays 0.  The only E nodes that read it, lane
+  k's node n-1 and lane k+1's node 0, are end nodes with ce = 0, which
+  their Mur or source update rewrites from values read before the passes.
+  So every node makes the IEEE operations of its lane's run alone, even
+  beside a lane that diverges.  Per lane remain its pole bank (own aligned
+  buffers and np.dot, so BLAS takes the same path), its lossy suffixes
+  and its end-node updates.  As lanes, a step of table1's three runs
+  costs 0.82 of three single steps (BENCH_17.json); a (3, N) layout was
+  slower, as its shifted slices are not contiguous.
 
 Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
-checks the grid every QUIET_CHECK_STEPS = 256 steps.  It is quiet when
-the largest |E|, the largest |B| and the largest magnitude in each bank
-buffer are each at most QUIET_TOL = 1e-14 times that array's own peak
-over the run's checks; a NaN or an inf is never quiet.  A quiet grid is
-set to exactly zero and the rest of the run is not stepped: a zero grid
-with the source off stays zero under the leapfrog, both Mur updates and
-the bank, so the flush is the only approximation.  Each check also sets
-the subnormal entries (below 2.2e-308) of those arrays to zero: numpy
-keeps them, and behind table1's pulse front they slow the bank's np.dot
-up to ~3x while the front crosses the medium.  The table1 probe series
-and reflection output stay bit-identical.  Table1's vacuum reference
-goes quiet at step 12032 of 32768; its probe series then differ from
-stepping every step by at most 4.9e-16 of their peak, and its |R| by at
-most 2.3e-14 for either updater (the tests hold 1e-14 and 1e-12).  Its
-medium runs, and every run on the 300-node media of perfbench's
-sweep_multipole (seeds 1-3), keep a field above 1e-14 of their peak to
-the end and step every step.
+checks each lane every QUIET_CHECK_STEPS = 256 steps, from its own
+arrays, as its run alone would.  A lane is quiet when its largest |E|,
+its largest |B| and the largest magnitude in each of its bank buffers
+are each at most QUIET_TOL = 1e-14 times that array's own peak over the
+run's checks; a NaN or an inf is never quiet.  A quiet lane is set to
+exactly zero and records 0.0 from then on: a zero lane with the source
+off stays zero under the leapfrog, both Mur updates and the bank, so the
+flush is the only approximation.  Once the trailing lanes are quiet the
+kernel is bound again over the others, so they cost no more passes; a
+quiet lane before a live one is stepped on at zero.  Once every lane is
+quiet the rest of the run is not stepped.  Each check also sets the
+subnormal entries (below 2.2e-308) of a live lane's arrays to zero:
+numpy keeps them, and behind table1's pulse front they slow the bank's
+np.dot up to ~3x while the front crosses the medium.  The table1 probe
+series and reflection output stay bit-identical.  Table1's vacuum
+reference goes quiet at step 12032 of 32768; its probe series then
+differ from stepping every step by at most 4.9e-16 of their peak, and
+its |R| by at most 2.3e-14 for either updater (the tests hold 1e-14 and
+1e-12).  Its medium runs, and every run on the 300-node media of
+perfbench's sweep_multipole (seeds 1-3), keep a field above 1e-14 of
+their peak to the end and step every step.
 
 A Simulation must be exclusively owned while stepping; distinct
 Simulations are independent.
@@ -96,9 +116,10 @@ Simulations are independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -235,31 +256,59 @@ class _PoleBank:
         self.advance = advance
 
 
-class Simulation:
-    """The half-space experiment of one SimConfig, which has already
-    checked every invariant and derives dx and dt.
+# The step's kernel (module docstring, "Step layout").  Simulation._bind
+# writes each line that holds braces once per bound lane k, whose E is e{k},
+# and leaves out the advance line of a lane without poles.  The source
+# depends only on that pattern, so each pattern is compiled once.
+_KERNEL = """\
+def kernel(step_index):
+    e0_{k}, e1_{k}, en_{k}, enn_{k} = item{k}(0), item{k}(1), item{k}(-1), item{k}(-2)
+    subtract(e_hi, e_lo, de)
+    multiply(de, cb, de)
+    multiply(b_lossy{k}, ca_b{k}, b_lossy{k})
+    subtract(b, de, b)
+    subtract(b_hi, b_lo, rhs)
+    multiply(rhs, ce, rhs)
+    advance{k}()
+    multiply(e_lossy{k}, ca_e{k}, e_lossy{k})
+    add(e_in, rhs, e_in)
+    t = step_index * dt
+    if t < src_end:
+        s = source_value(src, t)
+        e{k}[0] = s
+    else:
+        e{k}[0] = mur_update(e0_{k}, e1_{k}, item{k}(1), k_mur)
+    e{k}[-1] = mur_update(en_{k}, enn_{k}, item{k}(-2), k_mur)
+"""
 
-    Nodes with x < L/2 are vacuum; nodes from interface_node(n) on carry
-    the config medium.  The step's per-node constants are baked once into
-    coefficient arrays.  All fields start at zero but node 0, which holds
-    the source's t = 0 value; a step writes each end node once.  The
-    absorber taper over the last `absorber_cells` nodes lies inside the
-    medium and is matched to its static permittivity.
-    """
 
-    boundary = "mur"
+@functools.cache
+def _kernel_code(banks):
+    """The compiled _KERNEL for lanes whose pole banks are flagged in the
+    tuple `banks`."""
+    lines = []
+    for line in _KERNEL.splitlines():
+        if "{" not in line:
+            lines.append(line)
+            continue
+        lines += [line.format(k=k) for k, bank in enumerate(banks)
+                  if bank or "advance" not in line]
+    return compile("\n".join(lines), "<step kernel>", "exec")
 
-    def __init__(self, config):
+
+class _Lane:
+    """The nodes of one config in a Simulation: views `e` and `b` of its
+    run of the Simulation's E and B, its lossy suffixes and its pole bank.
+    Building it writes its share of the step's cb and ce (views of the
+    same length as `b` and `rhs`, the run of the step's rhs under its
+    interior nodes) and pins its node 0 to the source's t = 0 value."""
+
+    def __init__(self, config, e, b, cb, ce, rhs):
         n, dt, dx = config.n_grid, config.dt, config.dx
         i0 = interface_node(n)
         medium = config.medium
-        e, b = _aligned(n), _aligned(n - 1)
         e[0] = source_value(config.source, 0.0)
-        self.grid = Grid1D(e=e, b=b, dx=dx, dt=dt)
-        self.media = (Medium.vacuum(), medium)
-        self.source = config.source
-        self.method = config.method
-        self.step_index = 0
+        self.e, self.b = e, b
 
         medium_nodes = np.arange(n) >= i0
         self.eps_inf_node = np.where(medium_nodes, medium.eps_inf, 1.0)
@@ -276,47 +325,102 @@ class Simulation:
         kb = _first_nonzero(beta_m)
         ks = _first_nonzero(self.sigma_node[1:-1])  # interior index
         dt_over_eps = dt / (EPS0 * self.eps_inf_node)
-        self._de, self._rhs = de, rhs = _aligned(n - 1), _aligned(n - 2)
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
-        self._cb = cb = _aligned(n - 1, dt / dx * bm_hi)
-        self._ca_b = ca_b = _aligned(n - 1 - kb, (bm_lo * bm_hi)[kb:])
-        self._ce = ce = _aligned(n - 2, dt_over_eps[1:-1] / -(MU0 * dx))
-        self._ca_e = ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
+        cb[...] = dt / dx * bm_hi
+        ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
+        self.ca_b = _aligned(n - 1 - kb, (bm_lo * bm_hi)[kb:])
+        self.ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
+        self.b_lossy, self.e_lossy = b[kb:], e[1 + ks:-1]
 
         # at most one pole bank, on the medium's interior nodes; the Mur
         # node n-1 consumes no current
-        self._bank = None
+        self.bank = None
         if medium.dispersive:
-            self._bank = _PoleBank(pole_matrix(medium.poles, self.method, dt, dt_over_eps[i0]),
-                                   e, rhs, slice(i0, n - 1))
+            self.bank = _PoleBank(pole_matrix(medium.poles, config.method, dt, dt_over_eps[i0]),
+                                  e, rhs, slice(i0, n - 1))
         # every array a step carries forward: what `run` checks and flushes
-        self._state = (e, b) + (self._bank.buffers if self._bank else ())
+        self.state = (e, b) + (self.bank.buffers if self.bank else ())
 
-        # the step's kernel, bound once (module docstring, "Step layout")
-        e_hi, e_lo, e_in, b_hi, b_lo = e[1:], e[:-1], e[1:-1], b[1:], b[:-1]
-        b_lossy, e_lossy = b[kb:], e[1 + ks:-1]
-        advance = self._bank.advance if self._bank else None
-        item, add, multiply, subtract = e.item, np.add, np.multiply, np.subtract
-        src, src_end, k_mur = config.source, 2.0 * config.source.t0, mur_coefficient(dx, dt)
+    def quiet(self, peaks) -> bool:
+        """Whether the largest magnitude of E, of B and of each bank buffer
+        (`state`) is at most QUIET_TOL times its own peak.  `peaks`, one
+        entry per array, is first raised in place to the current levels.
+        A lane holding a NaN or an inf is never quiet: np.maximum carries
+        a NaN into the peaks, and an inf peak is not finite.  The same
+        pass sets every subnormal entry of those arrays to zero (module
+        docstring)."""
+        levels = np.empty(len(self.state))
+        for i, a in enumerate(self.state):
+            mag = np.abs(a)
+            levels[i] = mag.max()
+            a[mag < _SMALLEST_NORMAL] = 0.0
+        np.maximum(peaks, levels, out=peaks)
+        return bool(np.isfinite(peaks).all() and (levels <= QUIET_TOL * peaks).all())
 
-        def kernel(step_index):
-            e0_old, e1_old, en_old, enn_old = item(0), item(1), item(-1), item(-2)
-            subtract(e_hi, e_lo, de)
-            multiply(de, cb, de)
-            multiply(b_lossy, ca_b, b_lossy)
-            subtract(b, de, b)
-            subtract(b_hi, b_lo, rhs)
-            multiply(rhs, ce, rhs)
-            if advance is not None:
-                advance()
-            multiply(e_lossy, ca_e, e_lossy)
-            add(e_in, rhs, e_in)
-            t = step_index * dt
-            e[0] = (source_value(src, t) if t < src_end
-                    else mur_update(e0_old, e1_old, item(1), k_mur))
-            e[-1] = mur_update(en_old, enn_old, item(-2), k_mur)
 
-        self._kernel = kernel
+class Simulation:
+    """The half-space experiment of one or more SimConfigs, its lanes
+    (module docstring, "Step layout"), each of which has already checked
+    every invariant and derives dx and dt; ValueError names the first
+    field other than medium and method in which a lane differs from the
+    first.
+
+    In each lane, nodes with x < L/2 are vacuum and nodes from
+    interface_node(n) on carry its medium, with the absorber taper over
+    its last `absorber_cells` nodes, matched to the medium's static
+    permittivity.  All fields start at zero but each lane's node 0, which
+    holds the source's t = 0 value.  `grid`, `eps_inf_node` and
+    `sigma_node` hold every lane's values end to end, `media` the vacuum
+    half and each lane's medium, and `method` the lanes' methods joined
+    by "+"; with one config, those of its run.
+    """
+
+    boundary = "mur"
+
+    def __init__(self, *configs):
+        config = configs[0]
+        for other, f in itertools.product(configs[1:], fields(config)):
+            mine, theirs = getattr(config, f.name), getattr(other, f.name)
+            if f.name not in ("medium", "method") and mine != theirs:
+                raise ValueError(f"lanes may differ only in medium and method, not in "
+                                 f"{f.name}: {mine!r} != {theirs!r}")
+        n, lanes = config.n_grid, len(configs)
+        e, b = _aligned(lanes * n), _aligned(lanes * n - 1)
+        self._de, self._rhs = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
+        # the seam B node after each lane and the rows of the end nodes keep
+        # cb = ce = 0
+        self._cb, self._ce = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
+        self._lanes = [
+            _Lane(c, e[k * n:(k + 1) * n], b[k * n:k * n + n - 1], self._cb[k * n:k * n + n - 1],
+                  self._ce[k * n:k * n + n - 2], self._rhs[k * n:k * n + n - 2])
+            for k, c in enumerate(configs)]
+        self.grid = Grid1D(e=e, b=b, dx=config.dx, dt=config.dt)
+        self.media = (Medium.vacuum(), *(c.medium for c in configs))
+        self.source = config.source
+        self.method = "+".join(c.method for c in configs)
+        self.step_index = 0
+        self._bind(lanes)
+
+    def _bind(self, live):
+        """Bind the step's kernel over the first `live` lanes."""
+        n, lanes = len(self._lanes[0].e), self._lanes[:live]
+        e, b = self.grid.e[:live * n], self.grid.b[:live * n - 1]
+        names = {
+            "b": b, "e_hi": e[1:], "e_lo": e[:-1], "e_in": e[1:-1], "b_hi": b[1:],
+            "b_lo": b[:-1], "de": self._de[:live * n - 1], "cb": self._cb[:live * n - 1],
+            "rhs": self._rhs[:live * n - 2], "ce": self._ce[:live * n - 2],
+            "add": np.add, "multiply": np.multiply, "subtract": np.subtract,
+            "source_value": source_value, "mur_update": mur_update, "src": self.source,
+            "src_end": 2.0 * self.source.t0, "dt": self.grid.dt,
+            "k_mur": mur_coefficient(self.grid.dx, self.grid.dt)}
+        for k, lane in enumerate(lanes):
+            names.update({f"e{k}": lane.e, f"item{k}": lane.e.item, f"b_lossy{k}": lane.b_lossy,
+                          f"ca_b{k}": lane.ca_b, f"e_lossy{k}": lane.e_lossy,
+                          f"ca_e{k}": lane.ca_e})
+            if lane.bank:
+                names[f"advance{k}"] = lane.bank.advance
+        exec(_kernel_code(tuple(lane.bank is not None for lane in lanes)), names)
+        self._kernel, self._live = names["kernel"], live
 
     @property
     def time(self) -> float:
@@ -325,6 +429,14 @@ class Simulation:
     @property
     def n_nodes(self) -> int:
         return len(self.grid.e)
+
+    @property
+    def eps_inf_node(self) -> np.ndarray:
+        return np.concatenate([lane.eps_inf_node for lane in self._lanes])
+
+    @property
+    def sigma_node(self) -> np.ndarray:
+        return np.concatenate([lane.sigma_node for lane in self._lanes])
 
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle).
@@ -345,53 +457,57 @@ class Simulation:
         self.step_index += 1
         self._kernel(self.step_index)
 
-    def _quiet(self, peaks) -> bool:
-        """Whether the largest magnitude of E, of B and of each bank buffer
-        (`_state`) is at most QUIET_TOL times its own peak.  `peaks`, one
-        entry per array, is first raised in place to the current levels.
-        A grid holding a NaN or an inf is never quiet: np.maximum carries
-        a NaN into the peaks, and an inf peak is not finite.  The same
-        pass sets every subnormal entry of those arrays to zero (module
-        docstring)."""
-        levels = np.empty(len(self._state))
-        for i, a in enumerate(self._state):
-            mag = np.abs(a)
-            levels[i] = mag.max()
-            a[mag < _SMALLEST_NORMAL] = 0.0
-        np.maximum(peaks, levels, out=peaks)
-        return bool(np.isfinite(peaks).all() and (levels <= QUIET_TOL * peaks).all())
-
     def run(self, n_steps: int, probe_nodes) -> list:
         """Execute n_steps, one call of `step` each, recording E at each
-        probe node after every step.
+        probe node of every lane after every step.  Probe nodes count from
+        a lane's node 0.  The series come lane by lane, each lane's in the
+        order of `probe_nodes`.
 
         Quiet exit (module docstring): every QUIET_CHECK_STEPS = 256 steps
-        once t >= 2*t0, a grid that `_quiet` finds within QUIET_TOL = 1e-14
-        of its peaks is set to exactly zero, step_index moves to the end
-        of the run and the rest of the record stays 0.0.  Table1's vacuum
-        reference exits at step 12032 of 32768, within 4.9e-16 of the peak
-        of stepping on.
+        once t >= 2*t0, a lane that `_Lane.quiet` finds within QUIET_TOL =
+        1e-14 of its peaks is set to exactly zero and records 0.0 from
+        then on.  Once the trailing lanes are quiet the kernel is bound
+        over the others, and once every lane is, step_index moves to the
+        end of the run.  Table1's vacuum reference exits at step 12032 of
+        32768, within 4.9e-16 of the peak of stepping on.
 
-        Deterministic: identical configuration gives bit-identical series.
+        Deterministic: identical configuration gives bit-identical series,
+        and a lane's series are bit for bit those of its config run alone.
         """
+        lanes, n = self._lanes, len(self._lanes[0].e)
         nodes = np.array([int(i) for i in probe_nodes], dtype=np.intp)
         for i in nodes:
-            if not 0 <= i < self.n_nodes:
-                raise ValueError(f"probe node {i} outside grid of {self.n_nodes} nodes")
-        rec = np.zeros((n_steps, len(nodes)))
+            if not 0 <= i < n:
+                raise ValueError(f"probe node {i} outside grid of {n} nodes")
+        cols = (n * np.arange(len(lanes))[:, None] + nodes).ravel()
+        rec = np.zeros((n_steps, len(cols)))
         e, step = self.grid.e, self.step
-        peaks = np.zeros(len(self._state))
+        peaks = [np.zeros(len(lane.state)) for lane in lanes]
+        exits = [None] * len(lanes)  # the row from which a quiet lane records 0.0
         end = self.step_index + n_steps
         for start in range(0, n_steps, QUIET_CHECK_STEPS):
-            for r in range(start, min(start + QUIET_CHECK_STEPS, n_steps)):
+            stop = min(start + QUIET_CHECK_STEPS, n_steps)
+            for r in range(start, stop):
                 step()
-                rec[r] = e[nodes]
-            if self.time >= 2.0 * self.source.t0 and self._quiet(peaks):
-                for a in self._state:
-                    a[...] = 0.0
-                self.step_index = end
-                break
-        return [ProbeSeries(int(i), rec[:, c].copy(), self.grid.dt) for c, i in enumerate(nodes)]
+                rec[r] = e[cols]
+            if self.time >= 2.0 * self.source.t0:
+                for k, lane in enumerate(lanes):
+                    if exits[k] is None and lane.quiet(peaks[k]):
+                        for a in lane.state:
+                            a[...] = 0.0
+                        exits[k] = stop
+                if None not in exits:
+                    self.step_index = end
+                    break
+                live = 1 + max(k for k, row in enumerate(exits) if row is None)
+                if live < self._live:
+                    self._bind(live)
+        p = len(nodes)
+        for k, row in enumerate(exits):
+            if row is not None:
+                rec[row:, k * p:(k + 1) * p] = 0.0
+        return [ProbeSeries(int(nodes[c % p]), rec[:, c].copy(), self.grid.dt)
+                for c in range(len(cols))]
 
 
 def probe_nodes_from_fractions(fractions, n_nodes: int) -> list:
@@ -404,9 +520,9 @@ def interface_node(n_nodes: int) -> int:
     return int(np.ceil((n_nodes - 1) / 2))
 
 
-def build_simulation(config, *, method=None) -> Simulation:
-    """Simulation of `config`, with its method replaced by `method` when
-    given (SimConfig checks the name)."""
+def build_simulation(*configs, method=None) -> Simulation:
+    """Simulation of `configs`, one lane each, with their method replaced
+    by `method` when given (SimConfig checks the name)."""
     if method is not None:
-        config = replace(config, method=method)
-    return Simulation(config)
+        configs = [replace(config, method=method) for config in configs]
+    return Simulation(*configs)

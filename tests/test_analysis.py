@@ -6,11 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from greenfdtd.analysis import finite_run, reflection_magnitude, spectrum, _padded_length
-from greenfdtd.config import load_table1
-from greenfdtd.dispersion import Medium
+from greenfdtd.analysis import (
+    finite_run,
+    reflection_experiment,
+    reflection_magnitude,
+    spectrum,
+    _padded_length,
+)
+from greenfdtd.config import SimConfig, load_table1
+from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.errors import EmptyBandError, SeriesMismatchError, ValidationError
-from greenfdtd.fdtd import GaussianSource, ProbeSeries, probe_nodes_from_fractions, source_value
+from greenfdtd.fdtd import (
+    GaussianSource,
+    ProbeSeries,
+    Simulation,
+    interface_node,
+    probe_nodes_from_fractions,
+    source_value,
+)
 
 
 def make_series(samples, dt=1e-12, node=7):
@@ -187,3 +200,67 @@ def test_diverging_run_reported_at_its_first_non_finite_step():
     with pytest.raises(ValidationError, match="^vacuum reference run is non-finite from step "
                                               "4693 at probe node 224: "):
         finite_run(cfg, "tgm", nodes, "vacuum reference")
+
+
+def experiment_probe(cfg):
+    """The probe node reflection_experiment records."""
+    return [max(i for i in probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
+                if i < interface_node(cfg.n_grid))]
+
+
+def test_experiment_steps_its_runs_as_lanes_of_one_call(monkeypatch):
+    # one Simulation.run call steps all three runs, and each |R| is bit for
+    # bit the one from separate runs
+    base = load_table1()
+    cfg = dataclasses.replace(base, n_grid=300, system_length=299 * base.dx,
+                              absorber_cells=66, n_steps=2048)
+    node = experiment_probe(cfg)
+    [incident] = finite_run(cfg.with_medium(Medium.vacuum()), "tgm", node, "vacuum reference")
+    want = {m: reflection_magnitude(incident, finite_run(cfg, m, node, m)[0],
+                                    cfg.band_threshold)[:, 1] for m in ("tgm", "adem")}
+    calls, run = [], Simulation.run
+    monkeypatch.setattr(Simulation, "run", lambda sim, *args: calls.append(
+        (sim.media[1:], sim.method)) or run(sim, *args))
+    _, _, mags = reflection_experiment(cfg, ("tgm", "adem"))
+    assert calls == [((cfg.medium, cfg.medium, Medium.vacuum()), "tgm+adem+tgm")]
+    for m in ("tgm", "adem"):
+        assert mags[m].tobytes() == want[m].tobytes()
+
+
+def only_adem_unstable():
+    """One table1-like pole at omega_p*dt = 0.9 on a 400-node grid: above
+    adem's coupled stability limit (0.865), below tgm's (0.925)."""
+    cfg = SimConfig(system_length=0.01, n_grid=400, n_steps=4096, medium=Medium.vacuum(),
+                    source=GaussianSource(t0=1.0e-11, delta_t=1.0e-12,
+                                          omega0=2 * math.pi * 100e9))
+    wp = 0.9 / cfg.dt
+    return cfg.with_medium(Medium(eps_inf=1.5, sigma=0.0,
+                                  poles=(LorentzPole(3.0, wp, 0.1 * wp),)))
+
+
+def vacuum_unstable():
+    """table1 at 300 nodes over its 0.05 m: the 66-cell 10 S/m taper
+    diverges in vacuum; matched to the medium's eps_static it holds."""
+    return dataclasses.replace(load_table1(), n_grid=300, absorber_cells=66, n_steps=8192)
+
+
+@pytest.mark.parametrize("make, run", [(only_adem_unstable, "adem"),
+                                       (vacuum_unstable, "vacuum reference")])
+def test_experiment_reports_the_run_finite_run_reports(make, run):
+    # the lanes' records are checked in the order of the runs one by one:
+    # the same run, first bad step and probe node as its run alone
+    cfg = make()
+    node = experiment_probe(cfg)
+    alone_cfg, method = ((cfg.with_medium(Medium.vacuum()), "tgm") if run == "vacuum reference"
+                         else (cfg, run))
+    with pytest.raises(ValidationError) as alone:
+        finite_run(alone_cfg, method, node, run)
+    with pytest.raises(ValidationError) as lanes:
+        reflection_experiment(cfg, ("tgm", "adem"))
+    assert str(lanes.value) == str(alone.value)
+    assert str(lanes.value).startswith(f"{run} run is non-finite from step ")
+    for other in ("tgm", "vacuum reference"):
+        if other != run:
+            [series] = finite_run(cfg if other == "tgm" else cfg.with_medium(Medium.vacuum()),
+                                  "tgm", node, other)
+            assert series.samples.any()

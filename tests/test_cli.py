@@ -259,7 +259,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify, "pole_matrix", spy)
         assert all(r.ok for r in run_checks(cfg))
-        bank = build_simulation(cfg, method=method)._bank.matrix
+        bank = build_simulation(cfg, method=method)._lanes[0].bank.matrix
         assert len(built) == 3
         assert all(np.array_equal(mat, bank) for mat in built)
 

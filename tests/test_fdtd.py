@@ -19,6 +19,7 @@ from greenfdtd.fdtd import (
     Grid1D,
     ProbeSeries,
     QUIET_CHECK_STEPS,
+    Simulation,
     _PoleBank,
     build_simulation,
     interface_node,
@@ -181,30 +182,30 @@ class TestQuietExit:
     def test_non_finite_grid_never_quiet(self, bad, where, pos):
         sim = build_simulation(small_config(medium=table1_like_medium()))
         sim.grid.e[0] = 0.0
-        assert sim._quiet(np.ones(4))  # a zero grid is quiet
-        arr = {"e": sim.grid.e, "b": sim.grid.b, "bank": sim._bank.buffers[1]}[where]
+        assert sim._lanes[0].quiet(np.ones(4))  # a zero grid is quiet
+        arr = {"e": sim.grid.e, "b": sim.grid.b, "bank": sim._lanes[0].bank.buffers[1]}[where]
         arr.flat[pos] = bad
         for peaks in (np.ones(4), np.full(4, np.inf)):
-            assert not sim._quiet(peaks)
+            assert not sim._lanes[0].quiet(peaks)
 
     def test_subnormals_set_to_zero(self):
         # subnormals slow numpy's passes; the check zeroes them and keeps
         # every normal value, however small
         sim = build_simulation(small_config(medium=table1_like_medium()))
         tiny = np.finfo(float).smallest_normal
-        for a in sim._state:
+        for a in sim._lanes[0].state:
             a.flat[:5] = [tiny / 2, -tiny / 4, 5e-324, tiny, -1e-300]
-        sim._quiet(np.ones(4))
-        for a in sim._state:
+        sim._lanes[0].quiet(np.ones(4))
+        for a in sim._lanes[0].state:
             assert list(a.flat[:5]) == [0.0, 0.0, 0.0, tiny, -1e-300]
 
     def test_quiet_needs_every_array_below_its_own_peak(self):
         sim = build_simulation(small_config(medium=table1_like_medium()))
         sim.grid.e[0] = 0.0
-        sim._bank.buffers[0][0, 5] = 1e-13
+        sim._lanes[0].bank.buffers[0][0, 5] = 1e-13
         peaks = np.array([1.0, 1.0, 1.0, 1.0])
-        assert not sim._quiet(peaks)
-        assert sim._quiet(np.array([1.0, 1.0, 100.0, 1.0]))
+        assert not sim._lanes[0].quiet(peaks)
+        assert sim._lanes[0].quiet(np.array([1.0, 1.0, 100.0, 1.0]))
 
 
 @pytest.mark.parametrize("method", ["vacuum", "tgm", "adem"])
@@ -226,9 +227,125 @@ def test_run_equals_stepping_by_hand(method):
     assert np.abs(want).max(axis=0).min() > 1e-3  # the pulse reaches every probe
     assert np.array_equal(got, want)
     assert sim.step_index == hand.step_index == first + second
-    assert len(sim._state) == (4 if cfg.medium.dispersive else 2)
-    for a, b in zip(sim._state, hand._state):
+    assert len(sim._lanes[0].state) == (4 if cfg.medium.dispersive else 2)
+    for a, b in zip(sim._lanes[0].state, hand._lanes[0].state):
         assert np.array_equal(a, b)
+
+
+def lane_config(cfg, label):
+    """`cfg` as the run `label` of the reflection experiment: "vacuum"
+    (its vacuum reference, stepped with tgm), "tgm" or "adem"."""
+    if label == "vacuum":
+        return dataclasses.replace(cfg.with_medium(Medium.vacuum()), method="tgm")
+    return dataclasses.replace(cfg, method=label)
+
+
+def small_table1():
+    """A tenth of the table1 grid at table1's dx."""
+    base = load_table1()
+    return dataclasses.replace(base, n_grid=300, system_length=299 * base.dx,
+                               absorber_cells=66, n_steps=600)
+
+
+def chained_records(sim, nodes):
+    """The records of `sim.run(301, nodes)` followed by `sim.run(299,
+    nodes)`, one array per series, after checking the series' nodes."""
+    first, second = sim.run(301, nodes), sim.run(299, nodes)
+    assert [s.node_index for s in first] == [s.node_index for s in second]
+    assert [s.node_index for s in first] == nodes * (len(first) // len(nodes))
+    return [np.concatenate([s.samples, t.samples]) for s, t in zip(first, second)]
+
+
+class TestLanes:
+    """Lanes of one Simulation against each lane's config run alone."""
+
+    @pytest.mark.parametrize("labels", [("tgm", "adem", "vacuum"), ("vacuum", "adem", "tgm")])
+    @pytest.mark.parametrize("base", ["table1", "multipole"])
+    def test_each_lane_is_its_run_alone(self, base, labels):
+        # two chained runs, the first of an odd number of steps, so every
+        # bank's buffers take their turns across calls
+        if base == "table1":
+            cfg, nodes = small_table1(), [75, 149, 224]
+        else:
+            cfg, nodes = small_config(medium=multipole_medium(), absorber_cells=40,
+                                      absorber_sigma=5.0), [100, 200, 300]
+        configs = [lane_config(cfg, label) for label in labels]
+        sim = Simulation(*configs)
+        got = chained_records(sim, nodes)
+        assert len(got) == len(labels) * len(nodes)
+        for k, c in enumerate(configs):
+            alone = Simulation(c)
+            want = chained_records(alone, nodes)
+            assert [g.tobytes() for g in got[k * len(nodes):(k + 1) * len(nodes)]] == \
+                [w.tobytes() for w in want]
+            assert np.abs(want).max() > 1e-3
+            lane = sim._lanes[k]
+            assert len(lane.state) == len(alone._lanes[0].state)
+            for a, b in zip(lane.state, alone._lanes[0].state):
+                assert np.array_equal(a, b)
+        assert sim.step_index == 600
+        # the seam B node after each lane but the last stays exactly zero
+        n = cfg.n_grid
+        assert not sim.grid.b[n - 1::n].any()
+
+    @pytest.mark.parametrize("quiet_first", [True, False])
+    def test_quiet_lane_exits_at_its_own_step(self, quiet_first):
+        # the small vacuum grid is quiet at step 2560; the table1-like
+        # medium decays by e every ~1060 steps and stays live
+        labels = ["vacuum", "tgm"] if quiet_first else ["tgm", "vacuum"]
+        cfg, nodes, steps = small_config(medium=table1_like_medium()), [100, 300], 3072
+        configs = [lane_config(cfg, label) for label in labels]
+        alone = Simulation(configs[labels.index("vacuum")])
+        calls = []
+        step = alone.step
+        alone.step = lambda: calls.append(step())
+        want = alone.run(steps, nodes)
+        assert len(calls) == 2560
+
+        sim = Simulation(*configs)
+        lane = sim._lanes[labels.index("vacuum")]
+        exits, quiet = [], lane.quiet
+        lane.quiet = lambda peaks: quiet(peaks) and not exits.append(sim.step_index)
+        got = sim.run(steps, nodes)
+        assert exits == [2560] and sim.step_index == steps
+        k = labels.index("vacuum")
+        for g, w in zip(got[k * len(nodes):], want):
+            assert g.samples.tobytes() == w.samples.tobytes()
+            assert not w.samples[2560:].any() and w.samples[:2560].any()
+        live = got[(1 - k) * len(nodes)]
+        assert live.samples[2560:].any()
+        # a trailing quiet lane leaves the kernel; a leading one stays in it
+        assert sim._live == (2 if quiet_first else 1)
+        assert not any(a.any() for a in lane.state)
+
+    def test_lane_beside_a_diverging_lane(self):
+        # at omega_p*dt = 0.9 adem is unstable (limit 0.865) and tgm is not
+        # (0.925): the adem lane overflows, its neighbours step on as alone
+        cfg = small_config(steps=3072)
+        wp = 0.9 / cfg.dt
+        pole = LorentzPole(3.0, wp, 0.1 * wp)
+        cfg = cfg.with_medium(Medium(eps_inf=1.5, sigma=0.0, poles=(pole,)))
+        configs = [lane_config(cfg, label) for label in ("tgm", "adem", "vacuum")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tgm, adem, vacuum = Simulation(*configs).run(cfg.n_steps, [100])
+            alone = [Simulation(c).run(cfg.n_steps, [100])[0] for c in configs]
+        assert not np.isfinite(adem.samples).all()
+        assert adem.samples.tobytes() == alone[1].samples.tobytes()
+        for got, want in ((tgm, alone[0]), (vacuum, alone[2])):
+            assert np.isfinite(want.samples).all()
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_grid", 401),
+        ("cfl_factor", 0.8),
+        ("source", GaussianSource(t0=2.0e-11, delta_t=1.0e-12, omega0=2 * math.pi * 100e9)),
+    ])
+    def test_lanes_differ_only_in_medium_and_method(self, field, value):
+        cfg = small_config()
+        other = dataclasses.replace(cfg, medium=table1_like_medium(), method="adem",
+                                    **{field: value})
+        with pytest.raises(ValueError, match=f"not in {field}: "):
+            Simulation(cfg, other)
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +439,7 @@ class TestEnergyAndStability:
     def test_leapfrog_reduces_to_plain_yee_without_poles(self):
         cfg = small_config(medium=Medium(eps_inf=2.0, sigma=0.0), steps=300)
         sim = build_simulation(cfg, method="tgm")
-        assert sim._bank is None
+        assert sim._lanes[0].bank is None
         for got, ref in zip(fields(sim.grid, sim.step, 300),
                             fields(*full_array_leapfrog(cfg, "tgm"), 300)):
             assert_within_rounding(got, ref)
@@ -345,7 +462,7 @@ class TestBuilder:
 
     def test_vacuum_config_allocates_no_pole_states(self):
         sim = build_simulation(small_config())
-        assert sim._bank is None
+        assert sim._lanes[0].bank is None
 
     def test_pole_states_cover_medium_nodes(self):
         # one bank on the medium's run up to the last updated node; the
@@ -353,22 +470,22 @@ class TestBuilder:
         cfg = small_config(medium=table1_like_medium())
         for method in ("tgm", "adem"):
             sim = build_simulation(cfg, method=method)
-            nodes = sim._bank.nodes
+            nodes = sim._lanes[0].bank.nodes
             assert nodes == slice(interface_node(cfg.n_grid), cfg.n_grid - 1)
             # the pole's two states and the E^N / current row
-            assert sim._bank.matrix.shape == (3, 3)
-            for buf in sim._bank.buffers:
+            assert sim._lanes[0].bank.matrix.shape == (3, 3)
+            for buf in sim._lanes[0].bank.buffers:
                 assert buf.shape == (3, nodes.stop - nodes.start)
 
     @pytest.mark.parametrize("method", ["tgm", "adem"])
     def test_step_arrays_cache_line_aligned(self, method):
         sim = build_simulation(small_config(medium=multipole_medium(), absorber_cells=40,
                                             absorber_sigma=5.0), method=method)
-        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._cb, sim._ca_b, sim._ce,
-                  sim._ca_e]
+        lane = sim._lanes[0]
+        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._cb, lane.ca_b, sim._ce, lane.ca_e]
         # the bank's matrix and its two state buffers; its _e and _rhs are
         # views into the grid's E and the step's rhs
-        arrays += [sim._bank.matrix, *sim._bank.buffers]
+        arrays += [lane.bank.matrix, *lane.bank.buffers]
         assert len(arrays) == 8 + 3
         assert all(a.ctypes.data % 64 == 0 for a in arrays)
 

@@ -71,3 +71,9 @@ def test_benchmark_tracer_fits_the_package():
     for label, (c, method) in builds.items():
         info = spans._run_info(fdtd.build_simulation(c, method=method), c.n_steps, [1])
         assert info["label"] == label
+    # the reflection experiment's lanes: its medium runs, then the vacuum
+    # reference, in one Simulation
+    lanes = [dataclasses.replace(c, method=method) for c, method in builds.values()]
+    sim = fdtd.Simulation(*lanes[1:], lanes[0])
+    info = spans._run_info(sim, cfg.n_steps, [1])
+    assert info["nodes"] == 3 * cfg.n_grid and info["steps"] == cfg.n_steps
