@@ -4,10 +4,11 @@ and on a three-pole lossy medium.
 The table1 outputs are the `reflection` CSV and stdout, the `run` CSV,
 the `green` CSV and the `verify` stdout.  The three-pole medium adds the
 `reflection` CSV and stdout on a 600-node grid at table1's dx with a
-132-cell absorber: its medium has eps_inf = 2, sigma = 0.5 S/m and poles
-(delta_eps, f_p, delta_p/2pi) of (1.5, 15 GHz, 1.5 GHz), (0.8, 60 GHz,
-3 GHz) and (1.0, 30 GHz, 90 GHz), the last overdamped, so the digests
-also cover multi-pole banks and a lossy medium suffix.  Configs and CSVs
+132-cell absorber, and the `verify` stdout: its medium has eps_inf = 2,
+sigma = 0.5 S/m and poles (delta_eps, f_p, delta_p/2pi) of (1.5, 15 GHz,
+1.5 GHz), (0.8, 60 GHz, 3 GHz) and (1.0, 30 GHz, 90 GHz), the last
+overdamped, so the digests also cover multi-pole banks, a lossy medium
+suffix and every pole kind's verify lines.  Configs and CSVs
 go to a temporary directory that is removed afterwards.  A refactor that
 must keep the outputs byte-identical is checked by diffing this script's
 output on two checkouts:
@@ -49,7 +50,8 @@ def main():
         three_pole.write_text(three_pole_config(), encoding="utf-8")
         runs = [(command, table1_path(), command)
                 for command in ("reflection", "run", "green", "verify")]
-        runs.append(("reflection", three_pole, "three-pole reflection"))
+        runs += [(command, three_pole, f"three-pole {command}")
+                 for command in ("reflection", "verify")]
         for command, config, label in runs:
             args = [command, "--config", str(config)]
             csv = pathlib.Path(tmp) / f"{command}.csv"

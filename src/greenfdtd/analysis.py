@@ -126,11 +126,14 @@ def reflection_experiment(config, methods):
     the medium runs in the order of `methods`, then the vacuum reference,
     last so that the kernel drops it once it is quiet.  Every run records
     only the vacuum-side probe nearest the interface, the largest probe
-    node below interface_node(n).  ValidationError when no probe is in the
-    vacuum half, the pulse never reaches the probe or a run's record is
-    not finite; the records are checked as finite_run would check the
-    runs one by one: the vacuum reference first, then `methods` in order.
+    node below interface_node(n).  ValidationError when `methods` is
+    empty, no probe is in the vacuum half, the pulse never reaches the
+    probe or a run's record is not finite; the records are checked as
+    finite_run would check the runs one by one: the vacuum reference
+    first, then `methods` in order.
     """
+    if not methods:
+        raise ValidationError("methods is empty: reflection_experiment needs at least one updater")
     n = config.n_grid
     vacuum_side = [i for i in probe_nodes_from_fractions(config.probes, n)
                    if i < interface_node(n)]

@@ -18,10 +18,11 @@ pushing unit vectors once through the scalar stage formulas (nothing
 from `greens`, no exponential), so the oracle stays independent of what
 it checks.  E is kept apart from I because R - I is of order h: rounded
 against 1 it would lose the digits of the per-step decay and rotation.
-The recurrence is solved in blocks of CHUNK steps by recursive doubling
-with the powers R^(2^j) = I + E_j, carrying the state from one block
-into the next.  A drive is a constant or a callable taking an array of
-times.
+Under piecewise-constant drives (the rectangle response, the staircase)
+the recurrence is solved over the whole mesh in blocks of CHUNK steps by
+recursive doubling with the powers R^(2^j) = I + E_j, carrying the state
+from one block into the next.  Under the smooth drive sin(omega t) it
+has a closed form, evaluated only at the mesh points that are read.
 
 These live in the shipped package, not in test code, so the `verify`
 subcommand can regenerate every derived reference value.
@@ -94,22 +95,36 @@ def _rk4_increment(y, v, f1, f2, f4, h, wp2, two_dp):
             h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
+def _rk4_matrices(pole: LorentzPole, h):
+    """E (2x2) and S (2x3) of one RK4 step of size h,
+    x_{k+1} = (I + E) x_k + S (f(t), f(t + h/2), f(t + h))."""
+    # columns: the increments from y, y', f(t), f(t + h/2) and f(t + h)
+    m = np.array(_rk4_increment(*np.eye(5), h, pole.omega_p**2, 2.0 * pole.delta_p))
+    return m[:, :2], m[:, 2:]
+
+
+def _doubling_powers(emat, count):
+    """E_j = R^(2^j) - I for every 2^j < count (and at least E_0 = E),
+    squared as (I + E)^2 = I + (2E + E^2)."""
+    powers = [emat]
+    while 2 ** len(powers) < count:
+        powers.append(2.0 * powers[-1] + powers[-1] @ powers[-1])
+    return powers
+
+
 def _rk4_phases(pole: LorentzPole, h, phases, t0):
     """Integrate y'' + 2 dp y' + wp^2 y = f(t) from rest at t0 in steps of
     h through a list of phases.
 
-    Each phase is (n_steps, forcing) with `forcing` either a constant or
-    a callable of an array of times; the right-hand side is smooth inside
-    a phase, so classical RK4 keeps full order across rectangle edges.
-    All phases form one recurrence x_{k+1} = (I + E) x_k + u_k: the
-    inputs u_k are written into the output rows first, then each block of
-    CHUNK steps is solved in place by recursive doubling, its first input
-    taking (I + E) times the state the block before ended in.
-    Returns the sampled mesh (times, y, y').
+    Each phase is (n_steps, forcing) with a constant `forcing`, so classical
+    RK4 keeps full order across the phase edges.  All phases form one
+    recurrence x_{k+1} = (I + E) x_k + u_k: the inputs u_k are written into
+    the output rows first, then each block of CHUNK steps is solved in
+    place by recursive doubling, its first input taking (I + E) times the
+    state the block before ended in.  Returns the sampled mesh (times, y, y').
     """
-    # columns: the increments from y, y', f(t), f(t + h/2) and f(t + h)
-    m = np.array(_rk4_increment(*np.eye(5), h, pole.omega_p**2, 2.0 * pole.delta_p))
-    emat, smat = m[:, :2], m[:, 2:]
+    emat, smat = _rk4_matrices(pole, h)
+    gain = smat.sum(axis=1, keepdims=True)
     n_total = sum(n for n, _ in phases)
     # built in place: an integer arange beside it would lift verify's peak RSS
     times = np.arange(n_total + 1, dtype=float)
@@ -118,19 +133,9 @@ def _rk4_phases(pole: LorentzPole, h, phases, t0):
     x = np.zeros((2, n_total + 1))
     start = 0
     for n, forcing in phases:
-        for lo in range(start, start + n, CHUNK):
-            hi = min(lo + CHUNK, start + n)
-            if callable(forcing):
-                f_node = forcing(times[lo:hi + 1])
-                f_mid = forcing(times[lo:hi] + 0.5 * h)
-                x[:, lo + 1:hi + 1] = smat @ np.array([f_node[:-1], f_mid, f_node[1:]])
-            else:
-                x[:, lo + 1:hi + 1] = smat.sum(axis=1, keepdims=True) * forcing
+        x[:, start + 1:start + n + 1] = gain * forcing
         start += n
-    # E_j = R^(2^j) - I, squared as (I + E)^2 = I + (2E + E^2)
-    powers = [emat]
-    while 2 ** len(powers) < CHUNK:
-        powers.append(2.0 * powers[-1] + powers[-1] @ powers[-1])
+    powers = _doubling_powers(emat, CHUNK)
     for k0 in range(0, n_total, CHUNK):
         u = x[:, k0 + 1:k0 + 1 + CHUNK]
         u[:, 0] += x[:, k0] + emat @ x[:, k0]
@@ -179,11 +184,41 @@ def polarization_rk4(e_samples, pole: LorentzPole, dt: float, fine_step: float) 
     return OdeTrace(times, ys, vs)
 
 
-def smooth_drive_rk4(pole: LorentzPole, drive, t_end: float, fine_step: float) -> OdeTrace:
-    """Integrate the polarization ODE under a smooth drive E(t) from rest
-    at t = 0.  Reference for temporal-order studies against the staircase
-    solution; `drive` takes an array of times."""
+def smooth_drive_rk4(pole: LorentzPole, omega: float, t_end: float, fine_step: float,
+                     times) -> np.ndarray:
+    """RK4 solution of the polarization ODE under the smooth drive
+    E(t) = sin(omega t) from rest at t = 0, on the uniform mesh of
+    ceil(t_end/fine_step) steps over [0, t_end], read at the mesh point
+    nearest each of `times`.  Returns the (2, len(times)) rows y and y'.
+    Reference for temporal-order studies against the staircase solution.
+
+    The inputs f = strength sin(omega t) of the recurrence are Im(z^k v)
+    with z = e^(i omega h) and v = strength S (1, z^(1/2), z), so from
+    x_0 = 0 it is solved in closed form at the read indices k alone:
+
+        x_k = Im[((z^k - 1) I - E_k) w],   ((z - 1) I - E) w = v,
+
+    with E_k = R^k - I built by binary powering over the E_j and
+    z^k - 1 = 2i sin(k omega h/2) e^(i k omega h/2), which keeps its digits
+    at small k.  ValueError for a time outside [0, t_end].
+    """
+    t = np.asarray(times, dtype=float)
+    if np.any((t < 0.0) | (t > t_end)):
+        raise ValueError(f"times outside [0, t_end = {t_end}]")
     n = max(int(np.ceil(t_end / fine_step)), 1)
-    strength = pole.strength
-    times, ys, vs = _rk4_phases(pole, t_end / n, [(n, lambda t: strength * drive(t))], t0=0.0)
-    return OdeTrace(times, ys, vs)
+    h = t_end / n
+    k = np.rint(t / h).astype(np.int64)
+    emat, smat = _rk4_matrices(pole, h)
+    half = np.exp(0.5j * omega * h)
+    v = pole.strength * (smat @ [1.0, half, half * half])
+    # Cramer's rule on (z - 1) I - E: np.linalg would map LAPACK into verify's RSS
+    z1 = 2j * np.sin(0.5 * omega * h) * half
+    (a, b), (c, d) = z1 * np.eye(2) - emat
+    w = np.array([d * v[0] - b * v[1], a * v[1] - c * v[0]]) / (a * d - b * c)
+    e_k = np.zeros((len(k), 2, 2))
+    for j, e_j in enumerate(_doubling_powers(emat, int(k.max(initial=0)) + 1)):
+        # R^(k + 2^j) - I = E_k + E_j + E_k E_j where bit j of k is set
+        e_k += ((k >> j) & 1)[:, None, None] * (e_j + e_k @ e_j)
+    phase = 0.5 * omega * h * k
+    zk1 = 2j * np.sin(phase) * np.exp(1j * phase)
+    return (zk1[:, None] * w - e_k @ w).imag.T

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from greenfdtd import analysis
 from greenfdtd.analysis import (
     finite_run,
     reflection_experiment,
@@ -225,6 +226,15 @@ def test_experiment_steps_its_runs_as_lanes_of_one_call(monkeypatch):
     assert calls == [((cfg.medium, cfg.medium, Medium.vacuum()), "tgm+adem+tgm")]
     for m in ("tgm", "adem"):
         assert mags[m].tobytes() == want[m].tobytes()
+
+
+def test_experiment_without_methods_builds_no_grid(monkeypatch):
+    def no_build(*lanes):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(analysis, "build_simulation", no_build)
+    with pytest.raises(ValidationError, match="^methods is empty"):
+        reflection_experiment(load_table1(), ())
 
 
 def only_adem_unstable():

@@ -306,6 +306,26 @@ class TestVerifyCommand:
         res = verify.check_temporal_order(LorentzPole(3.0, WP, 0.01 * WP))
         assert res.status == PASS, res.detail
 
+    def test_checks_fit_in_two_mb(self):
+        # the smooth-drive reference is solved only at the times it reads:
+        # a dense mesh took 10.6 MB on table1 and 100 MB at the settle cap
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            results = run_checks(load_table1())
+            table1_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            # delta_p = 0.001 omega_p: the settle window sits at its 40-period cap
+            res = verify.check_temporal_order(LorentzPole(3.0, WP, 0.001 * WP))
+            capped_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in results] == [PASS] * 8
+        assert res.status == PASS, res.detail
+        assert table1_peak <= 2e6
+        assert capped_peak <= 2e6
+
     def test_exit_code_two_on_failure(self, small_cfg, capsys, monkeypatch):
         corrupt_block(monkeypatch, greens, "tgm_block", scaled_propagator)
         assert cli.main(["verify", "--config", str(small_cfg)]) == 2

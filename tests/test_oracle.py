@@ -198,38 +198,44 @@ class TestDirectConvolutionSum:
 
 class TestSmoothDriveRk4:
     def test_fine_mesh_memory(self):
-        # the mesh is three 8-byte samples per fine step (times, y, y'); as
-        # Python floats in lists it took ~120 B per step
+        # only the read mesh points are solved, so the traced peak does not
+        # grow with the mesh: a dense 2e6-step mesh would take 48 MB
         import tracemalloc
 
-        n = 200_000
-        w_drive = WP / 12.0
+        n = 2_000_000
+        t_end = n * TABLE1_DT / 400
+        times = np.linspace(0.0, t_end, 1000)
         tracemalloc.start()
         try:
-            trace = smooth_drive_rk4(TABLE1_POLE, lambda t: np.sin(w_drive * t),
-                                     n * TABLE1_DT / 400, TABLE1_DT / 400)
+            values = smooth_drive_rk4(TABLE1_POLE, WP / 12.0, t_end, TABLE1_DT / 400, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace.values) == n + 1
-        assert peak / n < 48
+        assert values.shape == (2, 1000)
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("t", [-0.1 * TABLE1_DT, 5.1 * TABLE1_DT], ids=["before", "after"])
+    def test_time_outside_mesh(self, t):
+        for times in ([t], [TABLE1_DT, t]):
+            with pytest.raises(ValueError, match="outside"):
+                smooth_drive_rk4(TABLE1_POLE, WP / 12.0, 5 * TABLE1_DT, TABLE1_DT / 400, times)
 
     def test_matches_staircase_in_limit(self):
         # staircase with midpoint sampling converges to the smooth solution
         w_drive = WP / 15.0
         t_end = 2 * math.pi / w_drive
-        ref = smooth_drive_rk4(TABLE1_POLE, lambda t: np.sin(w_drive * t),
-                               t_end, TABLE1_DT / 200)
         errs = []
         for dt in (8 * TABLE1_DT, 4 * TABLE1_DT):
             n = int(t_end / dt) - 1
+            ref = smooth_drive_rk4(TABLE1_POLE, w_drive, t_end, TABLE1_DT / 200,
+                                   np.arange(n) * dt + 0.5 * dt)[0]
             coeffs = make_coefficients(TABLE1_POLE, dt)
             state = PoleState()
             worst = 0.0
             for k in range(n):
                 state = advance_state(state, math.sin(w_drive * k * dt), coeffs)
                 p = polarization(state, TABLE1_POLE, coeffs, 0.5 * dt)
-                worst = max(worst, abs(p - ref.at(k * dt + 0.5 * dt)))
+                worst = max(worst, abs(p - ref[k]))
             errs.append(worst)
         assert errs[0] / errs[1] > 3.0
 
@@ -248,16 +254,31 @@ class TestScalarReference:
             assert np.isfinite(got).all()
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
+    @staticmethod
+    def assert_smooth_drive_agrees(pole, n, t_end):
+        # the closed form read at 1200 spread mesh points, the first and
+        # last included, against the loop's whole mesh
+        w_drive = WP / 12.0
+        idx = np.unique(np.linspace(0, n, 1200).astype(np.int64))
+        assert len(idx) >= 1000 and idx[0] == 0 and idx[-1] == n
+        # a fine step a hair above t_end/n, so the mesh has n steps whatever the rounding
+        got = smooth_drive_rk4(pole, w_drive, t_end, t_end / n * (1.0 + 1e-12), t_end * idx / n)
+        _, ys, vs = scalar_rk4(pole, t_end / n,
+                               [(n, lambda t: pole.strength * math.sin(w_drive * t))], 0.0)
+        for values, want in zip(got, (ys, vs)):
+            assert np.isfinite(values).all()
+            assert np.abs(values - want[idx]).max() <= 1e-9 * np.abs(want).max()
+
     def test_smooth_drive_200k_steps(self):
         n = 200_000
-        w_drive = WP / 12.0
-        t_end = n * TABLE1_DT / 400
-        trace = smooth_drive_rk4(TABLE1_POLE, lambda t: np.sin(w_drive * t),
-                                 t_end, TABLE1_DT / 400)
-        strength = TABLE1_POLE.strength
-        ref = scalar_rk4(TABLE1_POLE, t_end / n,
-                         [(n, lambda t: strength * math.sin(w_drive * t))], 0.0)
-        self.assert_agrees(trace, t_end / n, ref)
+        self.assert_smooth_drive_agrees(TABLE1_POLE, n, n * TABLE1_DT / 400)
+
+    @pytest.mark.parametrize("damping", [0.01, 2.5, 0.0])
+    def test_smooth_drive_20k_steps(self, damping):
+        # two drive periods: the ring of a lightly damped, an overdamped
+        # and an undamped pole
+        self.assert_smooth_drive_agrees(LorentzPole(3.0, WP, damping * WP), 20_000,
+                                        2 * 2 * math.pi / (WP / 12.0))
 
     def test_2000_constant_phases(self):
         e = np.random.default_rng(41).uniform(-1.0, 1.0, 2000)
