@@ -15,7 +15,8 @@ no default there.  All values are SI:
               band_threshold, out (optional path)
 
 An empty or absent [medium] section means vacuum.  Pole sections are
-numbered 1..P, each k a decimal without leading zeros.
+numbered 1..P, each k a decimal without leading zeros.  A real value
+must be finite: NaN and +-inf are a ConfigError naming the line and key.
 
 Every invariant is checked in `SimConfig.__post_init__`, so a config built
 directly or by `dataclasses.replace` obeys the same rules as a parsed one;
@@ -24,6 +25,7 @@ the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -64,7 +66,7 @@ class SimConfig:
         if self.absorber_cells == 1:
             raise ValidationError("grid.absorber_cells = 1 adds no absorber: the cubic grading "
                                   "puts zero loss on the first absorber cell; use 0 or >= 2")
-        if self.absorber_sigma < 0.0:
+        if not self.absorber_sigma >= 0.0:
             raise ValidationError(f"grid.absorber_sigma must be >= 0, got {self.absorber_sigma}")
         if self.n_steps < 0:
             raise ValidationError(f"run.steps must be >= 0, got {self.n_steps}")
@@ -90,22 +92,30 @@ class SimConfig:
         return replace(self, medium=medium)
 
 
+def _float(raw: str) -> float:
+    """float(raw), rejecting NaN and +-inf, which no key accepts."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _float_list(raw: str):
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(_float(part) for part in raw.split(","))
 
 
 # section -> {key: (keyword, converter)}, in the order the parser reads
 # them, so that a document with several faults reports the same first one
 _GRAMMAR = {
-    "grid": {"length": ("system_length", float), "nodes": ("n_grid", int),
-             "cfl": ("cfl_factor", float), "absorber_cells": ("absorber_cells", int),
-             "absorber_sigma": ("absorber_sigma", float)},
-    "source": {"t0": ("t0", float), "width": ("delta_t", float), "omega0": ("omega0", float)},
-    "medium": {"eps_inf": ("eps_inf", float), "sigma": ("sigma", float)},
-    "medium.pole.": {"delta_eps": ("delta_eps", float), "omega_p": ("omega_p", float),
-                     "delta_p": ("delta_p", float)},
+    "grid": {"length": ("system_length", _float), "nodes": ("n_grid", int),
+             "cfl": ("cfl_factor", _float), "absorber_cells": ("absorber_cells", int),
+             "absorber_sigma": ("absorber_sigma", _float)},
+    "source": {"t0": ("t0", _float), "width": ("delta_t", _float), "omega0": ("omega0", _float)},
+    "medium": {"eps_inf": ("eps_inf", _float), "sigma": ("sigma", _float)},
+    "medium.pole.": {"delta_eps": ("delta_eps", _float), "omega_p": ("omega_p", _float),
+                     "delta_p": ("delta_p", _float)},
     "run": {"steps": ("n_steps", int), "probes": ("probes", _float_list),
-            "method": ("method", str), "band_threshold": ("band_threshold", float),
+            "method": ("method", str), "band_threshold": ("band_threshold", _float),
             "out": ("out", str)},
 }
 _REQUIRED = {f.name for cls in (SimConfig, GaussianSource, Medium, LorentzPole)

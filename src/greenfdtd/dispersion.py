@@ -43,7 +43,7 @@ class LorentzPole:
                              "does nothing and a negative one is a gain medium")
         if not self.omega_p > 0.0:
             raise ValueError(f"omega_p must be positive, got {self.omega_p}")
-        if self.delta_p < 0.0:
+        if not self.delta_p >= 0.0:
             raise ValueError(f"delta_p must be non-negative, got {self.delta_p}")
         if abs(self.delta_p - self.omega_p) <= 1e-9 * self.omega_p:
             raise DegeneratePoleError(
@@ -75,7 +75,7 @@ class Medium:
     def __post_init__(self):
         if not self.eps_inf > 0.0:
             raise ValueError(f"eps_inf must be positive, got {self.eps_inf}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         object.__setattr__(self, "poles", tuple(self.poles))
 

@@ -233,9 +233,11 @@ class _PoleBank:
     dt/(eps0 eps_inf), uniform over the medium) stepped on the node run
     `nodes` of the field `e`, one state-space recursion per node.
     `advance`, a closure bound at build, subtracts the current from the
-    run of `rhs` (which covers the interior nodes 1..n-2) under `nodes`.
-    The two (m+1, cells) buffers take turns as input and output, since
-    np.dot may not write over its input."""
+    run of `rhs` (which covers the interior nodes 1..n-2) under `nodes`
+    and returns the buffer it wrote: the new states over the current
+    row.  The step's kernel ignores it; verify reads its checks' states
+    there.  The two (m+1, cells) buffers take turns as input and output,
+    since np.dot may not write over its input."""
 
     def __init__(self, matrix, e, rhs, nodes):
         self.nodes = nodes
@@ -252,6 +254,7 @@ class _PoleBank:
             e_row[...] = e_run
             dot(mat, x_now, x_next)
             subtract(rhs_run, j, rhs_run)
+            return x_next
 
         self.advance = advance
 
@@ -311,7 +314,6 @@ class _Lane:
         self.e, self.b = e, b
 
         medium_nodes = np.arange(n) >= i0
-        self.eps_inf_node = np.where(medium_nodes, medium.eps_inf, 1.0)
         self.sigma_node = np.where(medium_nodes, medium.sigma, 0.0)
         # magnetic absorber loss on B nodes, matched to the medium's eps_static
         w = config.absorber_cells
@@ -324,7 +326,7 @@ class _Lane:
         # cover only the lossy suffixes
         kb = _first_nonzero(beta_m)
         ks = _first_nonzero(self.sigma_node[1:-1])  # interior index
-        dt_over_eps = dt / (EPS0 * self.eps_inf_node)
+        dt_over_eps = dt / (EPS0 * np.where(medium_nodes, medium.eps_inf, 1.0))
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
         cb[...] = dt / dx * bm_hi
         ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
@@ -369,10 +371,10 @@ class Simulation:
     interface_node(n) on carry its medium, with the absorber taper over
     its last `absorber_cells` nodes, matched to the medium's static
     permittivity.  All fields start at zero but each lane's node 0, which
-    holds the source's t = 0 value.  `grid`, `eps_inf_node` and
-    `sigma_node` hold every lane's values end to end, `media` the vacuum
-    half and each lane's medium, and `method` the lanes' methods joined
-    by "+"; with one config, those of its run.
+    holds the source's t = 0 value.  `grid` and `sigma_node` hold every
+    lane's values end to end, `media` the vacuum half and each lane's
+    medium, and `method` the lanes' methods joined by "+"; with one
+    config, those of its run.
     """
 
     boundary = "mur"
@@ -429,10 +431,6 @@ class Simulation:
     @property
     def n_nodes(self) -> int:
         return len(self.grid.e)
-
-    @property
-    def eps_inf_node(self) -> np.ndarray:
-        return np.concatenate([lane.eps_inf_node for lane in self._lanes])
 
     @property
     def sigma_node(self) -> np.ndarray:

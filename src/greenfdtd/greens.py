@@ -103,20 +103,21 @@ def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     )
 
 
-def green_function(pole: LorentzPole, t, t_n, dt: float):
-    """Closed-form response at time(s) t to the unit rectangle centered at
-    t_n: a float, or an array for array-valued t or t_n.
+def green_function(pole: LorentzPole, t, dt: float):
+    """Closed-form response at time(s) t to the unit rectangle on
+    [-dt/2, dt/2]: a float, or an array for array-valued t.  The response
+    to the rectangle centered at t_n is this one at t - t_n.
 
-    Valid only after the rectangle has ended, t >= t_n + dt/2 for every
+    Valid only after the rectangle has ended, t >= dt/2 for every
     element.  The two residue terms are conjugate (underdamped) or
     individually real (overdamped); the imaginary residual of their sum
     is asserted small and discarded.
     """
-    tau = np.subtract(t, t_n)
+    tau = np.asarray(t, dtype=float)
     if np.any(tau < 0.5 * dt * (1.0 - 1e-12)):
         raise ValueError(
-            f"green_function is the post-impulse branch: need t - t_n >= dt/2, "
-            f"got tau={float(np.min(tau))!r} with dt={dt!r}"
+            f"green_function is the post-impulse branch: need t >= dt/2, "
+            f"got t={float(np.min(tau))!r} with dt={dt!r}"
         )
     c = make_coefficients(pole, dt)
     term_p = c.inject_plus * np.exp(1j * c.z_plus * tau)
@@ -204,12 +205,13 @@ def tgm_block(pole: LorentzPole, dt: float, scale: float):
             (w.real * a - w.imag * b, -w.real * b - w.imag * a), w.real)
 
 
-def polarization_row(pole: LorentzPole, dt: float, tau: float):
-    """Row r with P(t_N + tau) = r . G over the two states G of
-    tgm_block (after E^N is injected): P = strength sum e^{i z tau} inject
-    G, so r = 2 (Re w, -Im w) with w = strength e^{i z+ tau} inject+ for
-    an underdamped pole, and the real w+ and w- for an overdamped one."""
-    c = make_coefficients(pole, dt)
+def polarization_row(pole: LorentzPole, dt: float):
+    """Row r with P(t_N + dt/2) = r . G over the two states G of
+    tgm_block (after E^N is injected), the half step at which the grid
+    reads the current: P = strength sum e^{i z dt/2} inject G, so
+    r = 2 (Re w, -Im w) with w = strength e^{i z+ dt/2} inject+ for an
+    underdamped pole, and the real w+ and w- for an overdamped one."""
+    c, tau = make_coefficients(pole, dt), 0.5 * dt
     w_plus = pole.strength * np.exp(1j * c.z_plus * tau) * c.inject_plus
     if pole.overdamped:
         w_minus = pole.strength * np.exp(1j * c.z_minus * tau) * c.inject_minus

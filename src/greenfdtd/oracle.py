@@ -73,7 +73,7 @@ def direct_convolution_sum(e_history, pole: LorentzPole, dt: float, t_eval: floa
     mask = tau >= 0.5 * dt * (1.0 - 1e-12)
     if not np.any(mask):
         return 0.0
-    g = green_function(pole, tau[mask], 0.0, dt)
+    g = green_function(pole, tau[mask], dt)
     return float(pole.strength * np.sum(e[mask] * g))
 
 
@@ -148,23 +148,22 @@ def _rk4_phases(pole: LorentzPole, h, phases, t0):
     return times, x[0], x[1]
 
 
-def green_rk4(pole: LorentzPole, t_n: float, dt: float, t_end: float, fine_step: float) -> OdeTrace:
-    """High-resolution integration of the rectangle response from rest.
+def green_rk4(pole: LorentzPole, dt: float, t_end: float, fine_step: float) -> OdeTrace:
+    """High-resolution integration of the response to the unit rectangle
+    on [-dt/2, dt/2] from rest.
 
-    The unit rectangle spans [t_n - dt/2, t_n + dt/2]; integration starts
-    at its leading edge and continues force-free to t_end.  fine_step must
-    be <= dt/100 and is snapped so the rectangle edges land exactly on
-    mesh points.
+    Integration starts at the rectangle's leading edge and continues
+    force-free to t_end.  fine_step must be <= dt/100 and is snapped so
+    the rectangle edges land exactly on mesh points.
     """
     if fine_step > dt / 100.0 * (1.0 + 1e-12):
         raise ValueError("fine_step must be <= dt/100")
-    if t_end <= t_n + 0.5 * dt:
-        raise ValueError("t_end must lie beyond the rectangle, t_n + dt/2")
+    if t_end <= 0.5 * dt:
+        raise ValueError("t_end must lie beyond the rectangle, dt/2")
     n_in = max(int(round(dt / fine_step)), 100)
     h = dt / n_in
-    t_free = t_end - (t_n + 0.5 * dt)
-    n_free = max(int(np.ceil(t_free / h)), 1)
-    times, ys, vs = _rk4_phases(pole, h, [(n_in, 1.0), (n_free, 0.0)], t0=t_n - 0.5 * dt)
+    n_free = max(int(np.ceil((t_end - 0.5 * dt) / h)), 1)
+    times, ys, vs = _rk4_phases(pole, h, [(n_in, 1.0), (n_free, 0.0)], t0=-0.5 * dt)
     return OdeTrace(times, ys, vs)
 
 

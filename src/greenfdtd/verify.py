@@ -5,17 +5,19 @@ against an independent reference and reports PASS / FAIL / SKIP with a
 one-line detail.
 
 Five checks run on the grid's own pole matrix (fdtd.pole_matrix of one
-pole, its current at the bank's scale dt/(eps0 eps_inf)), stepped as
-fdtd._PoleBank.advance steps it, each drive sequence a column of one
-np.dot: recurrence-vs-direct-sum (`tgm`'s P, read through
-greens.polarization_row), steady-state (the fixed point (I - A)^-1 b of
-both methods), non-amplification (the spectral radius of both methods'
-block A), ade-fixed-point (one `adem` step, current row included) and
-temporal-convergence-order (`tgm`, against oracle.smooth_drive_rk4
-solved at the half steps it reads).  conjugacy and realness read the
-build's gate: the branch residuals (greens.branch_residuals) that
-greens.check_branch_symmetry vouches for before greens.tgm_block folds
-each pole into real rows.
+pole, its current at the bank's scale dt/(eps0 eps_inf)).  Two step it
+in the grid's own bank, an fdtd._PoleBank with one node per drive
+sequence, and read the states its advance has just written:
+recurrence-vs-direct-sum (`tgm`'s P, read through
+greens.polarization_row) and temporal-convergence-order (`tgm`, against
+oracle.smooth_drive_rk4 solved at the half steps it reads).  Three read
+the matrix: steady-state (the fixed point (I - A)^-1 b of both methods),
+non-amplification (the spectral radius of both methods' block A) and
+ade-fixed-point (one `adem` step, current row included).  conjugacy and
+realness read the build's gate: the branch residuals
+(greens.branch_residuals) that greens.check_branch_symmetry vouches for
+before greens.tgm_block folds each pole into real rows.  A check that
+the gate stops, by raising RealnessError, is a FAIL with its message.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 from . import greens, oracle
 from .config import load_table1
 from .constants import EPS0
-from .fdtd import pole_matrix
+from .errors import RealnessError
+from .fdtd import _PoleBank, pole_matrix
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -45,19 +48,16 @@ class CheckResult:
 
 
 def _step(mat, drives):
-    """Step the pole matrix `mat` as fdtd._PoleBank.advance does, one
-    np.dot on an (m+1, S) buffer per sample: `drives` is (n, S), row k
-    holding E^k of each of the S drive sequences.  Returns the (n, m, S)
-    states after each sample."""
-    m = len(mat) - 1
-    x, y = np.zeros((2, m + 1, drives.shape[1]))
-    states = np.empty((len(drives), m, drives.shape[1]))
-    for k, e in enumerate(drives):
-        x[m] = e
-        np.dot(mat, x, out=y)
-        states[k] = y[:m]
-        x, y = y, x
-    return states
+    """The (n, m, S) states of an fdtd._PoleBank on the pole matrix `mat`
+    after each row E^k of `drives`, (n, S), whose S sequences are its nodes."""
+    width = drives.shape[1]
+    e = np.zeros(width + 1)  # the bank's nodes start at 1, as in a grid
+    bank = _PoleBank(mat, e, np.zeros(width), slice(1, width + 1))
+    e_run, out = e[1:], np.empty((len(drives), len(mat), width))
+    for k, row in enumerate(drives):
+        e_run[...] = row
+        out[k] = bank.advance()
+    return out[:, :-1]  # the current row dropped
 
 
 def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501):
@@ -67,7 +67,7 @@ def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501
     rng = np.random.default_rng(seed)
     e_hist = np.array([rng.uniform(-1.0, 1.0, n_samples) for _ in range(n_sequences)])
     states = _step(pole_matrix((pole,), "tgm", dt, scale), e_hist.T)
-    p_rec = greens.polarization_row(pole, dt, 0.5 * dt) @ states[-1]
+    p_rec = greens.polarization_row(pole, dt) @ states[-1]
     t_eval = (n_samples - 1) * dt + 0.5 * dt
     p_sum = np.array([oracle.direct_convolution_sum(e, pole, dt, t_eval) for e in e_hist])
     worst = float(np.max(np.abs(p_rec - p_sum)
@@ -81,8 +81,8 @@ def green_closed_and_rk4(pole, dt, times):
     """Closed-form response to the unit rectangle on [-dt/2, dt/2] and its
     RK4 integration at fine_step = dt/1000, at each of the ascending
     `times` (>= dt/2)."""
-    trace = oracle.green_rk4(pole, 0.0, dt, times[-1], dt / 1000.0)
-    return greens.green_function(pole, times, 0.0, dt), trace.at(times)
+    trace = oracle.green_rk4(pole, dt, times[-1], dt / 1000.0)
+    return greens.green_function(pole, times, dt), trace.at(times)
 
 
 def check_green_closed_form(pole, dt):
@@ -104,7 +104,7 @@ def check_steady_state(pole, dt, scale):
         return CheckResult("steady-state", SKIP, "skipped (undamped pole never settles)")
     target = EPS0 * pole.delta_eps
     # P of the tgm state through its readout row; the adem state is (P, D)
-    readout = {"tgm": greens.polarization_row(pole, dt, 0.5 * dt), "adem": np.array([1.0, 0.0])}
+    readout = {"tgm": greens.polarization_row(pole, dt), "adem": np.array([1.0, 0.0])}
     err = 0.0
     for method, row in readout.items():
         mat = pole_matrix((pole,), method, dt, scale)
@@ -188,7 +188,7 @@ def staircase_error(pole, omega, dt, t_end, settle):
     t = np.arange(n) * dt
     # only P is read, so the current's scale is immaterial
     states = _step(pole_matrix((pole,), "tgm", dt, 1.0), np.sin(omega * t)[:, None])
-    p = greens.polarization_row(pole, dt, 0.5 * dt) @ states[:, :, 0].T
+    p = greens.polarization_row(pole, dt) @ states[:, :, 0].T
     t_eval = t + 0.5 * dt
     keep = t_eval >= settle
     ref = oracle.smooth_drive_rk4(pole, omega, (n + 1) * dt, dt / 400.0, t_eval[keep])[0]
@@ -223,22 +223,28 @@ def run_checks(config) -> list:
     """Run the whole suite against every pole of the config medium, or the
     bundled table1 pole when the medium has none, at the config's dt and
     the grid bank's current scale dt/(eps0 eps_inf).  Each result's
-    detail starts with the number of its pole."""
+    detail starts with the number of its pole.  A check stopped by the
+    build's branch-symmetry gate (greens.check_branch_symmetry raising
+    RealnessError) is a FAIL whose detail is the gate's message."""
     poles = config.medium.poles or load_table1().medium.poles
     dt = config.dt
     scale = dt / (EPS0 * config.medium.eps_inf)
     results = []
     for k, pole in enumerate(poles, start=1):
-        for res in (
-            check_recurrence_vs_direct_sum(pole, dt, scale),
-            check_green_closed_form(pole, dt),
-            check_steady_state(pole, dt, scale),
-            check_conjugacy(pole, dt),
-            check_realness(pole, dt),
-            check_non_amplification(pole, dt, scale),
-            check_ade_fixed_point(pole, dt, scale),
-            check_temporal_order(pole),
+        for name, check, args in (
+            ("recurrence-vs-direct-sum", check_recurrence_vs_direct_sum, (pole, dt, scale)),
+            ("green-closed-form-vs-rk4", check_green_closed_form, (pole, dt)),
+            ("steady-state", check_steady_state, (pole, dt, scale)),
+            ("conjugacy", check_conjugacy, (pole, dt)),
+            ("realness", check_realness, (pole, dt)),
+            ("non-amplification", check_non_amplification, (pole, dt, scale)),
+            ("ade-fixed-point", check_ade_fixed_point, (pole, dt, scale)),
+            ("temporal-convergence-order", check_temporal_order, (pole,)),
         ):
+            try:
+                res = check(*args)
+            except RealnessError as exc:
+                res = CheckResult(name, FAIL, str(exc))
             res.detail = f"pole {k}: {res.detail}"
             results.append(res)
     return results

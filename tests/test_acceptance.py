@@ -110,11 +110,11 @@ class TestCriterion4GreenClosedForm:
         for pole in poles:
             dt = 0.3 / pole.omega_p if pole.omega_p * TABLE1_DT > 1.0 else TABLE1_DT
             t_end = 15.5 * dt
-            trace = green_rk4(pole, 0.0, dt, t_end, dt / 1000.0)
+            trace = green_rk4(pole, dt, t_end, dt / 1000.0)
             gmax = np.abs(trace.values).max()
             for k in range(30):
                 t = 0.5 * dt + 0.5 * k * dt
-                rel = abs(green_function(pole, t, 0.0, dt) - trace.at(t)) / gmax
+                rel = abs(green_function(pole, t, dt) - trace.at(t)) / gmax
                 worst = max(worst, rel)
         elapsed = time.perf_counter() - t_start
         ok = worst < 1e-6 and elapsed <= 10.0

@@ -10,13 +10,17 @@ import sys
 import numpy as np
 import pytest
 
-from greenfdtd import ade, cli, greens, verify
+from greenfdtd import ade, cli, fdtd, greens, verify
 from greenfdtd.analysis import reflection_experiment
 from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.constants import EPS0
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.fdtd import build_simulation
 from greenfdtd.verify import FAIL, PASS, SKIP, run_checks
+
+CHECK_NAMES = ["recurrence-vs-direct-sum", "green-closed-form-vs-rk4", "steady-state",
+               "conjugacy", "realness", "non-amplification", "ade-fixed-point",
+               "temporal-convergence-order"]
 
 WP = 2 * math.pi * 20e9
 OVERDAMPED_POLE = LorentzPole(1.0, 1.5 * WP, 2.5 * 1.5 * WP)
@@ -284,7 +288,8 @@ class TestVerifyCommand:
         ("inject_minus", 1.0 + 1e-9, FAIL),
         ("curr_minus", 1.0 + 1e-6, PASS),
     ], ids=["prop_minus", "inject_minus", "curr_minus"])
-    def test_skewed_coefficients_fail_realness(self, monkeypatch, field, skew, conjugacy):
+    def test_skewed_coefficients_fail_realness(self, monkeypatch, capsys, field, skew,
+                                               conjugacy):
         # any skewed minus branch fails realness; F- == conj(F+) needs only
         # prop and inject, so conjugacy passes a skewed current
         make = greens.make_coefficients
@@ -300,6 +305,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(greens, "make_coefficients", skewed)
         assert verify.check_conjugacy(pole, cfg.dt).status == conjugacy
         assert verify.check_realness(pole, cfg.dt).status == FAIL
+        # the CLI prints every check: those the tgm block's build gate stops
+        # FAIL with the gate's message, and the exit code is 2
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines[:-1]}
+        assert list(status) == CHECK_NAMES
+        gated = [line.split()[1].rstrip(":") for line in lines
+                 if line.startswith("FAIL ") and f"needs {field} == conj(" in line]
+        assert gated == ["recurrence-vs-direct-sum", "steady-state", "non-amplification",
+                         "temporal-convergence-order"]
+        assert (status["conjugacy"], status["realness"]) == (conjugacy, FAIL)
+        assert status["ade-fixed-point"] == PASS
+        # the closed form reads inject_minus, through its own realness check
+        assert status["green-closed-form-vs-rk4"] == (FAIL if field == "inject_minus" else PASS)
+        assert lines[-1].endswith("/8 checks passed")
 
     def test_lightly_damped_pole_settles_longer(self):
         # 0 < delta_p < 0.02 omega_p: the settle window grows to 5/delta_p
@@ -352,6 +372,28 @@ class TestVerifyCatchesCorruptBlocks:
         assert cli.main(["verify", "--config", str(table1_path())]) == 2
         out = capsys.readouterr().out
         assert "FAIL steady-state" in out and "FAIL ade-fixed-point" in out
+
+    def test_bank_stepping_a_stale_field(self, monkeypatch, capsys):
+        # the stepping checks read the states of the grid's own bank, so a
+        # bank that steps from the previous sample's E fails both of them
+        class StaleBank(fdtd._PoleBank):
+            def __init__(self, matrix, e, rhs, nodes):
+                super().__init__(matrix, e, rhs, nodes)
+                fresh, e_run, last = self.advance, e[nodes], np.zeros(nodes.stop - nodes.start)
+
+                def advance():
+                    now = e_run.copy()
+                    e_run[...], last[...] = last, now
+                    return fresh()
+
+                self.advance = advance
+
+        monkeypatch.setattr(verify, "_PoleBank", StaleBank)
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL recurrence-vs-direct-sum" in out
+        assert "FAIL temporal-convergence-order" in out
+        assert "6/8 checks passed" in out
 
 
 def corrupt_block(monkeypatch, module, name, fault):

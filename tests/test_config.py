@@ -14,6 +14,7 @@ import pytest
 from greenfdtd import config
 from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.constants import C0
+from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.errors import ConfigError, ValidationError
 
 MINIMAL = """
@@ -57,6 +58,9 @@ out = out.csv
 REQUIRED = ("length", "nodes", "t0", "width", "omega0", "delta_eps", "omega_p", "delta_p")
 OPTIONAL = ("cfl", "absorber_cells", "absorber_sigma", "eps_inf", "sigma", "steps", "probes",
             "method", "band_threshold", "out")
+# every key with a real value, the probes list included
+FLOAT_KEYS = ("length", "cfl", "absorber_sigma", "t0", "width", "omega0", "eps_inf", "sigma",
+              "delta_eps", "omega_p", "delta_p", "probes", "band_threshold")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -168,6 +172,17 @@ class TestParseErrors:
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(MINIMAL.replace("nodes = 3000", "nodes = many"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_named(self, key, value):
+        # sign checks pass NaN through, and an inf makes runs and verify
+        # report nan or pass: no real value may be non-finite
+        line = re.search(rf"^{key} = .*$", FULL, re.MULTILINE)
+        lineno = FULL.count("\n", 0, line.start()) + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: bad value for '{key}': "
+                                              rf"'{value}' is not finite$"):
+            parse_config(FULL.replace(line[0], f"{key} = {value}"))
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="omega0"):
@@ -287,6 +302,15 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match=r"^\[medium\.pole\.1\]: delta_eps must be positive.*gain medium"):
             parse_config(FULL.replace("delta_eps = 3.0", f"delta_eps = {value}"))
+
+    def test_sign_checks_reject_nan(self):
+        # configs built directly skip the loader's finiteness check
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            Medium(sigma=math.nan)
+        with pytest.raises(ValueError, match="delta_p must be non-negative"):
+            LorentzPole(3.0, 1.0e10, math.nan)
+        with pytest.raises(ValidationError, match="grid.absorber_sigma must be >= 0"):
+            dataclasses.replace(load_table1(), absorber_sigma=math.nan)
 
     def test_degenerate_pole_reported(self):
         text = MINIMAL + """

@@ -449,8 +449,10 @@ class TestBuilder:
     def test_interface_location(self):
         assert interface_node(3000) == 1500
         sim = build_simulation(small_config(medium=multipole_medium(), n_grid=3000, length=0.05))
-        # eps_inf and sigma change between nodes 1499 and 1500
-        assert list(np.flatnonzero(np.diff(sim.eps_inf_node))) == [1499]
+        # eps_inf and sigma change between nodes 1499 and 1500; ce, which
+        # holds dt/(eps0 eps_inf) of the interior nodes 1..n-2, between its
+        # entries 1498 and 1499
+        assert list(np.flatnonzero(np.diff(sim._ce))) == [1498]
         assert list(np.flatnonzero(np.diff(sim.sigma_node))) == [1499]
 
     def test_grid_spacing_and_step(self):

@@ -92,7 +92,7 @@ class TestCoefficients:
             val = (co.inject_plus * np.exp(0.5j * co.z_plus * dt)
                    + co.inject_minus * np.exp(0.5j * co.z_minus * dt))
             assert abs(val.imag) < 1e-12 * abs(val)
-            trace = green_rk4(pole, 0.0, dt, 1.5 * dt, dt / 1000.0)
+            trace = green_rk4(pole, dt, 1.5 * dt, dt / 1000.0)
             assert val.real == pytest.approx(trace.at(0.5 * dt), rel=1e-7)
 
     def test_undamped_injection_sum_formula(self):
@@ -114,29 +114,29 @@ class TestCoefficients:
 class TestGreenFunction:
     def test_domain_error_inside_impulse(self):
         with pytest.raises(ValueError):
-            green_function(TABLE1_POLE, 0.49 * TABLE1_DT, 0.0, TABLE1_DT)
+            green_function(TABLE1_POLE, 0.49 * TABLE1_DT, TABLE1_DT)
 
     def test_array_of_times(self):
         # one call over an array gives the scalar values bit for bit, and
         # one time inside the impulse rejects the whole array
         taus = (0.5 + 0.37 * np.arange(30)) * TABLE1_DT
-        scalar = [green_function(TABLE1_POLE, float(t), 0.0, TABLE1_DT) for t in taus]
-        assert np.array_equal(green_function(TABLE1_POLE, taus, 0.0, TABLE1_DT), scalar)
+        scalar = [green_function(TABLE1_POLE, float(t), TABLE1_DT) for t in taus]
+        assert np.array_equal(green_function(TABLE1_POLE, taus, TABLE1_DT), scalar)
         with pytest.raises(ValueError, match="post-impulse"):
-            green_function(TABLE1_POLE, np.append(taus, 0.49 * TABLE1_DT), 0.0, TABLE1_DT)
+            green_function(TABLE1_POLE, np.append(taus, 0.49 * TABLE1_DT), TABLE1_DT)
 
     def test_against_rk4_at_leading_edge(self):
-        trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 1.0 * TABLE1_DT, TABLE1_DT / 1000.0)
-        got = green_function(TABLE1_POLE, 0.5 * TABLE1_DT, 0.0, TABLE1_DT)
+        trace = green_rk4(TABLE1_POLE, TABLE1_DT, 1.0 * TABLE1_DT, TABLE1_DT / 1000.0)
+        got = green_function(TABLE1_POLE, 0.5 * TABLE1_DT, TABLE1_DT)
         assert got == pytest.approx(trace.at(0.5 * TABLE1_DT), rel=1e-6)
 
     def test_against_rk4_along_tail(self):
         t_end = 15.5 * TABLE1_DT
-        trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, t_end, TABLE1_DT / 1000.0)
+        trace = green_rk4(TABLE1_POLE, TABLE1_DT, t_end, TABLE1_DT / 1000.0)
         gmax = np.abs(trace.values).max()
         for k in range(30):
             t = 0.5 * TABLE1_DT + 0.5 * k * TABLE1_DT
-            rel = abs(green_function(TABLE1_POLE, t, 0.0, TABLE1_DT) - trace.at(t)) / gmax
+            rel = abs(green_function(TABLE1_POLE, t, TABLE1_DT) - trace.at(t)) / gmax
             assert rel < 1e-6
 
     def test_closed_form_from_roots(self):
@@ -160,7 +160,7 @@ class TestGreenFunction:
             taus = 0.5 * dt + np.linspace(0.0, 4 * math.pi / pole.omega_p, 401)
             ref = closed_form(taus)
             gmax = np.abs(ref).max()
-            got = np.array([green_function(pole, t, 0.0, dt) for t in taus])
+            got = np.array([green_function(pole, t, dt) for t in taus])
             assert np.abs(got - ref).max() <= 1e-12 * gmax
             for n in (1, 11, 2000):
                 e = rng.uniform(-1.0, 1.0, n)
@@ -171,8 +171,8 @@ class TestGreenFunction:
                 assert abs(got_sum - expected) <= 1e-12 * strength * gmax * np.abs(e).sum()
 
     def test_damped_response_vanishes(self):
-        late = green_function(TABLE1_POLE, 200.0 / (0.1 * WP), 0.0, TABLE1_DT)
-        early = green_function(TABLE1_POLE, 0.5 * TABLE1_DT, 0.0, TABLE1_DT)
+        late = green_function(TABLE1_POLE, 200.0 / (0.1 * WP), TABLE1_DT)
+        early = green_function(TABLE1_POLE, 0.5 * TABLE1_DT, TABLE1_DT)
         assert abs(late) < 1e-30 * max(abs(early), 1e-300) + 1e-60
 
     def test_static_sum_rule(self):
@@ -184,7 +184,7 @@ class TestGreenFunction:
         t_eval = n * dt + 0.5 * dt
         ks = np.arange(n + 1)
         taus = t_eval - ks * dt
-        total = sum(green_function(pole, float(t_eval), float(k * dt), dt) for k in ks[taus >= 0.5 * dt])
+        total = sum(green_function(pole, float(tau), dt) for tau in taus[taus >= 0.5 * dt])
         assert total == pytest.approx(1.0 / pole.omega_p**2, rel=1e-3)
 
 

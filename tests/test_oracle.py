@@ -65,17 +65,17 @@ def scalar_rk4(pole, h, phases, t0):
 class TestGreenRk4:
     def test_fine_step_precondition(self):
         with pytest.raises(ValueError):
-            green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 50)
+            green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 50)
 
     @pytest.mark.parametrize("t_end", [0.5 * TABLE1_DT, 0.2 * TABLE1_DT],
                              ids=["at-trailing-edge", "inside"])
     def test_t_end_precondition(self, t_end):
         with pytest.raises(ValueError, match="t_end must lie beyond the rectangle"):
-            green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, t_end, TABLE1_DT / 200)
+            green_rk4(TABLE1_POLE, TABLE1_DT, t_end, TABLE1_DT / 200)
 
     @pytest.mark.parametrize("t", [-0.6 * TABLE1_DT, 5.6 * TABLE1_DT], ids=["before", "after"])
     def test_trace_lookup_out_of_range(self, t):
-        trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 200)
+        trace = green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 200)
         with pytest.raises(ValueError, match="outside trace"):
             trace.at(t)
         with pytest.raises(ValueError, match="outside trace"):
@@ -83,11 +83,11 @@ class TestGreenRk4:
 
     def test_damped_decay_to_zero(self):
         pole = LorentzPole(1.0, 1.0, 0.8)
-        trace = green_rk4(pole, 0.0, 1.0, 40.0, 1e-2)
+        trace = green_rk4(pole, 1.0, 40.0, 1e-2)
         assert abs(trace.values[-1]) < 1e-10 * np.abs(trace.values).max()
 
     def test_derivative_consistency(self):
-        trace = green_rk4(TABLE1_POLE, 0.0, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 200)
+        trace = green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 200)
         h = trace.times[1] - trace.times[0]
         fd = (trace.values[2:] - trace.values[:-2]) / (2 * h)
         # start past the trailing forcing edge (index 200) where G'' jumps
@@ -102,7 +102,7 @@ class TestGreenRk4:
         dt = 1.0
         n_periods = 100
         t_end = 0.5 * dt + n_periods * 2 * math.pi
-        trace = green_rk4(pole, 0.0, dt, t_end, dt / 1000.0)
+        trace = green_rk4(pole, dt, t_end, dt / 1000.0)
         free = trace.values[trace.times > 0.5 * dt]
         cells = np.array_split(free, n_periods // 2)
         amps = np.array([np.abs(c).max() for c in cells])
@@ -165,7 +165,7 @@ class TestDirectConvolutionSum:
         e = np.array([1.0])
         for k in range(1, 6):
             t_eval = 0.5 * TABLE1_DT + k * TABLE1_DT
-            expected = EPS0 * 3.0 * WP**2 * green_function(TABLE1_POLE, t_eval, 0.0, TABLE1_DT)
+            expected = EPS0 * 3.0 * WP**2 * green_function(TABLE1_POLE, t_eval, TABLE1_DT)
             assert direct_convolution_sum(e, TABLE1_POLE, TABLE1_DT, t_eval) == pytest.approx(
                 expected, rel=1e-12
             )
@@ -292,7 +292,7 @@ class TestScalarReference:
     def test_green_rk4_two_phases(self, wp_dt, damping):
         pole = LorentzPole(1.0, WP, damping * WP)
         dt = wp_dt / WP
-        trace = green_rk4(pole, 0.0, dt, 20.5 * dt, dt / 1000.0)
+        trace = green_rk4(pole, dt, 20.5 * dt, dt / 1000.0)
         h = dt / 1000
         phases = [(1000, 1.0), (len(trace.times) - 1001, 0.0)]
         self.assert_agrees(trace, h, scalar_rk4(pole, h, phases, -0.5 * dt))

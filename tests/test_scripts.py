@@ -1,6 +1,7 @@
 """The scripts under scripts/ load against the current package API."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import pathlib
 
@@ -9,7 +10,7 @@ import pytest
 
 import greenfdtd
 from greenfdtd import ade, analysis, cli, config, dispersion, fdtd, greens, oracle, verify
-from greenfdtd.config import load_table1
+from greenfdtd.config import load_table1, table1_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -37,6 +38,26 @@ def small_table1():
 @pytest.mark.parametrize("name", ["absorber_study", "output_digests", "reflection_figure"])
 def test_script_loads(name):
     assert callable(load_script(name).main)
+
+
+def test_verify_and_green_outputs_pinned(tmp_path, capsys):
+    # three of scripts/output_digests.py's lines, the cheap ones: a change
+    # to verify or to the closed form must keep these outputs byte-identical
+    three_pole = tmp_path / "three_pole.cfg"
+    three_pole.write_text(load_script("output_digests").three_pole_config(), encoding="utf-8")
+    got = {}
+    for label, cfg in (("verify stdout", table1_path()), ("three-pole verify stdout", three_pole)):
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        got[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    csv = tmp_path / "green.csv"
+    assert cli.main(["green", "--config", str(table1_path()), "--out", str(csv)]) == 0
+    got["green csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert got == {
+        "verify stdout": "895875c21cd5f73b7e58a0461a25dbd019ee98fbb6818a27f478fef35fa43385",
+        "three-pole verify stdout":
+            "7cf3dbdb31edc66d2e879754d3d8dea3575b0a7c215b44459615315fbb01d4d4",
+        "green csv": "25df6661b7c99486d7b2002c3625ab63966c13c3c930a4b0251f0d7425119330",
+    }
 
 
 def test_absorber_study_band_errors():
