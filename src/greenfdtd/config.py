@@ -16,7 +16,8 @@ no default there.  All values are SI:
 
 An empty or absent [medium] section means vacuum.  Pole sections are
 numbered 1..P, each k a decimal without leading zeros.  A real value
-must be finite: NaN and +-inf are a ConfigError naming the line and key.
+must be finite: NaN and +-inf are a ConfigError naming the line and key,
+and a ValidationError naming the field when a value is built directly.
 
 Every invariant is checked in `SimConfig.__post_init__`, so a config built
 directly or by `dataclasses.replace` obeys the same rules as a parsed one;
@@ -31,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 from .constants import C0
-from .dispersion import LorentzPole, Medium
+from .dispersion import LorentzPole, Medium, require_finite
 from .errors import ConfigError, ValidationError
 from .fdtd import GaussianSource
 
@@ -68,6 +69,8 @@ class SimConfig:
                                   "puts zero loss on the first absorber cell; use 0 or >= 2")
         if not self.absorber_sigma >= 0.0:
             raise ValidationError(f"grid.absorber_sigma must be >= 0, got {self.absorber_sigma}")
+        require_finite({"grid.length": self.system_length,
+                        "grid.absorber_sigma": self.absorber_sigma})
         if self.n_steps < 0:
             raise ValidationError(f"run.steps must be >= 0, got {self.n_steps}")
         if not self.probes or not all(0.0 < p < 1.0 for p in self.probes):

@@ -16,12 +16,21 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import EPS0
-from .errors import DegeneratePoleError, ResonanceError
+from .errors import DegeneratePoleError, ResonanceError, ValidationError
+
+
+def require_finite(values):
+    """ValidationError naming the first entry of `values`, {name: value},
+    that is NaN or +-inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,8 @@ class LorentzPole:
             raise ValueError(f"omega_p must be positive, got {self.omega_p}")
         if not self.delta_p >= 0.0:
             raise ValueError(f"delta_p must be non-negative, got {self.delta_p}")
+        require_finite({"delta_eps": self.delta_eps, "omega_p": self.omega_p,
+                        "delta_p": self.delta_p})
         if abs(self.delta_p - self.omega_p) <= 1e-9 * self.omega_p:
             raise DegeneratePoleError(
                 f"delta_p == omega_p ({self.omega_p}): critically damped pole "
@@ -77,6 +88,7 @@ class Medium:
             raise ValueError(f"eps_inf must be positive, got {self.eps_inf}")
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        require_finite({"eps_inf": self.eps_inf, "sigma": self.sigma})
         object.__setattr__(self, "poles", tuple(self.poles))
 
     @classmethod

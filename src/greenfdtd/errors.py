@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A parsed config violates an invariant; message names it."""
+    """A config or one of its values violates an invariant; message names it."""
 
 
 class SeriesMismatchError(ValueError):

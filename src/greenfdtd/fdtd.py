@@ -126,7 +126,7 @@ import numpy as np
 from . import ade as _ade
 from . import greens as _greens
 from .constants import C0, EPS0, MU0
-from .dispersion import Medium
+from .dispersion import Medium, require_finite
 
 # Simulation.run's quiet exit: the check period in steps and the level,
 # relative to each array's own peak, below which the grid counts as quiet
@@ -152,6 +152,7 @@ class GaussianSource:
                              "while t < 2*t0, so it must be live at t = 0")
         if not self.delta_t > 0.0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        require_finite({"t0": self.t0, "delta_t": self.delta_t, "omega0": self.omega0})
 
 
 def source_value(src: GaussianSource, t: float) -> float:

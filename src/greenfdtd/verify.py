@@ -9,15 +9,17 @@ pole, its current at the bank's scale dt/(eps0 eps_inf)).  Two step it
 in the grid's own bank, an fdtd._PoleBank with one node per drive
 sequence, and read the states its advance has just written:
 recurrence-vs-direct-sum (`tgm`'s P, read through
-greens.polarization_row) and temporal-convergence-order (`tgm`, against
-oracle.smooth_drive_rk4 solved at the half steps it reads).  Three read
-the matrix: steady-state (the fixed point (I - A)^-1 b of both methods),
-non-amplification (the spectral radius of both methods' block A) and
-ade-fixed-point (one `adem` step, current row included).  conjugacy and
-realness read the build's gate: the branch residuals
-(greens.branch_residuals) that greens.check_branch_symmetry vouches for
-before greens.tgm_block folds each pole into real rows.  A check that
-the gate stops, by raising RealnessError, is a FAIL with its message.
+greens.polarization_row, under a SplitMix64 drive in numpy uint64: the
+import of numpy.random costs more than the check) and
+temporal-convergence-order (`tgm`, against oracle.smooth_drive_rk4
+solved at the half steps it reads).  Three read the matrix: steady-state
+(the fixed point (I - A)^-1 b of both methods), non-amplification (the
+spectral radius of both methods' block A) and ade-fixed-point (one
+`adem` step, current row included).  conjugacy and realness read the
+build's gate: the branch residuals (greens.branch_residuals) that
+greens.check_branch_symmetry vouches for before greens.tgm_block folds
+each pole into real rows.  A check that the gate stops, by raising
+RealnessError, is a FAIL with its message.
 """
 
 from __future__ import annotations
@@ -60,12 +62,20 @@ def _step(mat, drives):
     return out[:, :-1]  # the current row dropped
 
 
+def _uniform_drive(seed, shape):
+    """Uniform [-1, 1) draws, row-major: top 53 bits of SplitMix64's outputs."""
+    z = np.uint64(seed) + np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return ((z ^ (z >> 31)) >> 11).reshape(shape) * 2.0**-52 - 1.0
+
+
 def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501):
     """P of the `tgm` matrix after N random samples vs the explicit O(N)
-    sum, every sequence a column of one pass."""
+    sum, every sequence a column of one pass, under _uniform_drive's
+    SplitMix64 draws (numpy.random would be verify's costliest import)."""
     n_samples, rtol = 2000, 1e-10
-    rng = np.random.default_rng(seed)
-    e_hist = np.array([rng.uniform(-1.0, 1.0, n_samples) for _ in range(n_sequences)])
+    e_hist = _uniform_drive(seed, (n_sequences, n_samples))
     states = _step(pole_matrix((pole,), "tgm", dt, scale), e_hist.T)
     p_rec = greens.polarization_row(pole, dt) @ states[-1]
     t_eval = (n_samples - 1) * dt + 0.5 * dt

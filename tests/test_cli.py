@@ -225,6 +225,19 @@ class TestVerifyCommand:
             [(11, "conjugacy")]
         assert all(r.status == PASS for r in results if r.status != SKIP)
 
+    def test_uniform_drive(self):
+        # the recurrence check's drive: SplitMix64 (published first output
+        # under seed 1234567: 6457827717110365317), mapped to [-1, 1)
+        first = verify._uniform_drive(1234567, (1, 1))[0, 0]
+        assert first == (6457827717110365317 >> 11) * 2.0**-52 - 1.0
+        drive = verify._uniform_drive(20240501, (5, 2000))
+        assert drive.shape == (5, 2000) and drive.dtype == np.float64
+        assert np.array_equal(drive, verify._uniform_drive(20240501, (5, 2000)))
+        assert not np.array_equal(drive, verify._uniform_drive(20240502, (5, 2000)))
+        assert not np.array_equal(drive[0], drive[1])
+        assert ((-1.0 <= drive) & (drive < 1.0)).all()
+        assert abs(drive.mean()) < 0.02 and abs(drive.var() - 1.0 / 3.0) < 0.02
+
     def test_checks_never_step_the_scalar_form(self, monkeypatch):
         # every check reads the coefficients or the matrix the grid uses,
         # never the scalar two-accumulator or ADE form
@@ -557,3 +570,15 @@ def test_cli_import_loads_no_verify_layer():
     assert {"greenfdtd.cli", "greenfdtd.analysis"} <= loaded
     for name in ("verify", "oracle"):
         assert f"greenfdtd.{name}" not in loaded
+
+
+def test_verify_loads_no_numpy_random():
+    # the recurrence check draws its drive without numpy.random, whose
+    # import would cost more than the check, in a fresh interpreter
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, greenfdtd.cli; "
+            f"assert greenfdtd.cli.main(['verify', '--config', {str(table1_path())!r}]) == 0; "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -16,6 +16,7 @@ from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.constants import C0
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.errors import ConfigError, ValidationError
+from greenfdtd.fdtd import GaussianSource
 
 MINIMAL = """
 [grid]
@@ -233,6 +234,21 @@ class TestPoleSections:
                              "[medium.pole.1]\nomega_p = 1.0e10\ndelta_p = 1.0e9\n")
         assert split == parse_config(MINIMAL + "[medium.pole.1]\n" + POLE)
 
+# every real field of the value types, built directly with one value
+# replaced; the name is the one its messages use
+BUILT_FIELDS = {
+    "grid.length": lambda v: dataclasses.replace(load_table1(), system_length=v),
+    "grid.absorber_sigma": lambda v: dataclasses.replace(load_table1(), absorber_sigma=v),
+    "eps_inf": lambda v: Medium(eps_inf=v),
+    "sigma": lambda v: Medium(sigma=v),
+    "delta_eps": lambda v: LorentzPole(v, 1.0e10, 1.0e9),
+    "omega_p": lambda v: LorentzPole(3.0, v, 1.0e9),
+    "delta_p": lambda v: LorentzPole(3.0, 1.0e10, v),
+    "t0": lambda v: GaussianSource(v, 1.0e-12, 1.0),
+    "delta_t": lambda v: GaussianSource(1.0e-11, v, 1.0),
+    "omega0": lambda v: GaussianSource(1.0e-11, 1.0e-12, v),
+}
+
 
 class TestValidation:
     def test_cfl_named_in_error(self):
@@ -311,6 +327,14 @@ class TestValidation:
             LorentzPole(3.0, 1.0e10, math.nan)
         with pytest.raises(ValidationError, match="grid.absorber_sigma must be >= 0"):
             dataclasses.replace(load_table1(), absorber_sigma=math.nan)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", BUILT_FIELDS)
+    def test_built_value_rejects_non_finite(self, name, value):
+        # values built directly skip the loader's check; a sign check
+        # names NaN and -inf first where the field has one
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be [^,]+, got {value}\b"):
+            BUILT_FIELDS[name](value)
 
     def test_degenerate_pole_reported(self):
         text = MINIMAL + """

@@ -53,9 +53,9 @@ def test_verify_and_green_outputs_pinned(tmp_path, capsys):
     assert cli.main(["green", "--config", str(table1_path()), "--out", str(csv)]) == 0
     got["green csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
     assert got == {
-        "verify stdout": "895875c21cd5f73b7e58a0461a25dbd019ee98fbb6818a27f478fef35fa43385",
+        "verify stdout": "bfa6ecb968a69fcd901180d3e2568d6b32f1fb03b3195dff666574bcb8522cb3",
         "three-pole verify stdout":
-            "7cf3dbdb31edc66d2e879754d3d8dea3575b0a7c215b44459615315fbb01d4d4",
+            "1d71abf13af45947cdc7e61dfd3c053f64ade85f8381a6dff54273b44d2d5175",
         "green csv": "25df6661b7c99486d7b2002c3625ab63966c13c3c930a4b0251f0d7425119330",
     }
 
