@@ -48,7 +48,8 @@ def spectrum(series: ProbeSeries) -> Spectrum:
     if len(x) == 0:
         raise ValueError("cannot transform an empty series")
     m = _padded_length(len(x))
-    amps = np.fft.rfft(x, m) * series.dt
+    amps = np.fft.rfft(x, m)
+    amps *= series.dt
     freqs = np.fft.rfftfreq(m, series.dt)
     return Spectrum(freqs=freqs, amps=amps)
 
@@ -61,6 +62,8 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     reflected = total - incident sample-wise; |R| = |DFT(reflected)| /
     |DFT(incident)| at bins where |DFT(incident)| >= band_threshold times
     its maximum.  Returns an (n, 2) array of (freq_hz, magnitude) rows.
+    The incident spectrum is cut to its magnitude before the reflected one
+    is taken, so one spectrum is alive at a time.
     """
     if (incident.node_index != total.node_index
             or incident.dt != total.dt
@@ -71,14 +74,7 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
             f"dt {incident.dt}/{total.dt}, "
             f"lengths {len(incident.samples)}/{len(total.samples)}"
         )
-    reflected = ProbeSeries(
-        node_index=total.node_index,
-        samples=np.asarray(total.samples) - np.asarray(incident.samples),
-        dt=total.dt,
-    )
-    inc = spectrum(incident)
-    ref = spectrum(reflected)
-    inc_mag = np.abs(inc.amps)
+    inc_mag = np.abs(spectrum(incident).amps)
     if inc_mag.max() == 0.0:
         raise EmptyBandError("incident spectrum is identically zero")
     mask = inc_mag >= band_threshold * inc_mag.max()
@@ -86,8 +82,9 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
         raise EmptyBandError(
             f"band_threshold={band_threshold} excluded every frequency bin"
         )
-    ratio = np.abs(ref.amps[mask]) / inc_mag[mask]
-    return np.column_stack((inc.freqs[mask], ratio))
+    ref = spectrum(ProbeSeries(total.node_index, np.subtract(total.samples, incident.samples),
+                               total.dt))
+    return np.column_stack((ref.freqs[mask], np.abs(ref.amps[mask]) / inc_mag[mask]))
 
 
 def reflection_errors(freqs, analytic, mag):

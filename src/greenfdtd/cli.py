@@ -12,15 +12,16 @@ error summary; `green` compares the closed-form rectangle response with the
 RK4 oracle for every medium pole; `verify` runs the invariant suite.
 
 CSV output is locale-independent (scientific notation, 12+ significant
-digits, '\n' line endings) and goes to --out when given, the config's
-[run] out path otherwise, else stdout.  Exit status: 0 success, 1
-usage, config or file error or a run whose probe record is not finite,
-2 verification failure.
+digits, '\n' line endings).  Its rows stream, one write each, to --out
+when given, the config's [run] out path otherwise, else stdout.  Exit
+status: 0 success, 1 usage, config or file error or a run whose probe
+record is not finite, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -36,14 +37,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(header, rows, out_path):
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    """Write `header`, then each row as it is drawn from `rows`; a `rows`
+    that raises leaves the rows before it written."""
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", encoding="utf-8", newline="")) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def cmd_run(config, out_path) -> int:
@@ -52,11 +52,7 @@ def cmd_run(config, out_path) -> int:
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
     series = analysis.finite_run(config, config.method, nodes, config.method)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
-    rows = (
-        [t] + [s.samples[k] for s in series]
-        for k, t in enumerate(series[0].times)
-    )
-    _write_csv(header, rows, out_path)
+    _write_csv(header, zip(series[0].times, *(s.samples for s in series)), out_path)
     return 0
 
 

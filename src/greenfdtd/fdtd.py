@@ -88,14 +88,15 @@ division and no reduction (see Simulation.step for the order):
   slower, as its shifted slices are not contiguous.
 
 Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
-checks each lane every QUIET_CHECK_STEPS = 256 steps, from its own
-arrays, as its run alone would.  A lane is quiet when its largest |E|,
-its largest |B| and the largest magnitude in each of its bank buffers
-are each at most QUIET_TOL = 1e-14 times that array's own peak over the
-run's checks; a NaN or an inf is never quiet.  A quiet lane is set to
-exactly zero and records 0.0 from then on: a zero lane with the source
-off stays zero under the leapfrog, both Mur updates and the bank, so the
-flush is the only approximation.  Once the trailing lanes are quiet the
+checks each lane whenever step_index is a multiple of QUIET_CHECK_STEPS
+= 256, from its own arrays, as its run alone would.  A lane is quiet
+when its largest |E|, its largest |B| and the largest magnitude in each
+of its bank buffers are each at most QUIET_TOL = 1e-14 times that
+array's own peak over all its checks, which the lane keeps across `run`
+calls; a NaN or an inf is never quiet.  A quiet lane is set to exactly
+zero and records 0.0 from then on: a zero lane with the source off stays
+zero under the leapfrog, both Mur updates and the bank, so the flush is
+the only approximation.  Once the trailing lanes are quiet the
 kernel is bound again over the others, so they cost no more passes; a
 quiet lane before a live one is stepped on at zero.  Once every lane is
 quiet the rest of the run is not stepped.  Each check also sets the
@@ -341,8 +342,10 @@ class _Lane:
         if medium.dispersive:
             self.bank = _PoleBank(pole_matrix(medium.poles, config.method, dt, dt_over_eps[i0]),
                                   e, rhs, slice(i0, n - 1))
-        # every array a step carries forward: what `run` checks and flushes
+        # every array a step carries forward: what `run` checks and flushes,
+        # their peaks over the checks so far and whether the lane has exited
         self.state = (e, b) + (self.bank.buffers if self.bank else ())
+        self.peaks, self.exited = np.zeros(len(self.state)), False
 
     def quiet(self, peaks) -> bool:
         """Whether the largest magnitude of E, of B and of each bank buffer
@@ -460,15 +463,19 @@ class Simulation:
         """Execute n_steps, one call of `step` each, recording E at each
         probe node of every lane after every step.  Probe nodes count from
         a lane's node 0.  The series come lane by lane, each lane's in the
-        order of `probe_nodes`.
+        order of `probe_nodes`, and each is a view of its column of the
+        call's one (n_steps, series) record, one row per step.
 
-        Quiet exit (module docstring): every QUIET_CHECK_STEPS = 256 steps
-        once t >= 2*t0, a lane that `_Lane.quiet` finds within QUIET_TOL =
-        1e-14 of its peaks is set to exactly zero and records 0.0 from
-        then on.  Once the trailing lanes are quiet the kernel is bound
-        over the others, and once every lane is, step_index moves to the
-        end of the run.  Table1's vacuum reference exits at step 12032 of
-        32768, within 4.9e-16 of the peak of stepping on.
+        Quiet exit (module docstring): at every step_index that is a
+        multiple of QUIET_CHECK_STEPS = 256 once t >= 2*t0, a lane that
+        `_Lane.quiet` finds within QUIET_TOL = 1e-14 of its peaks is set
+        to exactly zero and records 0.0 from then on.  Each lane keeps its
+        peaks and its exit across calls, so a run split into calls checks
+        and exits at the steps of one call.  Once the trailing lanes are
+        quiet the kernel is bound over the others, and once every lane is,
+        step_index moves to the end of the run.  Table1's vacuum reference
+        exits at step 12032 of 32768, within 4.9e-16 of the peak of
+        stepping on.
 
         Deterministic: identical configuration gives bit-identical series,
         and a lane's series are bit for bit those of its config run alone.
@@ -481,31 +488,27 @@ class Simulation:
         cols = (n * np.arange(len(lanes))[:, None] + nodes).ravel()
         rec = np.zeros((n_steps, len(cols)))
         e, step = self.grid.e, self.step
-        peaks = [np.zeros(len(lane.state)) for lane in lanes]
-        exits = [None] * len(lanes)  # the row from which a quiet lane records 0.0
-        end = self.step_index + n_steps
-        for start in range(0, n_steps, QUIET_CHECK_STEPS):
+        begin, end = self.step_index, self.step_index + n_steps
+        # each block ends where step_index is a multiple of QUIET_CHECK_STEPS
+        for start in range(-(begin % QUIET_CHECK_STEPS), n_steps, QUIET_CHECK_STEPS):
+            if all(lane.exited for lane in lanes):
+                self.step_index = end
+                break
             stop = min(start + QUIET_CHECK_STEPS, n_steps)
-            for r in range(start, stop):
+            for r in range(max(start, 0), stop):
                 step()
                 rec[r] = e[cols]
-            if self.time >= 2.0 * self.source.t0:
-                for k, lane in enumerate(lanes):
-                    if exits[k] is None and lane.quiet(peaks[k]):
-                        for a in lane.state:
-                            a[...] = 0.0
-                        exits[k] = stop
-                if None not in exits:
-                    self.step_index = end
-                    break
-                live = 1 + max(k for k, row in enumerate(exits) if row is None)
-                if live < self._live:
-                    self._bind(live)
-        p = len(nodes)
-        for k, row in enumerate(exits):
-            if row is not None:
-                rec[row:, k * p:(k + 1) * p] = 0.0
-        return [ProbeSeries(int(nodes[c % p]), rec[:, c].copy(), self.grid.dt)
+            if self.step_index % QUIET_CHECK_STEPS or self.time < 2.0 * self.source.t0:
+                continue
+            for lane in lanes:
+                if not lane.exited and lane.quiet(lane.peaks):
+                    for a in lane.state:
+                        a[...] = 0.0
+                    lane.exited = True
+            live = max((k + 1 for k, lane in enumerate(lanes) if not lane.exited), default=0)
+            if 0 < live < self._live:
+                self._bind(live)
+        return [ProbeSeries(int(nodes[c % len(nodes)]), rec[:, c], self.grid.dt)
                 for c in range(len(cols))]
 
 

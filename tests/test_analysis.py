@@ -188,6 +188,24 @@ class TestReflectionMagnitude:
             assert freqs.min() <= f_lo
             assert freqs.max() >= f_hi
 
+    def test_one_spectrum_alive_at_a_time(self):
+        # an impulse and its echo at half height: every one of the 32769
+        # bins is in the band.  Holding both spectra at once peaked at 3.2 MB
+        import tracemalloc
+
+        x = np.zeros(32768)
+        x[100] = 1.0
+        inc, tot = make_series(x), make_series(x + 0.5 * np.roll(x, 3000))
+        tracemalloc.start()
+        try:
+            out = reflection_magnitude(inc, tot, band_threshold=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (32769, 2)
+        assert np.allclose(out[:, 1], 0.5, rtol=1e-12)
+        assert peak <= 2.4e6
+
 
 def test_diverging_run_reported_at_its_first_non_finite_step():
     # table1's vacuum at 300 nodes with a 66-cell, 10 S/m taper diverges

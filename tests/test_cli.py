@@ -101,6 +101,13 @@ class TestRunCommand:
         assert all("e" in v and "." in v for v in first)
         assert len(first[0].split("e")[0].replace("-", "").replace(".", "")) >= 12
 
+    def test_stdout_equals_out_file(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert cli.main(["run", "--config", str(small_cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(["run", "--config", str(small_cfg)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_zero_steps_header_only(self, tmp_path):
         p = tmp_path / "zero.cfg"
         p.write_text(VACUUM.replace("steps = 500", "steps = 0"))
@@ -407,6 +414,21 @@ class TestVerifyCatchesCorruptBlocks:
         assert "FAIL recurrence-vs-direct-sum" in out
         assert "FAIL temporal-convergence-order" in out
         assert "6/8 checks passed" in out
+
+    def test_block_with_radius_above_one(self, monkeypatch, capsys):
+        # each method's 2x2 block scaled to spectral radius 1 + 1e-3: the
+        # states grow by 0.1 % a step under zero drive
+        real = verify.pole_matrix
+
+        def grown(*args):
+            mat = real(*args)
+            mat[:2, :2] *= (1.0 + 1e-3) / np.abs(np.linalg.eigvals(mat[:2, :2])).max()
+            return mat
+
+        monkeypatch.setattr(verify, "pole_matrix", grown)
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        assert ("FAIL non-amplification: pole 1: spectral radius tgm 1.001000000, "
+                "adem 1.001000000") in capsys.readouterr().out
 
 
 def corrupt_block(monkeypatch, module, name, fault):

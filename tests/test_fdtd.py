@@ -318,6 +318,36 @@ class TestLanes:
         assert sim._live == (2 if quiet_first else 1)
         assert not any(a.any() for a in lane.state)
 
+    @pytest.mark.parametrize("labels", [["vacuum"], ["vacuum", "tgm"], ["tgm", "vacuum"]])
+    def test_quiet_exit_spans_run_calls(self, labels):
+        # a run split into calls keeps each lane's peaks and checks at the
+        # steps of one call: the vacuum lane exits at step 2560 either way
+        cfg, nodes = small_config(medium=table1_like_medium()), [100, 300]
+        configs = [lane_config(cfg, label) for label in labels]
+        sims, records = [Simulation(*configs), Simulation(*configs)], []
+        for sim, split in zip(sims, [[3072], [1000, 2072]]):
+            calls, step = [], sim.step
+            sim.step = lambda step=step, calls=calls: calls.append(step())
+            runs = [sim.run(steps, nodes) for steps in split]
+            records.append([np.concatenate([s.samples for s in series])
+                            for series in zip(*runs)])
+            assert len(calls) == (2560 if labels == ["vacuum"] else 3072)
+            assert sim.step_index == 3072
+        single, split = records
+        assert [s.tobytes() for s in split] == [s.tobytes() for s in single]
+        assert [s._lanes[labels.index("vacuum")].exited for s in sims] == [True, True]
+        assert sims[1]._live == sims[0]._live
+        for one, two in zip(*(s._lanes for s in sims)):
+            assert [a.tobytes() for a in two.state] == [a.tobytes() for a in one.state]
+            assert two.peaks.tobytes() == one.peaks.tobytes()
+
+    def test_series_share_one_record(self):
+        cfg = small_config(medium=table1_like_medium())
+        series = Simulation(cfg, lane_config(cfg, "vacuum")).run(300, [100, 200, 300])
+        record = series[0].samples.base
+        assert record.shape == (300, 6)
+        assert all(np.shares_memory(s.samples, record) for s in series)
+
     def test_lane_beside_a_diverging_lane(self):
         # at omega_p*dt = 0.9 adem is unstable (limit 0.865) and tgm is not
         # (0.925): the adem lane overflows, its neighbours step on as alone

@@ -35,7 +35,8 @@ def small_table1():
                                absorber_cells=66, n_steps=2048)
 
 
-@pytest.mark.parametrize("name", ["absorber_study", "output_digests", "reflection_figure"])
+@pytest.mark.parametrize("name", ["absorber_study", "output_digests", "own_peak",
+                                  "reflection_figure"])
 def test_script_loads(name):
     assert callable(load_script(name).main)
 
