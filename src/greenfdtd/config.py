@@ -27,6 +27,7 @@ the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -55,6 +56,11 @@ class SimConfig:
 
     def __post_init__(self):
         # each check names the invariant it guards
+        for key, count in (("grid.nodes", self.n_grid), ("run.steps", self.n_steps),
+                           ("grid.absorber_cells", self.absorber_cells)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValidationError(f"{key} must be an integer, got {count!r}")
+        object.__setattr__(self, "probes", tuple(self.probes))
         if not self.system_length > 0.0:
             raise ValidationError(f"grid.length must be positive, got {self.system_length}")
         if self.n_grid < 16:

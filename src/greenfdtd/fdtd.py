@@ -55,14 +55,14 @@ division and no reduction (see Simulation.step for the order):
   buffers then swap roles.  On grids of up to a few thousand nodes
   np.matmul, einsum (no BLAS) and a (cells, m+1) layout measured no
   faster, and OpenBLAS runs the product on one thread.
-- The ca factors cover only the lossy suffixes.  The absorber taper and
-  the medium's sigma sit in the last nodes of the grid, so ca_b is
-  applied from the first B node whose magnetic loss is non-zero and ca_e
-  from the first interior node whose sigma is non-zero; before them both
-  are exactly 1, and x*1.0 is x for every float.
+- The ca passes skip the lossless prefix.  The absorber taper and the
+  medium's sigma sit in the last nodes of a lane, so ca_b is applied from
+  its first entry over all lanes that is not exactly 1 and ca_e likewise;
+  ca_b and ca_e are 1 on every lossless node, the seam and the end nodes,
+  and x*1.0 is x for every float.
 - The step is a kernel bound at build (`Simulation._bind`): a function
   compiled from the template _KERNEL, one line per lane for each
-  per-lane term below, over the views, coefficient arrays and ufuncs it
+  per-lane term, over the views, coefficient arrays and ufuncs it
   uses.  Each ufunc is called with a positional out and the Mur and
   source scalars are read as Python floats (e.item), so no Python loop,
   attribute load, method call or numpy scalar sits between the passes,
@@ -76,16 +76,18 @@ division and no reduction (see Simulation.step for the order):
 - Lanes.  A Simulation steps one or more configs that differ only in
   medium and method, like the runs of the reflection experiment.  With n
   nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
-  term above is one contiguous numpy pass over every lane.  The seam node
-  B[k*n+n-1] has cb = 0 and stays 0.  The only E nodes that read it, lane
-  k's node n-1 and lane k+1's node 0, are end nodes with ce = 0, which
-  their Mur or source update rewrites from values read before the passes.
-  So every node makes the IEEE operations of its lane's run alone, even
-  beside a lane that diverges.  Per lane remain its pole bank (own aligned
-  buffers and np.dot, so BLAS takes the same path), its lossy suffixes
-  and its end-node updates.  As lanes, a step of table1's three runs
-  costs 0.82 of three single steps (BENCH_17.json); a (3, N) layout was
-  slower, as its shifted slices are not contiguous.
+  term above is one contiguous numpy pass over every lane: cb, ca_b, ce,
+  ca_e and sigma_node are each one array over all lanes, of which each
+  lane writes its share at build.  The seam node B[k*n+n-1] has cb = 0
+  and stays 0.  The only E nodes that read it, lane k's node n-1 and lane
+  k+1's node 0, are end nodes with ce = 0, which their Mur or source
+  update rewrites from values read before the passes.  So every node
+  makes the IEEE operations of its lane's run alone, even beside a lane
+  that diverges.  Per lane remain only its pole bank (own aligned buffers
+  and np.dot, so BLAS takes the same path) and its end-node updates.  As
+  lanes, a step of table1's three runs costs 0.82 of three single steps
+  (BENCH_17.json); a (3, N) layout was slower, as its shifted slices are
+  not contiguous.
 
 Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
 checks each lane whenever step_index is a multiple of QUIET_CHECK_STEPS
@@ -120,6 +122,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -270,12 +273,12 @@ def kernel(step_index):
     e0_{k}, e1_{k}, en_{k}, enn_{k} = item{k}(0), item{k}(1), item{k}(-1), item{k}(-2)
     subtract(e_hi, e_lo, de)
     multiply(de, cb, de)
-    multiply(b_lossy{k}, ca_b{k}, b_lossy{k})
+    multiply(b_lossy, ca_b, b_lossy)
     subtract(b, de, b)
     subtract(b_hi, b_lo, rhs)
     multiply(rhs, ce, rhs)
     advance{k}()
-    multiply(e_lossy{k}, ca_e{k}, e_lossy{k})
+    multiply(e_lossy, ca_e, e_lossy)
     add(e_in, rhs, e_in)
     t = step_index * dt
     if t < src_end:
@@ -303,12 +306,13 @@ def _kernel_code(banks):
 
 class _Lane:
     """The nodes of one config in a Simulation: views `e` and `b` of its
-    run of the Simulation's E and B, its lossy suffixes and its pole bank.
-    Building it writes its share of the step's cb and ce (views of the
-    same length as `b` and `rhs`, the run of the step's rhs under its
-    interior nodes) and pins its node 0 to the source's t = 0 value."""
+    run of the Simulation's E and B, and its pole bank.  Building it
+    writes its share of the Simulation's sigma_node (a view as long as
+    `e`), of the step's cb and ca_b (as long as `b`) and of its ce and
+    ca_e (as long as `rhs`, the run of the step's rhs under its interior
+    nodes), and pins its node 0 to the source's t = 0 value."""
 
-    def __init__(self, config, e, b, cb, ce, rhs):
+    def __init__(self, config, e, b, sigma, cb, ca_b, ce, ca_e, rhs):
         n, dt, dx = config.n_grid, config.dt, config.dx
         i0 = interface_node(n)
         medium = config.medium
@@ -316,25 +320,20 @@ class _Lane:
         self.e, self.b = e, b
 
         medium_nodes = np.arange(n) >= i0
-        self.sigma_node = np.where(medium_nodes, medium.sigma, 0.0)
         # magnetic absorber loss on B nodes, matched to the medium's eps_static
         w = config.absorber_cells
         taper = np.zeros(n)
         taper[n - w:] = config.absorber_sigma * (np.arange(w) / (w - 1)) ** 3
-        self.sigma_node += taper
+        sigma[...] = np.where(medium_nodes, medium.sigma, 0.0) + taper
         beta_m = 0.5 * (taper[:-1] + taper[1:]) * dt / (EPS0 * medium.eps_static)
 
-        # coefficient arrays of the step (module docstring); ca_b and ca_e
-        # cover only the lossy suffixes
-        kb = _first_nonzero(beta_m)
-        ks = _first_nonzero(self.sigma_node[1:-1])  # interior index
+        # coefficient arrays of the step (module docstring)
         dt_over_eps = dt / (EPS0 * np.where(medium_nodes, medium.eps_inf, 1.0))
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
         cb[...] = dt / dx * bm_hi
+        ca_b[...] = bm_lo * bm_hi
         ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
-        self.ca_b = _aligned(n - 1 - kb, (bm_lo * bm_hi)[kb:])
-        self.ca_e = _aligned(n - 2 - ks, (1.0 - self.sigma_node * dt_over_eps)[1 + ks:-1])
-        self.b_lossy, self.e_lossy = b[kb:], e[1 + ks:-1]
+        ca_e[...] = (1.0 - sigma * dt_over_eps)[1:-1]
 
         # at most one pole bank, on the medium's interior nodes; the Mur
         # node n-1 consumes no current
@@ -384,6 +383,8 @@ class Simulation:
     boundary = "mur"
 
     def __init__(self, *configs):
+        if not configs:
+            raise ValueError("a Simulation needs at least one SimConfig, got none")
         config = configs[0]
         for other, f in itertools.product(configs[1:], fields(config)):
             mine, theirs = getattr(config, f.name), getattr(other, f.name)
@@ -394,12 +395,18 @@ class Simulation:
         e, b = _aligned(lanes * n), _aligned(lanes * n - 1)
         self._de, self._rhs = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
         # the seam B node after each lane and the rows of the end nodes keep
-        # cb = ce = 0
+        # cb = ce = 0 and ca_b = ca_e = 1
         self._cb, self._ce = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
-        self._lanes = [
-            _Lane(c, e[k * n:(k + 1) * n], b[k * n:k * n + n - 1], self._cb[k * n:k * n + n - 1],
-                  self._ce[k * n:k * n + n - 2], self._rhs[k * n:k * n + n - 2])
-            for k, c in enumerate(configs)]
+        self._ca_b, self._ca_e = _aligned(lanes * n - 1, 1.0), _aligned(lanes * n - 2, 1.0)
+        self.sigma_node = _aligned(lanes * n)
+        self._lanes = []
+        for k, c in enumerate(configs):
+            nodes, b_nodes, rows = (slice(k * n, k * n + n - d) for d in (0, 1, 2))
+            self._lanes.append(_Lane(c, e[nodes], b[b_nodes], self.sigma_node[nodes],
+                                     self._cb[b_nodes], self._ca_b[b_nodes], self._ce[rows],
+                                     self._ca_e[rows], self._rhs[rows]))
+        # the ca passes start at the first factor that is not exactly 1
+        self._kb, self._ke = (_first_nonzero(ca != 1.0) for ca in (self._ca_b, self._ca_e))
         self.grid = Grid1D(e=e, b=b, dx=config.dx, dt=config.dt)
         self.media = (Medium.vacuum(), *(c.medium for c in configs))
         self.source = config.source
@@ -414,15 +421,15 @@ class Simulation:
         names = {
             "b": b, "e_hi": e[1:], "e_lo": e[:-1], "e_in": e[1:-1], "b_hi": b[1:],
             "b_lo": b[:-1], "de": self._de[:live * n - 1], "cb": self._cb[:live * n - 1],
+            "b_lossy": b[self._kb:], "ca_b": self._ca_b[self._kb:live * n - 1],
             "rhs": self._rhs[:live * n - 2], "ce": self._ce[:live * n - 2],
+            "e_lossy": e[1 + self._ke:-1], "ca_e": self._ca_e[self._ke:live * n - 2],
             "add": np.add, "multiply": np.multiply, "subtract": np.subtract,
             "source_value": source_value, "mur_update": mur_update, "src": self.source,
             "src_end": 2.0 * self.source.t0, "dt": self.grid.dt,
             "k_mur": mur_coefficient(self.grid.dx, self.grid.dt)}
         for k, lane in enumerate(lanes):
-            names.update({f"e{k}": lane.e, f"item{k}": lane.e.item, f"b_lossy{k}": lane.b_lossy,
-                          f"ca_b{k}": lane.ca_b, f"e_lossy{k}": lane.e_lossy,
-                          f"ca_e{k}": lane.ca_e})
+            names.update({f"e{k}": lane.e, f"item{k}": lane.e.item})
             if lane.bank:
                 names[f"advance{k}"] = lane.bank.advance
         exec(_kernel_code(tuple(lane.bank is not None for lane in lanes)), names)
@@ -436,10 +443,6 @@ class Simulation:
     def n_nodes(self) -> int:
         return len(self.grid.e)
 
-    @property
-    def sigma_node(self) -> np.ndarray:
-        return np.concatenate([lane.sigma_node for lane in self._lanes])
-
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle).
 
@@ -448,8 +451,8 @@ class Simulation:
             b = ca_b*b - cb*(e[1:] - e[:-1])
             e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
         where J, the bank's summed current, is stepped from E^N in one
-        matrix product before E changes, and the ca factors act only on
-        their lossy suffixes.  That is the full-array update
+        matrix product before E changes, and the ca passes skip the
+        lossless prefix, where both are 1.  That is the full-array update
             b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
             e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
                                             - sigma e[1:-1] - J)
@@ -481,7 +484,9 @@ class Simulation:
         and a lane's series are bit for bit those of its config run alone.
         """
         lanes, n = self._lanes, len(self._lanes[0].e)
-        nodes = np.array([int(i) for i in probe_nodes], dtype=np.intp)
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        nodes = np.array([operator.index(i) for i in probe_nodes], dtype=np.intp)
         for i in nodes:
             if not 0 <= i < n:
                 raise ValueError(f"probe node {i} outside grid of {n} nodes")

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from greenfdtd import config
@@ -16,7 +17,7 @@ from greenfdtd.config import load_table1, parse_config, table1_path
 from greenfdtd.constants import C0
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.errors import ConfigError, ValidationError
-from greenfdtd.fdtd import GaussianSource
+from greenfdtd.fdtd import GaussianSource, build_simulation
 
 MINIMAL = """
 [grid]
@@ -278,6 +279,33 @@ class TestValidation:
             dataclasses.replace(cfg, n_grid=10)
         with pytest.raises(ValidationError, match="CFL"):
             dataclasses.replace(cfg, cfl_factor=1.1)
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"absorber_cells": 2.5}, "grid.absorber_cells"),
+        ({"n_steps": 10.5}, "run.steps"),
+        ({"n_steps": 100.0}, "run.steps"),
+        ({"n_grid": 300.5, "absorber_cells": 0}, "grid.nodes"),
+        ({"n_grid": True, "absorber_cells": 0}, "grid.nodes"),
+        ({"absorber_cells": False}, "grid.absorber_cells"),
+    ], ids=["absorber_cells=2.5", "steps=10.5", "steps=100.0", "nodes=300.5", "nodes=True",
+            "absorber_cells=False"])
+    def test_replaced_count_must_be_an_integer(self, changes, key):
+        # a float count failed only later, deep in the build or the run
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be an integer, got"):
+            dataclasses.replace(load_table1(), **changes)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = dataclasses.replace(load_table1(), n_grid=np.int64(300), n_steps=np.int32(5),
+                                  absorber_cells=np.int64(66))
+        series = build_simulation(cfg).run(cfg.n_steps, [100])
+        assert len(series[0].samples) == 5
+
+    def test_probes_stored_as_tuple(self):
+        cfg = load_table1()
+        listed = dataclasses.replace(cfg, probes=[0.3])
+        assert listed.probes == (0.3,)
+        assert listed == dataclasses.replace(cfg, probes=(0.3,))
+        assert hash(listed) == hash(dataclasses.replace(cfg, probes=(0.3,)))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValidationError, match="nodes"):

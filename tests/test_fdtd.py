@@ -64,6 +64,14 @@ def multipole_medium():
     ))
 
 
+def two_pole_medium():
+    """An overdamped and an underdamped pole, with conductivity."""
+    return Medium(eps_inf=2.0, sigma=0.2, poles=(OVERDAMPED, LorentzPole(1.0, 1.7 * WP, 0.34 * WP)))
+
+
+MEDIA = {"table1": table1_like_medium, "multipole": multipole_medium, "two_pole": two_pole_medium}
+
+
 class TestSource:
     def test_peak(self):
         assert source_value(TABLE1_SRC, TABLE1_SRC.t0) == 1.0
@@ -259,17 +267,32 @@ def chained_records(sim, nodes):
 class TestLanes:
     """Lanes of one Simulation against each lane's config run alone."""
 
-    @pytest.mark.parametrize("labels", [("tgm", "adem", "vacuum"), ("vacuum", "adem", "tgm")])
-    @pytest.mark.parametrize("base", ["table1", "multipole"])
+    @pytest.mark.parametrize("base, labels", [
+        ("table1", ("tgm", "adem", "vacuum")), ("table1", ("vacuum", "adem", "tgm")),
+        ("multipole", ("tgm", "adem", "vacuum")), ("multipole", ("vacuum", "adem", "tgm")),
+        # lanes of different media, whose pole counts, bank shapes and
+        # first lossy nodes differ
+        ("multipole", ("table1:tgm", "multipole:adem", "vacuum", "multipole:tgm",
+                       "table1:adem")),
+        ("multipole", ("multipole:tgm", "vacuum", "two_pole:adem", "table1:tgm")),
+        # three media, each under both methods, and one vacuum lane
+        ("table1", ("table1:tgm", "table1:adem", "multipole:tgm", "multipole:adem",
+                    "two_pole:tgm", "two_pole:adem", "vacuum")),
+    ], ids=["table1-labels0", "table1-labels1", "multipole-labels0", "multipole-labels1",
+            "media-lossless-first", "media-lossy-first", "media-seven-lanes"])
     def test_each_lane_is_its_run_alone(self, base, labels):
         # two chained runs, the first of an odd number of steps, so every
-        # bank's buffers take their turns across calls
+        # bank's buffers take their turns across calls; a label
+        # "<medium>:<method>" puts that medium of MEDIA in the lane
         if base == "table1":
             cfg, nodes = small_table1(), [75, 149, 224]
         else:
             cfg, nodes = small_config(medium=multipole_medium(), absorber_cells=40,
                                       absorber_sigma=5.0), [100, 200, 300]
-        configs = [lane_config(cfg, label) for label in labels]
+        configs = []
+        for label in labels:
+            medium, _, method = label.rpartition(":")
+            configs.append(lane_config(cfg.with_medium(MEDIA[medium]()) if medium else cfg, method))
         sim = Simulation(*configs)
         got = chained_records(sim, nodes)
         assert len(got) == len(labels) * len(nodes)
@@ -514,7 +537,7 @@ class TestBuilder:
         sim = build_simulation(small_config(medium=multipole_medium(), absorber_cells=40,
                                             absorber_sigma=5.0), method=method)
         lane = sim._lanes[0]
-        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._cb, lane.ca_b, sim._ce, lane.ca_e]
+        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._cb, sim._ca_b, sim._ce, sim._ca_e]
         # the bank's matrix and its two state buffers; its _e and _rhs are
         # views into the grid's E and the step's rhs
         arrays += [lane.bank.matrix, *lane.bank.buffers]
@@ -534,6 +557,19 @@ class TestBuilder:
     def test_absorber_width_limited(self):
         with pytest.raises(ValidationError, match="absorber_cells"):
             small_config(absorber_cells=200, absorber_sigma=5.0)
+
+    def test_no_config_rejected(self):
+        with pytest.raises(ValueError, match="at least one SimConfig"):
+            build_simulation()
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -5"):
+            build_simulation(small_config()).run(-5, [10])
+
+    def test_non_integer_probe_node_rejected(self):
+        # int() would truncate node 10.7 to node 10 without a word
+        with pytest.raises(TypeError):
+            build_simulation(small_config()).run(3, [10.7])
 
     def test_probe_fraction_mapping(self):
         assert probe_nodes_from_fractions((0.25, 0.499, 0.75), 3000) == [750, 1497, 2249]
