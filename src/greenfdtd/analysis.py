@@ -61,7 +61,8 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
 
     reflected = total - incident sample-wise; |R| = |DFT(reflected)| /
     |DFT(incident)| at bins where |DFT(incident)| >= band_threshold times
-    its maximum.  Returns an (n, 2) array of (freq_hz, magnitude) rows.
+    its maximum; band_threshold <= 0 would pass bins where it is 0, so it
+    is a ValidationError.  Returns an (n, 2) array of (freq_hz, magnitude) rows.
     The incident spectrum is cut to its magnitude before the reflected one
     is taken, so one spectrum is alive at a time.
     """
@@ -74,6 +75,8 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
             f"dt {incident.dt}/{total.dt}, "
             f"lengths {len(incident.samples)}/{len(total.samples)}"
         )
+    if band_threshold <= 0.0:
+        raise ValidationError(f"band_threshold must be positive, got {band_threshold}")
     inc_mag = np.abs(spectrum(incident).amps)
     if inc_mag.max() == 0.0:
         raise EmptyBandError("incident spectrum is identically zero")

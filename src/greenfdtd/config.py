@@ -56,6 +56,10 @@ class SimConfig:
 
     def __post_init__(self):
         # each check names the invariant it guards
+        for key, value, kind in (("source", self.source, GaussianSource),
+                                 ("medium", self.medium, Medium)):
+            if not isinstance(value, kind):
+                raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
         for key, count in (("grid.nodes", self.n_grid), ("run.steps", self.n_steps),
                            ("grid.absorber_cells", self.absorber_cells)):
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):

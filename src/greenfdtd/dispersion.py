@@ -90,6 +90,9 @@ class Medium:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         require_finite({"eps_inf": self.eps_inf, "sigma": self.sigma})
         object.__setattr__(self, "poles", tuple(self.poles))
+        for i, pole in enumerate(self.poles):
+            if not isinstance(pole, LorentzPole):
+                raise ValidationError(f"poles[{i}] must be a LorentzPole, got {pole!r}")
 
     @classmethod
     def vacuum(cls) -> "Medium":

@@ -235,21 +235,17 @@ def pole_matrix(poles, method, dt, scale):
 
 class _PoleBank:
     """The pole matrix `matrix` (pole_matrix, its current scaled by
-    dt/(eps0 eps_inf), uniform over the medium) stepped on the node run
-    `nodes` of the field `e`, one state-space recursion per node.
-    `advance`, a closure bound at build, subtracts the current from the
-    run of `rhs` (which covers the interior nodes 1..n-2) under `nodes`
-    and returns the buffer it wrote: the new states over the current
-    row.  The step's kernel ignores it; verify reads its checks' states
-    there.  The two (m+1, cells) buffers take turns as input and output,
-    since np.dot may not write over its input."""
+    dt/(eps0 eps_inf), uniform over the medium) stepped on two runs of
+    equal length, one state-space recursion per cell.  `advance`, a
+    closure bound at build, reads E^N from `e_run`, subtracts the current
+    from `rhs_run`, a run of the E update's right-hand side, and returns
+    the buffer it wrote: the new states over the current row (the step's
+    kernel ignores it; verify reads its checks' states there).  The two
+    (m+1, cells) buffers take turns, as np.dot may not write its input."""
 
-    def __init__(self, matrix, e, rhs, nodes):
-        self.nodes = nodes
+    def __init__(self, matrix, e_run, rhs_run):
         self.matrix = mat = _aligned(matrix.shape, matrix)
-        self.buffers = x, y = tuple(_aligned((len(matrix), nodes.stop - nodes.start))
-                                    for _ in range(2))
-        e_run, rhs_run = e[nodes], rhs[nodes.start - 1:nodes.stop - 1]
+        self.buffers = x, y = tuple(_aligned((len(matrix), len(e_run))) for _ in range(2))
         turns = itertools.cycle(((x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])))
         dot, subtract = np.dot, np.subtract
 
@@ -335,12 +331,12 @@ class _Lane:
         ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
         ca_e[...] = (1.0 - sigma * dt_over_eps)[1:-1]
 
-        # at most one pole bank, on the medium's interior nodes; the Mur
-        # node n-1 consumes no current
+        # at most one pole bank, on the medium's interior nodes, whose
+        # rhs row is one below the node; the Mur node n-1 consumes no current
         self.bank = None
         if medium.dispersive:
             self.bank = _PoleBank(pole_matrix(medium.poles, config.method, dt, dt_over_eps[i0]),
-                                  e, rhs, slice(i0, n - 1))
+                                  e[i0:n - 1], rhs[i0 - 1:n - 2])
         # every array a step carries forward: what `run` checks and flushes,
         # their peaks over the checks so far and whether the lane has exited
         self.state = (e, b) + (self.bank.buffers if self.bank else ())

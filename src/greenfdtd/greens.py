@@ -83,8 +83,8 @@ class PoleState:
 
 def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     """Bake the recurrence constants for one pole at a fixed step dt."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     zp, zm = pole_roots(pole)
     half_p = np.exp(0.5j * zp * dt)
     half_m = np.exp(0.5j * zm * dt)

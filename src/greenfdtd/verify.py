@@ -6,7 +6,7 @@ one-line detail.
 
 Five checks run on the grid's own pole matrix (fdtd.pole_matrix of one
 pole, its current at the bank's scale dt/(eps0 eps_inf)).  Two step it
-in the grid's own bank, an fdtd._PoleBank with one node per drive
+in the grid's own bank, an fdtd._PoleBank with one cell per drive
 sequence, and read the states its advance has just written:
 recurrence-vs-direct-sum (`tgm`'s P, read through
 greens.polarization_row, under a SplitMix64 drive in numpy uint64: the
@@ -51,13 +51,12 @@ class CheckResult:
 
 def _step(mat, drives):
     """The (n, m, S) states of an fdtd._PoleBank on the pole matrix `mat`
-    after each row E^k of `drives`, (n, S), whose S sequences are its nodes."""
-    width = drives.shape[1]
-    e = np.zeros(width + 1)  # the bank's nodes start at 1, as in a grid
-    bank = _PoleBank(mat, e, np.zeros(width), slice(1, width + 1))
-    e_run, out = e[1:], np.empty((len(drives), len(mat), width))
+    after each row E^k of `drives`, (n, S), whose S sequences are its cells."""
+    drive = np.zeros(drives.shape[1])
+    bank = _PoleBank(mat, drive, np.zeros_like(drive))
+    out = np.empty((len(drives), len(mat), len(drive)))
     for k, row in enumerate(drives):
-        e_run[...] = row
+        drive[...] = row
         out[k] = bank.advance()
     return out[:, :-1]  # the current row dropped
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from greenfdtd.ade import AdePoleState, ade_advance, ade_current_half_step
+from greenfdtd.ade import AdePoleState, ade_advance, ade_coefficients, ade_current_half_step
 from greenfdtd.constants import C0, EPS0
 from greenfdtd.dispersion import LorentzPole
 from greenfdtd.greens import PoleState, advance_state, make_coefficients, polarization
@@ -50,6 +50,11 @@ class TestAdeUpdate:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             ade_advance(AdePoleState(), 1.0, TABLE1_POLE, -1.0)
+
+    def test_coefficients_reject_infinite_step(self):
+        # they were (-inf, -inf, inf, inf), without a warning
+        with pytest.raises(ValueError, match="^dt must be positive and finite, got inf$"):
+            ade_coefficients(TABLE1_POLE, math.inf)
 
     def test_bounded_under_pulsed_drive(self):
         # damped pole driven by a compact pulse must ring down, not grow;

@@ -175,6 +175,16 @@ class TestReflectionMagnitude:
         with pytest.raises(EmptyBandError, match=f"band_threshold={threshold} excluded"):
             reflection_magnitude(make_series(x), make_series(x), band_threshold=threshold)
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5])
+    def test_threshold_at_or_below_zero_rejected(self, threshold):
+        # it kept bins where the incident spectrum is exactly zero, and
+        # returned non-finite |R| rows with only a RuntimeWarning
+        inc = make_series(np.ones(8), dt=1.0)
+        tot = make_series(np.r_[np.ones(4), np.zeros(4)], dt=1.0)
+        match = f"^band_threshold must be positive, got {threshold}$"
+        with pytest.raises(ValidationError, match=match):
+            reflection_magnitude(inc, tot, band_threshold=threshold)
+
     def test_experiment_pulse_band_coverage(self):
         # the 1 ps pulse is extremely broadband: at threshold 0.01 the
         # reported band must cover at least [40, 160] GHz, and at 1e-4 it

@@ -397,9 +397,9 @@ class TestVerifyCatchesCorruptBlocks:
         # the stepping checks read the states of the grid's own bank, so a
         # bank that steps from the previous sample's E fails both of them
         class StaleBank(fdtd._PoleBank):
-            def __init__(self, matrix, e, rhs, nodes):
-                super().__init__(matrix, e, rhs, nodes)
-                fresh, e_run, last = self.advance, e[nodes], np.zeros(nodes.stop - nodes.start)
+            def __init__(self, matrix, e_run, rhs_run):
+                super().__init__(matrix, e_run, rhs_run)
+                fresh, last = self.advance, np.zeros(len(e_run))
 
                 def advance():
                     now = e_run.copy()

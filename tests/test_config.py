@@ -294,6 +294,23 @@ class TestValidation:
         with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be an integer, got"):
             dataclasses.replace(load_table1(), **changes)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: dataclasses.replace(load_table1(), source=None),
+         r"^source must be a GaussianSource, got None$"),
+        (lambda: dataclasses.replace(load_table1(), medium=None),
+         r"^medium must be a Medium, got None$"),
+        (lambda: Medium(eps_inf=1.5, poles=((3.0, 1e11, 1e10),)),
+         r"^poles\[0\] must be a LorentzPole, got \(3\.0, "),
+        (lambda: Medium(poles=(LorentzPole(3.0, 1e11, 1e10), "abc")),
+         r"^poles\[1\] must be a LorentzPole, got 'abc'$"),
+        (lambda: Medium(poles="abc"), r"^poles\[0\] must be a LorentzPole, got 'a'$"),
+    ], ids=["source=None", "medium=None", "pole-tuple", "second-pole-str", "poles=str"])
+    def test_built_value_of_wrong_type_rejected(self, build, match):
+        # each built, and failed only later in the build or in eps_static
+        # with an AttributeError that named no field
+        with pytest.raises(ValidationError, match=match):
+            build()
+
     def test_numpy_integer_counts_accepted(self):
         cfg = dataclasses.replace(load_table1(), n_grid=np.int64(300), n_steps=np.int32(5),
                                   absorber_cells=np.int64(66))

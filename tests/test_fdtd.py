@@ -520,17 +520,25 @@ class TestBuilder:
         assert sim._lanes[0].bank is None
 
     def test_pole_states_cover_medium_nodes(self):
-        # one bank on the medium's run up to the last updated node; the
-        # Mur node n-1 consumes no current
+        # one bank on the medium's run up to the last updated node, by
+        # behaviour: a unit E^N at node i moves the rhs row i - 1 of E[i]
+        # from i0 to n-2, and nothing at the vacuum node i0-1 or at the Mur
+        # node n-1, which consumes no current.  Each probe starts from zero
+        # E, rhs and pole states, so one build per method serves them all
         cfg = small_config(medium=table1_like_medium())
+        n, i0 = cfg.n_grid, interface_node(cfg.n_grid)
         for method in ("tgm", "adem"):
             sim = build_simulation(cfg, method=method)
-            nodes = sim._lanes[0].bank.nodes
-            assert nodes == slice(interface_node(cfg.n_grid), cfg.n_grid - 1)
+            bank = sim._lanes[0].bank
+            for node, moved in ((i0, [i0 - 1]), (n - 2, [n - 3]), (i0 - 1, []), (n - 1, [])):
+                for a in (sim.grid.e, sim._rhs, *bank.buffers):
+                    a[...] = 0.0
+                sim.grid.e[node] = 1.0
+                bank.advance()
+                assert list(np.flatnonzero(sim._rhs)) == moved
             # the pole's two states and the E^N / current row
-            assert sim._lanes[0].bank.matrix.shape == (3, 3)
-            for buf in sim._lanes[0].bank.buffers:
-                assert buf.shape == (3, nodes.stop - nodes.start)
+            assert bank.matrix.shape == (3, 3)
+            assert all(buf.shape == (3, n - 1 - i0) for buf in bank.buffers)
 
     @pytest.mark.parametrize("method", ["tgm", "adem"])
     def test_step_arrays_cache_line_aligned(self, method):
@@ -677,18 +685,18 @@ class TestPoleKernels:
         # (P^{N+1} - P^N)/dt loses ~1e-13 of the peak to cancellation
         n, dt = 64, small_config().dt
         scale = dt / (EPS0 * 1.5)
-        e, rhs, nodes = np.zeros(n), np.zeros(n - 2), slice(1, n - 1)
-        bank = _PoleBank(pole_matrix(poles, method, dt, scale), e, rhs, nodes)
+        drive, rhs = np.zeros(n - 2), np.zeros(n - 2)
+        bank = _PoleBank(pole_matrix(poles, method, dt, scale), drive, rhs)
         coeffs = [greens.make_coefficients(p, dt) for p in poles]
         states = [greens.PoleState() if method == "tgm" else AdePoleState() for _ in poles]
         rng = np.random.default_rng(3)
         got, want = np.empty((200, n - 2)), np.zeros((200, n - 2), dtype=np.longdouble)
         for step in range(200):
-            e[:] = rng.standard_normal(n)
+            drive[:] = rng.standard_normal(n)[1:-1]
             rhs[:] = 0.0
             bank.advance()
             got[step] = -rhs
-            e_now = e[nodes].astype(np.longdouble)
+            e_now = drive.astype(np.longdouble)
             for k, pole in enumerate(poles):
                 if method == "tgm":
                     states[k] = greens.advance_state(states[k], e_now, coeffs[k])

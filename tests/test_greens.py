@@ -45,6 +45,11 @@ class TestCoefficients:
         assert abs(co.prop_plus) == pytest.approx(1.0, abs=1e-15)
         assert abs(co.prop_minus) == pytest.approx(1.0, abs=1e-15)
 
+    def test_infinite_step_rejected(self):
+        # it gave NaN coefficients and four RuntimeWarnings
+        with pytest.raises(ValueError, match="^dt must be positive and finite, got inf$"):
+            make_coefficients(TABLE1_POLE, math.inf)
+
     def test_damped_propagator_magnitude(self):
         co = make_coefficients(TABLE1_POLE, TABLE1_DT)
         expected = math.exp(-0.1 * WP * TABLE1_DT)

@@ -35,10 +35,19 @@ def small_table1():
                                absorber_cells=66, n_steps=2048)
 
 
-@pytest.mark.parametrize("name", ["absorber_study", "output_digests", "own_peak",
-                                  "reflection_figure"])
+@pytest.mark.parametrize("name", ["absorber_study", "mutation_matrix", "output_digests",
+                                  "own_peak", "reflection_figure"])
 def test_script_loads(name):
     assert callable(load_script(name).main)
+
+
+@pytest.mark.parametrize("name", list(load_script("mutation_matrix").MUTATIONS))
+def test_mutation_applies_once(name):
+    # the matrix itself stays out of tier-1; this keeps its list from
+    # rotting as the code it mutates changes
+    file, old, new = load_script("mutation_matrix").MUTATIONS[name]
+    assert old != new
+    assert (ROOT / file).read_text(encoding="utf-8").count(old) == 1
 
 
 def test_verify_and_green_outputs_pinned(tmp_path, capsys):
