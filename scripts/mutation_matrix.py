@@ -27,6 +27,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FDTD, VERIFY = "src/greenfdtd/fdtd.py", "src/greenfdtd/verify.py"
+DISPERSION = "src/greenfdtd/dispersion.py"
 _MATRIX_END = "        mat[m, m] += curr_e\n    return mat\n"
 _BANK_READ = ("        dot, subtract = np.dot, np.subtract\n\n"
               "        def advance():\n"
@@ -57,6 +58,11 @@ MUTATIONS = {
     "source-late": (FDTD, "    t = step_index * dt\n", "    t = (step_index - 1) * dt\n"),
     # the bank subtracts its current from the rhs row of the node before
     "rhs-shift": (FDTD, "e[i0:n - 1], rhs[i0 - 1:n - 2]", "e[i0:n - 1], rhs[i0 - 2:n - 3]"),
+    # the field-domain table: POSITIVE admits 0, and a bool passes as a count
+    "positive-admits-zero": (DISPERSION, "lambda x: 0.0 < x < math.inf",
+                             "lambda x: 0.0 <= x < math.inf"),
+    "bool-count": (DISPERSION, "isinstance(x, bool) or not",
+                   "isinstance(x, bool) and kind is not numbers.Integral or not"),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

@@ -14,8 +14,9 @@ RK4 oracle for every medium pole; `verify` runs the invariant suite.
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings).  Its rows stream, one write each, to --out
 when given, the config's [run] out path otherwise, else stdout.  Exit
-status: 0 success, 1 usage, config or file error or a run whose probe
-record is not finite, 2 verification failure.
+status: 0 success, 1 usage, config or file error, a pole the build's
+branch-symmetry gate refuses or a run whose probe record is not finite,
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analysis
 from .config import load_config
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, RealnessError, ValidationError
 from .fdtd import probe_nodes_from_fractions
 
 
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, RealnessError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

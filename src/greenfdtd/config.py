@@ -15,13 +15,11 @@ no default there.  All values are SI:
               band_threshold, out (optional path)
 
 An empty or absent [medium] section means vacuum.  Pole sections are
-numbered 1..P, each k a decimal without leading zeros.  A real value
-must be finite: NaN and +-inf are a ConfigError naming the line and key,
-and a ValidationError naming the field when a value is built directly.
-
-Every invariant is checked in `SimConfig.__post_init__`, so a config built
-directly or by `dataclasses.replace` obeys the same rules as a parsed one;
-the properties `SimConfig.dx` and `SimConfig.dt` derive the grid steps.
+numbered 1..P, each k a decimal without leading zeros.  NaN and +-inf
+are a ConfigError naming the line and key.  Every invariant is one row of
+a value type's DOMAINS table (dispersion.check_fields) or one named
+cross-field check, so a value built directly or by `dataclasses.replace`
+obeys a parsed one's rules, failing with a ValidationError that names it.
 """
 
 from __future__ import annotations
@@ -33,9 +31,13 @@ from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 from .constants import C0
-from .dispersion import LorentzPole, Medium, require_finite
+from .dispersion import NON_NEGATIVE, POSITIVE, LorentzPole, Medium, check_fields
 from .errors import ConfigError, ValidationError
 from .fdtd import GaussianSource
+
+_COUNT = (numbers.Integral, lambda n: n >= 0, "a non-negative integer")
+_UNIT = (numbers.Real, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -54,42 +56,29 @@ class SimConfig:
     absorber_sigma: float = 0.0
     out: str | None = None
 
+    DOMAINS = (
+        ("source", "source", (GaussianSource, lambda _: True, "a GaussianSource")),
+        ("medium", "medium", (Medium, lambda _: True, "a Medium")),
+        ("system_length", "grid.length", POSITIVE),
+        ("n_grid", "grid.nodes", (numbers.Integral, lambda n: n >= 16, "an integer >= 16")),
+        ("cfl_factor", "grid.cfl", _UNIT),
+        ("absorber_cells", "grid.absorber_cells", _COUNT),
+        ("absorber_sigma", "grid.absorber_sigma", NON_NEGATIVE),
+        ("n_steps", "run.steps", _COUNT),
+        ("method", "run.method", (str, lambda m: m in ("tgm", "adem"), "'tgm' or 'adem'")),
+        ("band_threshold", "run.band_threshold", _UNIT),
+    )
     def __post_init__(self):
-        # each check names the invariant it guards
-        for key, value, kind in (("source", self.source, GaussianSource),
-                                 ("medium", self.medium, Medium)):
-            if not isinstance(value, kind):
-                raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
-        for key, count in (("grid.nodes", self.n_grid), ("run.steps", self.n_steps),
-                           ("grid.absorber_cells", self.absorber_cells)):
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValidationError(f"{key} must be an integer, got {count!r}")
-        object.__setattr__(self, "probes", tuple(self.probes))
-        if not self.system_length > 0.0:
-            raise ValidationError(f"grid.length must be positive, got {self.system_length}")
-        if self.n_grid < 16:
-            raise ValidationError(f"grid.nodes must be >= 16, got {self.n_grid}")
-        if not 0.0 < self.cfl_factor <= 1.0:
-            raise ValidationError(f"CFL factor must satisfy 0 < cfl <= 1, got {self.cfl_factor}")
-        if not 0 <= self.absorber_cells <= self.n_grid // 3:
+        check_fields(self, self.DOMAINS)
+        if self.absorber_cells > self.n_grid // 3:
             raise ValidationError(f"grid.absorber_cells must lie in [0, nodes/3 = "
                                   f"{self.n_grid // 3}], got {self.absorber_cells}")
         if self.absorber_cells == 1:
             raise ValidationError("grid.absorber_cells = 1 adds no absorber: the cubic grading "
                                   "puts zero loss on the first absorber cell; use 0 or >= 2")
-        if not self.absorber_sigma >= 0.0:
-            raise ValidationError(f"grid.absorber_sigma must be >= 0, got {self.absorber_sigma}")
-        require_finite({"grid.length": self.system_length,
-                        "grid.absorber_sigma": self.absorber_sigma})
-        if self.n_steps < 0:
-            raise ValidationError(f"run.steps must be >= 0, got {self.n_steps}")
+        object.__setattr__(self, "probes", tuple(self.probes))
         if not self.probes or not all(0.0 < p < 1.0 for p in self.probes):
             raise ValidationError(f"run.probes must be fractions in (0, 1), got {self.probes}")
-        if self.method not in ("tgm", "adem"):
-            raise ValidationError(f"run.method must be 'tgm' or 'adem', got {self.method!r}")
-        if not 0.0 < self.band_threshold <= 1.0:
-            raise ValidationError(
-                f"run.band_threshold must lie in (0, 1], got {self.band_threshold}")
 
     @property
     def dx(self) -> float:
@@ -187,7 +176,7 @@ def parse_config(text: str) -> SimConfig:
     """Parse and validate a config document.
 
     Raises ConfigError for syntax problems (with line numbers) and
-    ValidationError naming the violated invariant (from SimConfig).
+    ValidationError naming the violated invariant (from the value types).
     """
     values, pole_numbers = _parse_lines(text)
     grid = _section(values, "grid")
@@ -198,10 +187,9 @@ def parse_config(text: str) -> SimConfig:
         sec = f"medium.pole.{k}"
         if k not in pole_numbers:
             raise ConfigError(f"missing section [{sec}]: pole sections are numbered 1..P")
-        pole = _section(values, sec)  # outside the try: ConfigError is a ValueError
         try:
-            poles.append(LorentzPole(**pole))
-        except ValueError as exc:
+            poles.append(LorentzPole(**_section(values, sec)))
+        except ValidationError as exc:
             raise ValidationError(f"[{sec}]: {exc}") from None
     run = _section(values, "run")
 
@@ -209,13 +197,8 @@ def parse_config(text: str) -> SimConfig:
         (sec, key), (_, lineno) = next(iter(values.items()))
         raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{sec}]")
 
-    try:
-        source = GaussianSource(**source)
-        medium = Medium(**medium, poles=tuple(poles))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-    return SimConfig(source=source, medium=medium, **grid, **run)
+    return SimConfig(source=GaussianSource(**source), medium=Medium(**medium, poles=tuple(poles)),
+                     **grid, **run)
 
 
 def load_config(path) -> SimConfig:

@@ -17,6 +17,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,19 @@ from .constants import EPS0
 from .errors import DegeneratePoleError, ResonanceError, ValidationError
 
 
-def require_finite(values):
-    """ValidationError naming the first entry of `values`, {name: value},
-    that is NaN or +-inf."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+POSITIVE = (numbers.Real, lambda x: 0.0 < x < math.inf, "positive and finite")
+NON_NEGATIVE = (numbers.Real, lambda x: 0.0 <= x < math.inf, "non-negative and finite")
+FINITE = (numbers.Real, math.isfinite, "finite")
+
+
+def check_fields(value, rows):
+    """ValidationError "<name> must be <phrase>, got <x!r><note>" for the
+    first row (attribute, name, (type, test, phrase)[, note]) whose
+    attribute x of `value` is a bool, not a type or fails test."""
+    for attr, name, (kind, test, phrase), *note in rows:
+        x = getattr(value, attr)
+        if isinstance(x, bool) or not isinstance(x, kind) or not test(x):
+            raise ValidationError(f"{name} must be {phrase}, got {x!r}{''.join(note)}")
 
 
 @dataclass(frozen=True)
@@ -46,16 +54,11 @@ class LorentzPole:
     omega_p: float
     delta_p: float
 
+    DOMAINS = (("delta_eps", "delta_eps", POSITIVE,
+                ": a zero pole does nothing and a negative one is a gain medium"),
+               ("omega_p", "omega_p", POSITIVE), ("delta_p", "delta_p", NON_NEGATIVE))
     def __post_init__(self):
-        if not self.delta_eps > 0.0:
-            raise ValueError(f"delta_eps must be positive, got {self.delta_eps}: a zero pole "
-                             "does nothing and a negative one is a gain medium")
-        if not self.omega_p > 0.0:
-            raise ValueError(f"omega_p must be positive, got {self.omega_p}")
-        if not self.delta_p >= 0.0:
-            raise ValueError(f"delta_p must be non-negative, got {self.delta_p}")
-        require_finite({"delta_eps": self.delta_eps, "omega_p": self.omega_p,
-                        "delta_p": self.delta_p})
+        check_fields(self, self.DOMAINS)
         if abs(self.delta_p - self.omega_p) <= 1e-9 * self.omega_p:
             raise DegeneratePoleError(
                 f"delta_p == omega_p ({self.omega_p}): critically damped pole "
@@ -83,12 +86,9 @@ class Medium:
     sigma: float = 0.0
     poles: tuple = field(default_factory=tuple)
 
+    DOMAINS = (("eps_inf", "eps_inf", POSITIVE), ("sigma", "sigma", NON_NEGATIVE))
     def __post_init__(self):
-        if not self.eps_inf > 0.0:
-            raise ValueError(f"eps_inf must be positive, got {self.eps_inf}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        require_finite({"eps_inf": self.eps_inf, "sigma": self.sigma})
+        check_fields(self, self.DOMAINS)
         object.__setattr__(self, "poles", tuple(self.poles))
         for i, pole in enumerate(self.poles):
             if not isinstance(pole, LorentzPole):

@@ -1,11 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DegeneratePoleError(ValueError):
-    """Critically damped oscillator (delta_p == omega_p): the two complex
-    roots coalesce and the simple-pole residue formula does not apply."""
-
-
 class ResonanceError(ZeroDivisionError):
     """Undamped pole evaluated exactly at its resonance frequency."""
 
@@ -20,7 +15,14 @@ class ConfigError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A config or one of its values violates an invariant; message names it."""
+    """A config or one of its values violates an invariant: a field outside
+    its domain (dispersion.check_fields) or a cross-field check.  The
+    message starts with the field's name as the config names it."""
+
+
+class DegeneratePoleError(ValidationError):
+    """Critically damped oscillator (delta_p == omega_p): the two complex
+    roots coalesce and the simple-pole residue formula does not apply."""
 
 
 class SeriesMismatchError(ValueError):

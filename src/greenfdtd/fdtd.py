@@ -130,7 +130,7 @@ import numpy as np
 from . import ade as _ade
 from . import greens as _greens
 from .constants import C0, EPS0, MU0
-from .dispersion import Medium, require_finite
+from .dispersion import FINITE, POSITIVE, Medium, check_fields
 
 # Simulation.run's quiet exit: the check period in steps and the level,
 # relative to each array's own peak, below which the grid counts as quiet
@@ -150,13 +150,11 @@ class GaussianSource:
     delta_t: float
     omega0: float
 
+    DOMAINS = (("t0", "t0", POSITIVE,
+                ": the hard source pins node 0 while t < 2*t0, so it must be live at t = 0"),
+               ("delta_t", "delta_t", POSITIVE), ("omega0", "omega0", FINITE))
     def __post_init__(self):
-        if not self.t0 > 0.0:
-            raise ValueError(f"t0 must be positive, got {self.t0}: the hard source pins node 0 "
-                             "while t < 2*t0, so it must be live at t = 0")
-        if not self.delta_t > 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-        require_finite({"t0": self.t0, "delta_t": self.delta_t, "omega0": self.omega0})
+        check_fields(self, self.DOMAINS)
 
 
 def source_value(src: GaussianSource, t: float) -> float:

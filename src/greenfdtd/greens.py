@@ -223,7 +223,7 @@ def _real_part(term_p, term_m, what: str):
     total = term_p + term_m
     scale = np.abs(term_p) + np.abs(term_m)
     resid = np.abs(np.imag(total))
-    if np.any(resid > IMAG_RESIDUAL_RTOL * scale):
+    if not np.all(resid <= IMAG_RESIDUAL_RTOL * scale):
         worst = float(np.max(resid / np.where(scale > 0, scale, 1.0)))
         raise RealnessError(f"{what}: imaginary residual {worst:.3e} exceeds "
                             f"{IMAG_RESIDUAL_RTOL:.0e} of the magnitude scale")

@@ -25,7 +25,7 @@ RealnessError, is a FAIL with its message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def check_temporal_order(pole):
     """Halving dt must shrink the error against the smooth-drive reference
     by at least `min_ratio` (second-order accuracy).  The max is taken
     over the final drive period, after the startup ring of the resonance
-    has decayed."""
+    has decayed.  P is linear in delta_eps: at delta_eps = 1 no error underflows."""
+    pole = replace(pole, delta_eps=1.0)
     min_ratio = 3.6
     omega_d = pole.omega_p / 12.0
     period = 2.0 * np.pi / omega_d

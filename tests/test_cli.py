@@ -546,6 +546,43 @@ class TestNonFiniteRun:
         assert proc.stderr.startswith(f"config error: {message}: ")
 
 
+# table1 at 300 nodes, 66 absorber cells and 3000 steps, each with one medium
+# constant at an extreme: the line replacements, and the exit status of
+# run, reflection, green and verify
+_WP, _DP = "omega_p = 1.2566370614359172e11", "delta_p = 1.2566370614359172e10"
+EXTREME_MEDIA = {
+    # the branch-symmetry gate refuses the pole in the build and in green
+    "omega_p=1e-300": ({_WP: "omega_p = 1e-300", _DP: "delta_p = 0.0"}, (1, 1, 1, 2)),
+    "delta_p=1e18": ({_WP: "omega_p = 1e10", _DP: "delta_p = 1e18"}, (1, 1, 1, 2)),
+    "delta_eps=1e300": ({"delta_eps = 3.0": "delta_eps = 1e300"}, (1, 1, 0, 2)),
+    # a medium that reflects like vacuum, whose errors must not underflow
+    "delta_eps=1e-300": ({"delta_eps = 3.0": "delta_eps = 1e-300"}, (0, 0, 0, 0)),
+    # the run goes non-finite at step 1 while verify passes (ROADMAP item 5)
+    "eps_inf=1e-300": ({"eps_inf = 1.5": "eps_inf = 1e-300"}, (1, 1, 0, 0)),
+}
+TABLE1_AT_300_NODES = {"nodes = 3000": "nodes = 300", "absorber_cells = 660": "absorber_cells = 66",
+                "steps = 32768": "steps = 3000"}
+
+
+@pytest.mark.parametrize("command", ["run", "reflection", "green", "verify"])
+@pytest.mark.parametrize("medium", EXTREME_MEDIA)
+def test_extreme_medium_exits_cleanly(tmp_path, capsys, medium, command):
+    replacements, statuses = EXTREME_MEDIA[medium]
+    text = table1_path().read_text(encoding="utf-8")
+    for old, new in {**TABLE1_AT_300_NODES, **replacements}.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out.csv")]
+    status = cli.main([command, "--config", str(cfg), *out])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert status == statuses[["run", "reflection", "green", "verify"].index(command)]
+    if status == 1:
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
 def small_table1():
     """A tenth of the table1 grid at table1's dx."""
     base = load_table1()

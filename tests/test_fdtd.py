@@ -554,7 +554,7 @@ class TestBuilder:
 
     def test_cfl_violation_rejected(self):
         # SimConfig checks its invariants, so no bad config reaches the builder
-        with pytest.raises(ValidationError, match="CFL"):
+        with pytest.raises(ValidationError, match=r"^grid\.cfl must be in \(0, 1\]"):
             small_config(cfl_factor=1.1)
 
     def test_unknown_method_rejected(self):
