@@ -63,6 +63,11 @@ MUTATIONS = {
                              "lambda x: 0.0 <= x < math.inf"),
     "bool-count": (DISPERSION, "isinstance(x, bool) or not",
                    "isinstance(x, bool) and kind is not numbers.Integral or not"),
+    # ade-fixed-point's reduction drops a NaN again, and the source's width
+    # row names a key the config files do not have
+    "nan-max": (VERIFY, "float(np.max([abs(p_next - p_star), abs(j) * dt / scale]))",
+                "max(abs(p_next - p_star), abs(j) * dt / scale)"),
+    "width-row": (FDTD, '"source.width"', '"source.delta_t"'),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

@@ -15,8 +15,10 @@ CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings).  Its rows stream, one write each, to --out
 when given, the config's [run] out path otherwise, else stdout.  Exit
 status: 0 success, 1 usage, config or file error, a pole the build's
-branch-symmetry gate refuses or a run whose probe record is not finite,
-2 verification failure.
+branch-symmetry gate refuses, a run whose probe record is not finite, an
+undamped pole at an analysis bin (`reflection`) or a non-finite RK4
+reference (`green`), 2 verification failure.  Commands run with numpy's
+floating-point warnings off: each non-finite value ends in a message.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ def cmd_green(config, out_path) -> int:
     rows = []
     for k, pole in enumerate(config.medium.poles, start=1):
         closed, rk4 = verify.green_closed_and_rk4(pole, dt, taus)
+        if not np.isfinite(rk4).all():
+            raise ValidationError(f"[medium.pole.{k}]: the RK4 reference at h = dt/1000 is not "
+                                  f"finite (omega_p*h = {pole.omega_p * dt / 1000:.3g})")
         rows.extend(zip([k] * len(taus), taus, closed, rk4, np.abs(closed - rk4)))
     _write_csv("pole,t_s,g_closed_form,g_rk4,abs_diff", rows, out_path)
     return 0
@@ -126,18 +131,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        config = load_config(args.config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        command = {"run": cmd_run, "reflection": cmd_reflection, "green": cmd_green}
-        return command[args.command](config, args.out or config.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValidationError, RealnessError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    # a non-finite value ends in a check's message, not in numpy's warnings
+    with np.errstate(all="ignore"):
+        try:
+            config = load_config(args.config)
+            if args.command == "verify":
+                return cmd_verify(config)
+            command = {"run": cmd_run, "reflection": cmd_reflection, "green": cmd_green}
+            return command[args.command](config, args.out or config.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ConfigError, ValidationError, RealnessError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

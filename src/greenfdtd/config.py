@@ -1,11 +1,13 @@
 """Line-oriented config files for the half-space reflection experiment.
 
 Grammar: `[section]` headers, `key = value` lines, `#` comments, blank
-lines ignored.  The table `_GRAMMAR` is the grammar: it maps each section
-(grid, source, medium, medium.pole.<k>, run) to its keys, and each key to
-the keyword it fills in SimConfig, GaussianSource, Medium or LorentzPole
-and the converter of its value.  A key is required when its keyword has
-no default there.  All values are SI:
+lines ignored.  The value types' DOMAINS rows are the grammar: `_SECTIONS`
+maps each section (grid, source, medium, medium.pole.<k>, run) to
+SimConfig, GaussianSource, Medium or LorentzPole, and each row of that
+type named `<section>.<key>` is a key of the section (a pole's row is
+named by its key alone, as its section carries its number).  The row's
+domain type picks the converter; a key is required when its field has no
+default.  All values are SI:
 
     [grid]    length (m), nodes, cfl, absorber_cells, absorber_sigma (S/m)
     [source]  t0 (s, > 0), width (s), omega0 (rad/s)
@@ -37,6 +39,9 @@ from .fdtd import GaussianSource
 
 _COUNT = (numbers.Integral, lambda n: n >= 0, "a non-negative integer")
 _UNIT = (numbers.Real, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_PROBES = ((tuple, list), lambda ps: len(ps) > 0 and all(
+    not isinstance(p, bool) and isinstance(p, numbers.Real) and 0.0 < p < 1.0 for p in ps),
+    "a non-empty tuple or list of reals in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,10 @@ class SimConfig:
         ("absorber_cells", "grid.absorber_cells", _COUNT),
         ("absorber_sigma", "grid.absorber_sigma", NON_NEGATIVE),
         ("n_steps", "run.steps", _COUNT),
+        ("probes", "run.probes", _PROBES),
         ("method", "run.method", (str, lambda m: m in ("tgm", "adem"), "'tgm' or 'adem'")),
         ("band_threshold", "run.band_threshold", _UNIT),
+        ("out", "run.out", ((str, type(None)), lambda _: True, "a str or None")),
     )
     def __post_init__(self):
         check_fields(self, self.DOMAINS)
@@ -77,8 +84,6 @@ class SimConfig:
             raise ValidationError("grid.absorber_cells = 1 adds no absorber: the cubic grading "
                                   "puts zero loss on the first absorber cell; use 0 or >= 2")
         object.__setattr__(self, "probes", tuple(self.probes))
-        if not self.probes or not all(0.0 < p < 1.0 for p in self.probes):
-            raise ValidationError(f"run.probes must be fractions in (0, 1), got {self.probes}")
 
     @property
     def dx(self) -> float:
@@ -106,21 +111,13 @@ def _float_list(raw: str):
     return tuple(_float(part) for part in raw.split(","))
 
 
-# section -> {key: (keyword, converter)}, in the order the parser reads
-# them, so that a document with several faults reports the same first one
-_GRAMMAR = {
-    "grid": {"length": ("system_length", _float), "nodes": ("n_grid", int),
-             "cfl": ("cfl_factor", _float), "absorber_cells": ("absorber_cells", int),
-             "absorber_sigma": ("absorber_sigma", _float)},
-    "source": {"t0": ("t0", _float), "width": ("delta_t", _float), "omega0": ("omega0", _float)},
-    "medium": {"eps_inf": ("eps_inf", _float), "sigma": ("sigma", _float)},
-    "medium.pole.": {"delta_eps": ("delta_eps", _float), "omega_p": ("omega_p", _float),
-                     "delta_p": ("delta_p", _float)},
-    "run": {"steps": ("n_steps", int), "probes": ("probes", _float_list),
-            "method": ("method", str), "band_threshold": ("band_threshold", _float),
-            "out": ("out", str)},
-}
-_REQUIRED = {f.name for cls in (SimConfig, GaussianSource, Medium, LorentzPole)
+# section (a pole's without its number) -> the value type whose DOMAINS
+# rows are its keys; row order is parse order, so that a document with
+# several faults reports the same first one
+_SECTIONS = {"grid": SimConfig, "source": GaussianSource, "medium": Medium,
+             "medium.pole.": LorentzPole, "run": SimConfig}
+_CONVERTERS = {numbers.Integral: int, numbers.Real: _float, _PROBES[0]: _float_list}
+_REQUIRED = {f.name for cls in _SECTIONS.values()
              for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
 
 
@@ -138,7 +135,7 @@ def _parse_lines(text: str):
             pole = re.fullmatch(r"medium\.pole\.([1-9][0-9]*)", section)
             if pole:
                 pole_numbers.add(int(pole[1]))
-            elif section not in _GRAMMAR or section.startswith("medium.pole."):
+            elif section not in _SECTIONS or section.startswith("medium.pole."):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -156,18 +153,21 @@ def _parse_lines(text: str):
 
 
 def _section(values, section):
-    """{keyword: value} of the keys of `section` that the document sets,
+    """{field: value} of the keys of `section` that the document sets,
     popped from `values`; ConfigError for a bad value or a missing
-    required key.  Every [medium.pole.<k>] reads the "medium.pole." row."""
-    out = {}
-    for key, (keyword, conv) in _GRAMMAR[section.rstrip("0123456789")].items():
+    required key.  Every [medium.pole.<k>] reads LorentzPole's rows."""
+    out, base = {}, section.rstrip("0123456789")
+    for attr, name, (kind, _, _), *_ in _SECTIONS[base].DOMAINS:
+        row_section, _, key = name.rpartition(".")
+        if (row_section or "medium.pole.") != base:  # a row without a section is a pole's
+            continue
         if (section, key) in values:
             raw, lineno = values.pop((section, key))
             try:
-                out[keyword] = conv(raw)
+                out[attr] = _CONVERTERS.get(kind, str)(raw)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-        elif keyword in _REQUIRED:
+        elif attr in _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
     return out
 

@@ -86,7 +86,7 @@ class Medium:
     sigma: float = 0.0
     poles: tuple = field(default_factory=tuple)
 
-    DOMAINS = (("eps_inf", "eps_inf", POSITIVE), ("sigma", "sigma", NON_NEGATIVE))
+    DOMAINS = (("eps_inf", "medium.eps_inf", POSITIVE), ("sigma", "medium.sigma", NON_NEGATIVE))
     def __post_init__(self):
         check_fields(self, self.DOMAINS)
         object.__setattr__(self, "poles", tuple(self.poles))

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ResonanceError(ZeroDivisionError):
-    """Undamped pole evaluated exactly at its resonance frequency."""
-
-
 class RealnessError(ArithmeticError):
     """A quantity that must be real carried an imaginary residual above
     tolerance; indicates corrupted coefficients or state."""
@@ -16,8 +12,13 @@ class ConfigError(ValueError):
 
 class ValidationError(ValueError):
     """A config or one of its values violates an invariant: a field outside
-    its domain (dispersion.check_fields) or a cross-field check.  The
-    message starts with the field's name as the config names it."""
+    its domain (dispersion.check_fields) or a cross-field check.  A field's
+    message starts with its name as the config names it."""
+
+
+class ResonanceError(ValidationError):
+    """Undamped pole evaluated exactly at its resonance frequency, where
+    the config's pole and grid put it (an analysis bin of `reflection`)."""
 
 
 class DegeneratePoleError(ValidationError):

@@ -150,9 +150,9 @@ class GaussianSource:
     delta_t: float
     omega0: float
 
-    DOMAINS = (("t0", "t0", POSITIVE,
+    DOMAINS = (("t0", "source.t0", POSITIVE,
                 ": the hard source pins node 0 while t < 2*t0, so it must be live at t = 0"),
-               ("delta_t", "delta_t", POSITIVE), ("omega0", "omega0", FINITE))
+               ("delta_t", "source.width", POSITIVE), ("omega0", "source.omega0", FINITE))
     def __post_init__(self):
         check_fields(self, self.DOMAINS)
 

@@ -19,7 +19,8 @@ spectral radius of both methods' block A) and ade-fixed-point (one
 build's gate: the branch residuals (greens.branch_residuals) that
 greens.check_branch_symmetry vouches for before greens.tgm_block folds
 each pole into real rows.  A check that the gate stops, by raising
-RealnessError, is a FAIL with its message.
+RealnessError, is a FAIL with its message.  A NaN never passes: every
+reduction keeps it, and no comparison with it holds.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def check_steady_state(pole, dt, scale):
         (p, q), (r, s) = np.eye(2) - mat[:2, :2]
         b0, b1 = mat[:2, 2]
         x = np.array([s * b0 - q * b1, p * b1 - r * b0]) / (p * s - q * r)
-        err = max(err, abs(row @ x - target) / target)
+        err = float(np.maximum(err, abs(row @ x - target) / target))  # a NaN stays
     status = PASS if err < tol else FAIL
     return CheckResult("steady-state", status,
                        f"worst relative offset {err:.3e} at the fixed point (tol {tol:.0e})")
@@ -135,7 +136,7 @@ def check_conjugacy(pole, dt):
         return CheckResult("conjugacy", SKIP, "skipped (overdamped)")
     rtol = 1e-12
     resid = greens.branch_residuals(pole, greens.make_coefficients(pole, dt))
-    worst = max(r for what, r in resid.items() if not what.startswith("curr"))
+    worst = float(np.max([r for what, r in resid.items() if not what.startswith("curr")]))
     status = PASS if worst < rtol else FAIL
     return CheckResult("conjugacy", status,
                        f"max |minus - conj(plus)| / |plus| of prop, inject = {worst:.3e} "
@@ -146,7 +147,7 @@ def check_realness(pole, dt):
     """Every branch residual of greens.check_branch_symmetry, the gate
     that lets the grid read P and dP/dt as real, within its tolerance."""
     resid = greens.branch_residuals(pole, greens.make_coefficients(pole, dt))
-    what, worst = max(resid.items(), key=lambda item: item[1])
+    what, worst = max(resid.items(), key=lambda item: (math.isnan(item[1]), item[1]))
     status = PASS if worst <= greens.IMAG_RESIDUAL_RTOL else FAIL
     return CheckResult("realness", status,
                        f"worst branch residual {worst:.3e} for {what} "
@@ -182,7 +183,7 @@ def check_ade_fixed_point(pole, dt, scale):
     rtol = 1e-13
     p_star = EPS0 * pole.delta_eps * 1.0
     p_next, _, j = pole_matrix((pole,), "adem", dt, scale) @ [p_star, 0.0, 1.0]
-    worst = max(abs(p_next - p_star), abs(j) * dt / scale) / p_star
+    worst = float(np.max([abs(p_next - p_star), abs(j) * dt / scale])) / p_star
     status = PASS if worst < rtol else FAIL
     return CheckResult("ade-fixed-point", status,
                        f"fixed-point drift {worst:.3e} (tol {rtol:.0e})")

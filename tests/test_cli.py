@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from greenfdtd import ade, cli, fdtd, greens, verify
 from greenfdtd.analysis import reflection_experiment
-from greenfdtd.config import load_table1, parse_config, table1_path
+from greenfdtd.config import load_config, load_table1, parse_config, table1_path
 from greenfdtd.constants import EPS0
 from greenfdtd.dispersion import LorentzPole, Medium
 from greenfdtd.fdtd import build_simulation
@@ -557,30 +558,86 @@ EXTREME_MEDIA = {
     "delta_eps=1e300": ({"delta_eps = 3.0": "delta_eps = 1e300"}, (1, 1, 0, 2)),
     # a medium that reflects like vacuum, whose errors must not underflow
     "delta_eps=1e-300": ({"delta_eps = 3.0": "delta_eps = 1e-300"}, (0, 0, 0, 0)),
-    # the run goes non-finite at step 1 while verify passes (ROADMAP item 5)
-    "eps_inf=1e-300": ({"eps_inf = 1.5": "eps_inf = 1e-300"}, (1, 1, 0, 0)),
+    # the run goes non-finite at step 1 and the adem current row is not
+    # finite, so verify's ade-fixed-point reads NaN and fails (ROADMAP item 5)
+    "eps_inf=1e-300": ({"eps_inf = 1.5": "eps_inf = 1e-300"}, (1, 1, 0, 2)),
+    # at table1's dx, an undamped pole at bin 100 of the 8192-point analysis
+    # FFT: the analytic |R| of reflection divides by zero
+    "resonance": ({"length = 0.05": "length = 0.004984994998332777",
+                   _WP: "omega_p = 1532408596560.1267", _DP: "delta_p = 0.0"}, (0, 1, 0, 0)),
+    # omega_p*h = 5 at green's RK4 step h = dt/1000, past RK4's stability limit
+    "omega_p=1e16": ({_WP: "omega_p = 1e16", _DP: "delta_p = 1e12"}, (1, 1, 1, 2)),
 }
 TABLE1_AT_300_NODES = {"nodes = 3000": "nodes = 300", "absorber_cells = 660": "absorber_cells = 66",
                 "steps = 32768": "steps = 3000"}
 
 
-@pytest.mark.parametrize("command", ["run", "reflection", "green", "verify"])
-@pytest.mark.parametrize("medium", EXTREME_MEDIA)
-def test_extreme_medium_exits_cleanly(tmp_path, capsys, medium, command):
-    replacements, statuses = EXTREME_MEDIA[medium]
+def extreme_config(tmp_path, medium):
+    """The EXTREME_MEDIA config `medium`, written to tmp_path."""
     text = table1_path().read_text(encoding="utf-8")
-    for old, new in {**TABLE1_AT_300_NODES, **replacements}.items():
+    for old, new in {**TABLE1_AT_300_NODES, **EXTREME_MEDIA[medium][0]}.items():
         assert text.count(old) == 1
         text = text.replace(old, new)
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(text)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["run", "reflection", "green", "verify"])
+@pytest.mark.parametrize("medium", EXTREME_MEDIA)
+def test_extreme_medium_exits_cleanly(tmp_path, capsys, medium, command):
+    statuses = EXTREME_MEDIA[medium][1]
+    cfg = extreme_config(tmp_path, medium)
     out = [] if command == "verify" else ["--out", str(tmp_path / "out.csv")]
-    status = cli.main([command, "--config", str(cfg), *out])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = cli.main([command, "--config", str(cfg), *out])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert status == statuses[["run", "reflection", "green", "verify"].index(command)]
     if status == 1:
         assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("medium, command, message", [
+    ("delta_p=1e18", "run", "LorentzPole("),
+    ("omega_p=1e-300", "green", "green_function: imaginary residual nan"),
+    ("omega_p=1e16", "green", "[medium.pole.1]: the RK4 reference at h = dt/1000 is not finite"),
+    ("resonance", "reflection", "permittivity diverges: undamped pole"),
+])
+def test_refusal_is_the_one_stderr_line(tmp_path, medium, command, message):
+    # in a fresh interpreter, so numpy's RuntimeWarnings and a traceback
+    # would reach stderr as they do for a user
+    cfg = extreme_config(tmp_path, medium)
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "greenfdtd", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("medium, names", [
+    ("omega_p=1e-300", ("conjugacy", "realness")),
+    ("eps_inf=1e-300", ("ade-fixed-point",)),
+])
+def test_nan_residual_fails(tmp_path, medium, names):
+    # Python's max drops a NaN that does not come first: each of these
+    # checks printed PASS with a residual of 0
+    with np.errstate(all="ignore"):
+        results = {r.name: r for r in run_checks(load_config(extreme_config(tmp_path, medium)))}
+    for name in names:
+        assert results[name].status == FAIL and " nan " in results[name].detail
+
+
+def test_steady_state_nan_fails(monkeypatch):
+    # no config reaches it: a NaN fixed point from either method's matrix
+    monkeypatch.setattr(verify, "pole_matrix", lambda *args: np.full((3, 3), np.nan))
+    assert verify.check_steady_state(load_table1().medium.poles[0], 1e-13, 1.0).status == FAIL
 
 
 def small_table1():

@@ -238,18 +238,19 @@ class TestPoleSections:
         assert split == parse_config(MINIMAL + "[medium.pole.1]\n" + POLE)
 
 # every real field of the value types, built directly with one value
-# replaced; the name is the one its messages use
+# replaced: test id -> (the name its messages use, the build)
 BUILT_FIELDS = {
-    "grid.length": lambda v: dataclasses.replace(load_table1(), system_length=v),
-    "grid.absorber_sigma": lambda v: dataclasses.replace(load_table1(), absorber_sigma=v),
-    "eps_inf": lambda v: Medium(eps_inf=v),
-    "sigma": lambda v: Medium(sigma=v),
-    "delta_eps": lambda v: LorentzPole(v, 1.0e10, 1.0e9),
-    "omega_p": lambda v: LorentzPole(3.0, v, 1.0e9),
-    "delta_p": lambda v: LorentzPole(3.0, 1.0e10, v),
-    "t0": lambda v: GaussianSource(v, 1.0e-12, 1.0),
-    "delta_t": lambda v: GaussianSource(1.0e-11, v, 1.0),
-    "omega0": lambda v: GaussianSource(1.0e-11, 1.0e-12, v),
+    "grid.length": ("grid.length", lambda v: dataclasses.replace(load_table1(), system_length=v)),
+    "grid.absorber_sigma": ("grid.absorber_sigma",
+                            lambda v: dataclasses.replace(load_table1(), absorber_sigma=v)),
+    "eps_inf": ("medium.eps_inf", lambda v: Medium(eps_inf=v)),
+    "sigma": ("medium.sigma", lambda v: Medium(sigma=v)),
+    "delta_eps": ("delta_eps", lambda v: LorentzPole(v, 1.0e10, 1.0e9)),
+    "omega_p": ("omega_p", lambda v: LorentzPole(3.0, v, 1.0e9)),
+    "delta_p": ("delta_p", lambda v: LorentzPole(3.0, 1.0e10, v)),
+    "t0": ("source.t0", lambda v: GaussianSource(v, 1.0e-12, 1.0)),
+    "delta_t": ("source.width", lambda v: GaussianSource(1.0e-11, v, 1.0)),
+    "omega0": ("source.omega0", lambda v: GaussianSource(1.0e-11, 1.0e-12, v)),
 }
 
 
@@ -359,7 +360,7 @@ class TestValidation:
     @pytest.mark.parametrize("value", ["0.0", "-1.0e-11"])
     def test_source_t0_must_be_positive(self, value):
         # with t0 <= 0 the source is dead from t = 0 on and the run is all zero
-        with pytest.raises(ValidationError, match=r"^t0 must be positive.*live at t = 0"):
+        with pytest.raises(ValidationError, match=r"^source\.t0 must be positive.*live at t = 0"):
             parse_config(FULL.replace("t0 = 1.0e-11", f"t0 = {value}"))
 
     @pytest.mark.parametrize("value", ["0", "-2.0"])
@@ -384,8 +385,10 @@ class TestValidation:
     def test_built_value_rejects_non_finite(self, name, value):
         # values built directly skip the loader's check; a sign check
         # names NaN and -inf first where the field has one
-        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be [^,]+, got {value}\b"):
-            BUILT_FIELDS[name](value)
+        message_name, build = BUILT_FIELDS[name]
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(message_name)} must be [^,]+, got {value}\b"):
+            build(value)
 
     def test_degenerate_pole_reported(self):
         text = MINIMAL + """
@@ -420,8 +423,18 @@ DOMAIN_CASES = {
     "'tgm' or 'adem'": (st.sampled_from(["tgm", "adem"]), ["fdtd", "TGM", b"tgm"]),
     "a GaussianSource": (st.just(TABLE1.source), [(1e-11, 1e-12, 1.0)]),
     "a Medium": (st.sampled_from([TABLE1.medium, Medium.vacuum()]), [TABLE1.medium.poles[0]]),
+    # tuples only, so that the value read back is the one drawn
+    "a non-empty tuple or list of reals in (0, 1)": (
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                 max_size=4).map(tuple),
+        [("a",), (0.5, True), (), 5, (0.0, 0.5), (0.5, 1.0), (math.nan,), [0.5, None], "0.5"]),
+    # a path the config file can spell, or None
+    "a str or None": (st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+                      [5, 1.0, b"out.csv", ("out.csv",)]),
 }
 OUTSIDE_EVERY_DOMAIN = [math.nan, math.inf, -math.inf, True, False, "1.0", None]
+# the values of OUTSIDE_EVERY_DOMAIN that a domain holds: run.out is a str or None
+HELD = {"a str or None": ["1.0", None]}
 DOMAIN_ROWS = [(kind, row) for kind in BASES for row in kind.DOMAINS]
 ROW_IDS = [f"{kind.__name__}.{row[0]}" for kind, row in DOMAIN_ROWS]
 
@@ -442,7 +455,8 @@ class TestDomainTables:
     @pytest.mark.parametrize("kind, row", DOMAIN_ROWS, ids=ROW_IDS)
     def test_value_outside_domain_named(self, kind, row):
         attr, name, (_, _, phrase), *_ = row
-        for value in OUTSIDE_EVERY_DOMAIN + DOMAIN_CASES[phrase][1]:
+        held = HELD.get(phrase, [])
+        for value in [v for v in OUTSIDE_EVERY_DOMAIN if v not in held] + DOMAIN_CASES[phrase][1]:
             with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be "
                                f"{re.escape(phrase)}, got {re.escape(repr(value))}"):
                 dataclasses.replace(BASES[kind], **{attr: value})
@@ -453,6 +467,53 @@ class TestDomainTables:
         bad = {attr: None for attr, *_ in kind.DOMAINS}
         with pytest.raises(ValidationError, match=f"^{re.escape(kind.DOMAINS[0][1])} must be"):
             dataclasses.replace(BASES[kind], **bad)
+
+
+def render(cfg):
+    """The config document of `cfg`, written from the value types' DOMAINS
+    rows: each row named `<section>.<key>` (a pole's by its key alone) is
+    one `key = value` line, a value in str (a float's is its repr), a list
+    comma-separated."""
+    def lines(header, value, section):
+        yield f"[{header}]"
+        for attr, name, *_ in type(value).DOMAINS:
+            row_section, _, key = name.rpartition(".")
+            x = getattr(value, attr)
+            if row_section == section and x is not None:
+                yield f"{key} = {', '.join(map(str, x)) if isinstance(x, tuple) else x}"
+
+    parts = [lines("grid", cfg, "grid"), lines("source", cfg.source, "source"),
+             lines("medium", cfg.medium, "medium"), lines("run", cfg, "run")]
+    parts += [lines(f"medium.pole.{k}", pole, "") for k, pole in enumerate(cfg.medium.poles, 1)]
+    return "\n".join(line for part in parts for line in part) + "\n"
+
+
+@st.composite
+def built_values(draw, kind, **fixed):
+    """A value of `kind` whose every DOMAINS row is drawn from inside its
+    domain; a draw that fails a cross-field check is rejected."""
+    drawn = {attr: draw(DOMAIN_CASES[phrase][0])
+             for attr, _, (_, _, phrase), *_ in kind.DOMAINS if attr not in fixed}
+    try:
+        return dataclasses.replace(BASES[kind], **drawn, **fixed)
+    except ValidationError:
+        reject()
+
+
+@st.composite
+def configs(draw):
+    """A SimConfig drawn from the inside strategies, with 0-3 poles."""
+    poles = draw(st.lists(built_values(LorentzPole), max_size=3))
+    medium = draw(built_values(Medium, poles=tuple(poles)))
+    return draw(built_values(SimConfig, source=draw(built_values(GaussianSource)), medium=medium))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_rendered_config_parses_back(cfg):
+    # the rows' names are the grammar: a document written from them reads
+    # back to the config it was written from
+    assert parse_config(render(cfg)) == cfg
 
 
 def test_config_import_loads_no_analysis_layer():
