@@ -27,7 +27,9 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FDTD, VERIFY = "src/greenfdtd/fdtd.py", "src/greenfdtd/verify.py"
+BANK, CONFIG = "src/greenfdtd/bank.py", "src/greenfdtd/config.py"
 DISPERSION = "src/greenfdtd/dispersion.py"
+GREENS, ADE = "src/greenfdtd/greens.py", "src/greenfdtd/ade.py"
 _MATRIX_END = "        mat[m, m] += curr_e\n    return mat\n"
 _BANK_READ = ("        dot, subtract = np.dot, np.subtract\n\n"
               "        def advance():\n"
@@ -38,13 +40,13 @@ _BANK_READ = ("        dot, subtract = np.dot, np.subtract\n\n"
 # name -> (file, old text, new text)
 MUTATIONS = {
     # the bank's current row x (1 + 1e-6), and its A[0,0] x (1 + 1e-9)
-    "current-row": (FDTD, _MATRIX_END,
+    "current-row": (BANK, _MATRIX_END,
                     _MATRIX_END.replace("    return", "    mat[m] *= 1.0 + 1e-6\n    return")),
-    "a00": (FDTD, _MATRIX_END,
+    "a00": (BANK, _MATRIX_END,
             _MATRIX_END.replace("    return", "    mat[0, 0] *= 1.0 + 1e-9\n    return")),
     # the bank steps from the previous sample's E
     "stale-e": (
-        FDTD, _BANK_READ,
+        BANK, _BANK_READ,
         _BANK_READ.replace("np.subtract\n", "np.subtract\n        stale = np.zeros(len(e_run))\n")
         .replace("e_row[...] = e_run\n", "e_row[...] = stale\n            stale[...] = e_run\n")),
     "quiet-tol": (FDTD, "QUIET_TOL = 1e-14\n", "QUIET_TOL = 1e-12\n"),
@@ -67,7 +69,12 @@ MUTATIONS = {
     # row names a key the config files do not have
     "nan-max": (VERIFY, "float(np.max([abs(p_next - p_star), abs(j) * dt / scale]))",
                 "max(abs(p_next - p_star), abs(j) * dt / scale)"),
-    "width-row": (FDTD, '"source.width"', '"source.delta_t"'),
+    "width-row": (CONFIG, '"source.width"', '"source.delta_t"'),
+    # the tgm block's rotation conjugated, and the adem drive constant k x 1.01
+    "tgm-conj": (GREENS, "return ([[a, -b], [b, a]], (1.0, 0.0),",
+                 "return ([[a, b], [-b, a]], (1.0, 0.0),"),
+    "adem-k": (ADE, "        pole.strength * dt * dt,\n",
+               "        1.01 * pole.strength * dt * dt,\n"),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

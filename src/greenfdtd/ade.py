@@ -61,7 +61,7 @@ def ade_coefficients(pole: LorentzPole, dt: float):
 
 def adem_block(pole: LorentzPole, dt: float, scale: float):
     """(A, inject, curr, curr_e) of one pole in the grid's state-space
-    bank (fdtd.pole_matrix).  The state is (P^N, D^N = P^N - P^{N-1}), so
+    bank (bank.pole_matrix).  The state is (P^N, D^N = P^N - P^{N-1}), so
     ade_advance reads D^{N+1} = (-c P^N + b D^N + k E^N)/d,
     P^{N+1} = P^N + D^{N+1}, and the scaled current is scale*D^{N+1}/dt,
     with no difference of two polarizations; c = (d - a) + b is exact

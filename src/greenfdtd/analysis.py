@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import Medium, reflection_coefficient
+from .dispersion import Medium, permittivity, reflection_coefficient
 from .errors import EmptyBandError, SeriesMismatchError, ValidationError
 from .fdtd import ProbeSeries, build_simulation, interface_node, probe_nodes_from_fractions
 
@@ -130,7 +130,9 @@ def reflection_experiment(config, methods):
     empty, no probe is in the vacuum half, the pulse never reaches the
     probe or a run's record is not finite; the records are checked as
     finite_run would check the runs one by one: the vacuum reference
-    first, then `methods` in order.
+    first, then `methods` in order.  An undamped pole on a bin of the
+    padded transform, where the analytic |R| diverges, is a
+    ResonanceError before any lane is built.
     """
     if not methods:
         raise ValidationError("methods is empty: reflection_experiment needs at least one updater")
@@ -141,6 +143,10 @@ def reflection_experiment(config, methods):
         raise ValidationError(
             f"run.probes must include a probe in the vacuum half x < L/2, got {config.probes}")
     node = [max(vacuum_side)]
+    if any(p.delta_p == 0.0 for p in config.medium.poles):
+        # every bin of `spectrum`'s transform of the n_steps-sample records
+        permittivity(config.medium, 2.0 * np.pi * np.fft.rfftfreq(
+            _padded_length(config.n_steps), config.dt))
     lanes = [replace(config, method=method) for method in methods]
     lanes.append(replace(config.with_medium(Medium.vacuum()), method="tgm"))
     with np.errstate(over="ignore", invalid="ignore"):

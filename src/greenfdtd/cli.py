@@ -10,15 +10,19 @@
 updaters, emits |R|(f) against the analytic coefficient and prints an
 error summary; `green` compares the closed-form rectangle response with the
 RK4 oracle for every medium pole; `verify` runs the invariant suite.
+Each command imports only its layers: `run` and `reflection` load the
+grid (fdtd) and analysis, `green` and `verify` load verify and its
+oracles, which step the pole bank (bank) and build no grid.
 
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings).  Its rows stream, one write each, to --out
 when given, the config's [run] out path otherwise, else stdout.  Exit
 status: 0 success, 1 usage, config or file error, a pole the build's
 branch-symmetry gate refuses, a run whose probe record is not finite, an
-undamped pole at an analysis bin (`reflection`) or a non-finite RK4
-reference (`green`), 2 verification failure.  Commands run with numpy's
-floating-point warnings off: each non-finite value ends in a message.
+undamped pole on a bin of the padded transform (`reflection`) or a
+non-finite RK4 reference (`green`), 2 verification failure.  Commands
+run with numpy's floating-point warnings off: each non-finite value ends
+in a message.
 """
 
 from __future__ import annotations
@@ -29,10 +33,8 @@ import sys
 
 import numpy as np
 
-from . import analysis
 from .config import load_config
 from .errors import ConfigError, RealnessError, ValidationError
-from .fdtd import probe_nodes_from_fractions
 
 
 def _fmt(x: float) -> str:
@@ -52,6 +54,9 @@ def _write_csv(header, rows, out_path):
 def cmd_run(config, out_path) -> int:
     """Single simulation; CSV of the raw probe series, written only when
     every sample is finite."""
+    from . import analysis
+    from .fdtd import probe_nodes_from_fractions
+
     nodes = probe_nodes_from_fractions(config.probes, config.n_grid)
     series = analysis.finite_run(config, config.method, nodes, config.method)
     header = "time_s," + ",".join(f"probe{i + 1}" for i in range(len(series)))
@@ -63,6 +68,8 @@ def cmd_reflection(config, out_path) -> int:
     """Vacuum reference + both dispersive updaters; CSV of |R|(f) columns
     and a stdout summary of each method's error against the analytic
     coefficient."""
+    from . import analysis
+
     freqs, analytic, mags = analysis.reflection_experiment(config, ("tgm", "adem"))
     rows = zip(freqs, analytic, mags["tgm"], mags["adem"])
     _write_csv("freq_hz,r_analytic,r_tgm,r_adem", rows, out_path)
@@ -85,10 +92,10 @@ def cmd_green(config, out_path) -> int:
     taus = np.arange(0.5 * dt, 30.5 * dt - 0.25 * dt, 0.25 * dt)
     rows = []
     for k, pole in enumerate(config.medium.poles, start=1):
-        closed, rk4 = verify.green_closed_and_rk4(pole, dt, taus)
-        if not np.isfinite(rk4).all():
-            raise ValidationError(f"[medium.pole.{k}]: the RK4 reference at h = dt/1000 is not "
-                                  f"finite (omega_p*h = {pole.omega_p * dt / 1000:.3g})")
+        try:
+            closed, rk4 = verify.green_closed_and_rk4(pole, dt, taus)
+        except ValidationError as exc:
+            raise ValidationError(f"[medium.pole.{k}]: {exc}") from None
         rows.extend(zip([k] * len(taus), taus, closed, rk4, np.abs(closed - rk4)))
     _write_csv("pole,t_s,g_closed_form,g_rk4,abs_diff", rows, out_path)
     return 0

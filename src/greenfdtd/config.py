@@ -33,15 +33,33 @@ from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 from .constants import C0
-from .dispersion import NON_NEGATIVE, POSITIVE, LorentzPole, Medium, check_fields
+from .dispersion import FINITE, NON_NEGATIVE, POSITIVE, LorentzPole, Medium, check_fields
 from .errors import ConfigError, ValidationError
-from .fdtd import GaussianSource
 
 _COUNT = (numbers.Integral, lambda n: n >= 0, "a non-negative integer")
 _UNIT = (numbers.Real, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _PROBES = ((tuple, list), lambda ps: len(ps) > 0 and all(
     not isinstance(p, bool) and isinstance(p, numbers.Real) and 0.0 < p < 1.0 for p in ps),
     "a non-empty tuple or list of reals in (0, 1)")
+
+
+@dataclass(frozen=True)
+class GaussianSource:
+    """Gaussian-enveloped carrier pinned at the left boundary
+    (fdtd.source_value):
+
+    value(t) = exp(-(t-t0)^2 / (2 delta_t^2)) * cos(omega0 (t-t0))
+    """
+
+    t0: float
+    delta_t: float
+    omega0: float
+
+    DOMAINS = (("t0", "source.t0", POSITIVE,
+                ": the hard source pins node 0 while t < 2*t0, so it must be live at t = 0"),
+               ("delta_t", "source.width", POSITIVE), ("omega0", "source.omega0", FINITE))
+    def __post_init__(self):
+        check_fields(self, self.DOMAINS)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ class ValidationError(ValueError):
 
 class ResonanceError(ValidationError):
     """Undamped pole evaluated exactly at its resonance frequency, where
-    the config's pole and grid put it (an analysis bin of `reflection`)."""
+    the config's pole and grid put it (a bin of `reflection`'s padded
+    transform)."""
 
 
 class DegeneratePoleError(ValidationError):

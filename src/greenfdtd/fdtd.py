@@ -12,16 +12,12 @@ The dispersive current dP/dt is evaluated at t_N + dt/2 by the selected
 updater ("tgm" recursive Green-function accumulators or "adem" two-level
 ADE history) after injecting E^N, and enters the E update like a current
 density; the leapfrog itself is unmodified.  Nodes with x < L/2 are
-vacuum and nodes with x >= L/2 carry the configured medium.  Either
-updater is a fixed-order linear recursion in E^N (Young & Nelson, IEEE
-AP Magazine 43(1), 2001), so all poles of the medium are one state-space
-bank over those nodes: two real states per pole and one matrix M
-(`pole_matrix`) that maps (states, E^N) to (new states, summed
-current).  A "tgm" bank keeps the real and imaginary parts of one
-accumulator per underdamped pole and two real accumulators per
-overdamped pole; the branch symmetry this relies on
-(greens.check_branch_symmetry) is checked per pole when the Simulation
-is built, so the step itself carries no realness check.
+vacuum and nodes with x >= L/2 carry the configured medium.  All poles
+of the medium are one state-space bank over those nodes, a
+bank.PoleBank on the matrix bank.pole_matrix; the branch symmetry a
+"tgm" bank relies on (greens.check_branch_symmetry) is checked per pole
+when the Simulation is built, so the step itself carries no realness
+check.
 
 A Gaussian hard source pins node 0 while t < 2*t0; t0 > 0, so node 0
 holds the source's t = 0 value once the Simulation is built.  Each step
@@ -48,13 +44,8 @@ division and no reduction (see Simulation.step for the order):
   from that update's by at most 5.7e-15 of their peak, and the tests hold
   it under 1e-12 of the peak.
 - The pole bank is 3 numpy operations whatever the pole count and
-  method: E^N is copied into the last row of the (m+1, cells) input
-  buffer, one np.dot(M, input) writes the m new states and the current,
-  already scaled by dt/(eps0 eps_inf), into the other buffer, and the
-  current row is subtracted from the E update's right-hand side.  The
-  buffers then swap roles.  On grids of up to a few thousand nodes
-  np.matmul, einsum (no BLAS) and a (cells, m+1) layout measured no
-  faster, and OpenBLAS runs the product on one thread.
+  method (bank module docstring); its current, already scaled by
+  dt/(eps0 eps_inf), is subtracted from the E update's right-hand side.
 - The ca passes skip the lossless prefix.  The absorber taper and the
   medium's sigma sit in the last nodes of a lane, so ca_b is applied from
   its first entry over all lanes that is not exactly 1 and ca_e likewise;
@@ -71,7 +62,7 @@ division and no reduction (see Simulation.step for the order):
   advance is a closure that takes its buffers' turn from an
   itertools.cycle.  Every array the step allocates (fields, scratch,
   coefficients, bank matrix and buffers) starts on a 64-byte cache-line
-  boundary (`_aligned`), so a step's cost does not hinge on where the
+  boundary (`bank.aligned`), so a step's cost does not hinge on where the
   allocator put the arrays.
 - Lanes.  A Simulation steps one or more configs that differ only in
   medium and method, like the runs of the reflection experiment.  With n
@@ -121,40 +112,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import ade as _ade
-from . import greens as _greens
+from .bank import PoleBank, aligned, pole_matrix
+from .config import GaussianSource
 from .constants import C0, EPS0, MU0
-from .dispersion import FINITE, POSITIVE, Medium, check_fields
+from .dispersion import Medium
 
 # Simulation.run's quiet exit: the check period in steps and the level,
 # relative to each array's own peak, below which the grid counts as quiet
 QUIET_CHECK_STEPS = 256
 QUIET_TOL = 1e-14
 _SMALLEST_NORMAL = np.finfo(float).smallest_normal
-
-
-@dataclass(frozen=True)
-class GaussianSource:
-    """Gaussian-enveloped carrier pinned at the left boundary.
-
-    value(t) = exp(-(t-t0)^2 / (2 delta_t^2)) * cos(omega0 (t-t0))
-    """
-
-    t0: float
-    delta_t: float
-    omega0: float
-
-    DOMAINS = (("t0", "source.t0", POSITIVE,
-                ": the hard source pins node 0 while t < 2*t0, so it must be live at t = 0"),
-               ("delta_t", "source.width", POSITIVE), ("omega0", "source.omega0", FINITE))
-    def __post_init__(self):
-        check_fields(self, self.DOMAINS)
 
 
 def source_value(src: GaussianSource, t: float) -> float:
@@ -172,18 +144,6 @@ def mur_update(e_boundary_old, e_neighbor_old, e_neighbor_new, k):
     """First-order Mur absorbing update for an end node, with
     k = mur_coefficient(dx, dt)."""
     return e_neighbor_old + k * (e_neighbor_new - e_boundary_old)
-
-
-def _aligned(shape, fill=0.0):
-    """Array of `shape` and of the dtype of `fill`, filled with `fill`
-    (broadcast), whose data starts on a 64-byte (cache-line) boundary."""
-    dtype = np.asarray(fill).dtype
-    nbytes = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    out = raw[start:start + nbytes].view(dtype).reshape(shape)
-    out[...] = fill
-    return out
 
 
 def _first_nonzero(values):
@@ -213,49 +173,6 @@ class Grid1D:
     b: np.ndarray  # N-1 values, T
     dx: float
     dt: float
-
-
-def pole_matrix(poles, method, dt, scale):
-    """The (m+1)x(m+1) state-space matrix M of `poles` under `method`,
-    [X'; j] = M [X; E^N]: X stacks the two real states of each pole, and
-    j is the summed current of all poles scaled by `scale`.  M holds each
-    pole's block A, injection column and current row (greens.tgm_block or
-    ade.adem_block) block-diagonally."""
-    block = _greens.tgm_block if method == "tgm" else _ade.adem_block
-    m = 2 * len(poles)
-    mat = np.zeros((m + 1, m + 1))
-    for i, pole in zip(range(0, m, 2), poles):
-        rows = slice(i, i + 2)
-        mat[rows, rows], mat[rows, m], mat[m, rows], curr_e = block(pole, dt, scale)
-        mat[m, m] += curr_e
-    return mat
-
-
-class _PoleBank:
-    """The pole matrix `matrix` (pole_matrix, its current scaled by
-    dt/(eps0 eps_inf), uniform over the medium) stepped on two runs of
-    equal length, one state-space recursion per cell.  `advance`, a
-    closure bound at build, reads E^N from `e_run`, subtracts the current
-    from `rhs_run`, a run of the E update's right-hand side, and returns
-    the buffer it wrote: the new states over the current row (the step's
-    kernel ignores it; verify reads its checks' states there).  The two
-    (m+1, cells) buffers take turns, as np.dot may not write its input."""
-
-    def __init__(self, matrix, e_run, rhs_run):
-        self.matrix = mat = _aligned(matrix.shape, matrix)
-        self.buffers = x, y = tuple(_aligned((len(matrix), len(e_run))) for _ in range(2))
-        turns = itertools.cycle(((x[-1], x, y, y[-1]), (y[-1], y, x, x[-1])))
-        dot, subtract = np.dot, np.subtract
-
-        def advance():
-            """Step every pole from E^N and subtract the current from rhs."""
-            e_row, x_now, x_next, j = next(turns)
-            e_row[...] = e_run
-            dot(mat, x_now, x_next)
-            subtract(rhs_run, j, rhs_run)
-            return x_next
-
-        self.advance = advance
 
 
 # The step's kernel (module docstring, "Step layout").  Simulation._bind
@@ -333,7 +250,7 @@ class _Lane:
         # rhs row is one below the node; the Mur node n-1 consumes no current
         self.bank = None
         if medium.dispersive:
-            self.bank = _PoleBank(pole_matrix(medium.poles, config.method, dt, dt_over_eps[i0]),
+            self.bank = PoleBank(pole_matrix(medium.poles, config.method, dt, dt_over_eps[i0]),
                                   e[i0:n - 1], rhs[i0 - 1:n - 2])
         # every array a step carries forward: what `run` checks and flushes,
         # their peaks over the checks so far and whether the lane has exited
@@ -386,13 +303,13 @@ class Simulation:
                 raise ValueError(f"lanes may differ only in medium and method, not in "
                                  f"{f.name}: {mine!r} != {theirs!r}")
         n, lanes = config.n_grid, len(configs)
-        e, b = _aligned(lanes * n), _aligned(lanes * n - 1)
-        self._de, self._rhs = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
+        e, b = aligned(lanes * n), aligned(lanes * n - 1)
+        self._de, self._rhs = aligned(lanes * n - 1), aligned(lanes * n - 2)
         # the seam B node after each lane and the rows of the end nodes keep
         # cb = ce = 0 and ca_b = ca_e = 1
-        self._cb, self._ce = _aligned(lanes * n - 1), _aligned(lanes * n - 2)
-        self._ca_b, self._ca_e = _aligned(lanes * n - 1, 1.0), _aligned(lanes * n - 2, 1.0)
-        self.sigma_node = _aligned(lanes * n)
+        self._cb, self._ce = aligned(lanes * n - 1), aligned(lanes * n - 2)
+        self._ca_b, self._ca_e = aligned(lanes * n - 1, 1.0), aligned(lanes * n - 2, 1.0)
+        self.sigma_node = aligned(lanes * n)
         self._lanes = []
         for k, c in enumerate(configs):
             nodes, b_nodes, rows = (slice(k * n, k * n + n - d) for d in (0, 1, 2))

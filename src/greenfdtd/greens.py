@@ -25,7 +25,7 @@ overdamped one.  The grid solver relies on this to step an underdamped
 pole as the real and imaginary parts of F+ alone (current
 2 Re(curr+ F+)) and an overdamped pole as the real F+ and F-, all as
 rows of one real state-space bank (`tgm_block`, assembled by
-fdtd.pole_matrix), so it checks the coefficients once per pole with
+bank.pole_matrix), so it checks the coefficients once per pole with
 `check_branch_symmetry` when the block is built, not at every step, and
 `verify` reports the same `branch_residuals`.  Complex +, * and exp
 commute with conjugation, so those residuals are exactly 0.0 for
@@ -186,7 +186,7 @@ def check_branch_symmetry(pole: LorentzPole, coeffs: PoleCoefficients) -> None:
 
 def tgm_block(pole: LorentzPole, dt: float, scale: float):
     """(A, inject, curr, curr_e) of one pole in the grid's state-space
-    bank (fdtd.pole_matrix).  The state is G = F/inject, so
+    bank (bank.pole_matrix).  The state is G = F/inject, so
     F <- F*prop + inject*E^N is G <- G*prop + E^N and the scaled current
     scale*Re(curr*F) is Re(w*G), w = curr*inject*scale: (Re G+, Im G+)
     with curr = 2 curr+ for an underdamped pole (real drive keeps

@@ -4,23 +4,26 @@ Each check exercises one structural invariant of the dispersive updaters
 against an independent reference and reports PASS / FAIL / SKIP with a
 one-line detail.
 
-Five checks run on the grid's own pole matrix (fdtd.pole_matrix of one
+Five checks run on the grid's own pole matrix (bank.pole_matrix of one
 pole, its current at the bank's scale dt/(eps0 eps_inf)).  Two step it
-in the grid's own bank, an fdtd._PoleBank with one cell per drive
+in the grid's own bank, a bank.PoleBank with one cell per drive
 sequence, and read the states its advance has just written:
 recurrence-vs-direct-sum (`tgm`'s P, read through
 greens.polarization_row, under a SplitMix64 drive in numpy uint64: the
 import of numpy.random costs more than the check) and
 temporal-convergence-order (`tgm`, against oracle.smooth_drive_rk4
-solved at the half steps it reads).  Three read the matrix: steady-state
+solved at the half steps it reads); neither builds a grid, so verify
+imports neither fdtd nor analysis.  Three read the matrix: steady-state
 (the fixed point (I - A)^-1 b of both methods), non-amplification (the
 spectral radius of both methods' block A) and ade-fixed-point (one
 `adem` step, current row included).  conjugacy and realness read the
 build's gate: the branch residuals (greens.branch_residuals) that
 greens.check_branch_symmetry vouches for before greens.tgm_block folds
 each pole into real rows.  A check that the gate stops, by raising
-RealnessError, is a FAIL with its message.  A NaN never passes: every
-reduction keeps it, and no comparison with it holds.
+RealnessError, or whose RK4 reference is not finite (a ValidationError
+from green_closed_and_rk4, the refusal `green` prints) is a FAIL with
+its message.  A NaN never passes: every reduction keeps it, and no
+comparison with it holds.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import greens, oracle
+from .bank import PoleBank, pole_matrix
 from .config import load_table1
 from .constants import EPS0
-from .errors import RealnessError
-from .fdtd import _PoleBank, pole_matrix
+from .errors import RealnessError, ValidationError
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -51,15 +54,15 @@ class CheckResult:
 
 
 def _step(mat, drives):
-    """The (n, m, S) states of an fdtd._PoleBank on the pole matrix `mat`
-    after each row E^k of `drives`, (n, S), whose S sequences are its cells."""
+    """Yield the buffer a bank.PoleBank on the pole matrix `mat` writes
+    after each row E^k of `drives`, (n, S), whose S sequences are its
+    cells: the m states over the current row, (m+1, S), overwritten two
+    steps later, so a caller copies only the states it reads."""
     drive = np.zeros(drives.shape[1])
-    bank = _PoleBank(mat, drive, np.zeros_like(drive))
-    out = np.empty((len(drives), len(mat), len(drive)))
-    for k, row in enumerate(drives):
+    bank = PoleBank(mat, drive, np.zeros_like(drive))
+    for row in drives:
         drive[...] = row
-        out[k] = bank.advance()
-    return out[:, :-1]  # the current row dropped
+        yield bank.advance()
 
 
 def _uniform_drive(seed, shape):
@@ -76,8 +79,9 @@ def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501
     SplitMix64 draws (numpy.random would be verify's costliest import)."""
     n_samples, rtol = 2000, 1e-10
     e_hist = _uniform_drive(seed, (n_sequences, n_samples))
-    states = _step(pole_matrix((pole,), "tgm", dt, scale), e_hist.T)
-    p_rec = greens.polarization_row(pole, dt) @ states[-1]
+    for states in _step(pole_matrix((pole,), "tgm", dt, scale), e_hist.T):
+        pass  # only the states after the last sample are read
+    p_rec = greens.polarization_row(pole, dt) @ states[:-1]
     t_eval = (n_samples - 1) * dt + 0.5 * dt
     p_sum = np.array([oracle.direct_convolution_sum(e, pole, dt, t_eval) for e in e_hist])
     worst = float(np.max(np.abs(p_rec - p_sum)
@@ -90,9 +94,14 @@ def check_recurrence_vs_direct_sum(pole, dt, scale, n_sequences=5, seed=20240501
 def green_closed_and_rk4(pole, dt, times):
     """Closed-form response to the unit rectangle on [-dt/2, dt/2] and its
     RK4 integration at fine_step = dt/1000, at each of the ascending
-    `times` (>= dt/2)."""
+    `times` (>= dt/2).  ValidationError when the RK4 reference is not
+    finite, as past RK4's stability limit omega_p*h = 2*sqrt(2)."""
     trace = oracle.green_rk4(pole, dt, times[-1], dt / 1000.0)
-    return greens.green_function(pole, times, dt), trace.at(times)
+    closed, rk4 = greens.green_function(pole, times, dt), trace.at(times)
+    if not np.isfinite(rk4).all():
+        raise ValidationError(f"the RK4 reference at h = dt/1000 is not finite "
+                              f"(omega_p*h = {pole.omega_p * dt / 1000:.3g})")
+    return closed, rk4
 
 
 def check_green_closed_form(pole, dt):
@@ -197,8 +206,11 @@ def staircase_error(pole, omega, dt, t_end, settle):
     n = int(round(t_end / dt))
     t = np.arange(n) * dt
     # only P is read, so the current's scale is immaterial
-    states = _step(pole_matrix((pole,), "tgm", dt, 1.0), np.sin(omega * t)[:, None])
-    p = greens.polarization_row(pole, dt) @ states[:, :, 0].T
+    mat = pole_matrix((pole,), "tgm", dt, 1.0)
+    states = np.empty((n, len(mat) - 1))
+    for k, x in enumerate(_step(mat, np.sin(omega * t)[:, None])):
+        states[k] = x[:-1, 0]
+    p = greens.polarization_row(pole, dt) @ states.T
     t_eval = t + 0.5 * dt
     keep = t_eval >= settle
     ref = oracle.smooth_drive_rk4(pole, omega, (n + 1) * dt, dt / 400.0, t_eval[keep])[0]
@@ -236,7 +248,8 @@ def run_checks(config) -> list:
     the grid bank's current scale dt/(eps0 eps_inf).  Each result's
     detail starts with the number of its pole.  A check stopped by the
     build's branch-symmetry gate (greens.check_branch_symmetry raising
-    RealnessError) is a FAIL whose detail is the gate's message."""
+    RealnessError) or by a non-finite RK4 reference (ValidationError) is
+    a FAIL whose detail is the refusal's message."""
     poles = config.medium.poles or load_table1().medium.poles
     dt = config.dt
     scale = dt / (EPS0 * config.medium.eps_inf)
@@ -254,7 +267,7 @@ def run_checks(config) -> list:
         ):
             try:
                 res = check(*args)
-            except RealnessError as exc:
+            except (RealnessError, ValidationError) as exc:
                 res = CheckResult(name, FAIL, str(exc))
             res.detail = f"pole {k}: {res.detail}"
             results.append(res)

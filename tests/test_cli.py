@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from greenfdtd import ade, cli, fdtd, greens, verify
+from greenfdtd import ade, analysis, bank, cli, fdtd, greens, verify
 from greenfdtd.analysis import reflection_experiment
 from greenfdtd.config import load_config, load_table1, parse_config, table1_path
 from greenfdtd.constants import EPS0
@@ -397,7 +397,7 @@ class TestVerifyCatchesCorruptBlocks:
     def test_bank_stepping_a_stale_field(self, monkeypatch, capsys):
         # the stepping checks read the states of the grid's own bank, so a
         # bank that steps from the previous sample's E fails both of them
-        class StaleBank(fdtd._PoleBank):
+        class StaleBank(bank.PoleBank):
             def __init__(self, matrix, e_run, rhs_run):
                 super().__init__(matrix, e_run, rhs_run)
                 fresh, last = self.advance, np.zeros(len(e_run))
@@ -409,7 +409,7 @@ class TestVerifyCatchesCorruptBlocks:
 
                 self.advance = advance
 
-        monkeypatch.setattr(verify, "_PoleBank", StaleBank)
+        monkeypatch.setattr(verify, "PoleBank", StaleBank)
         assert cli.main(["verify", "--config", str(table1_path())]) == 2
         out = capsys.readouterr().out
         assert "FAIL recurrence-vs-direct-sum" in out
@@ -561,8 +561,8 @@ EXTREME_MEDIA = {
     # the run goes non-finite at step 1 and the adem current row is not
     # finite, so verify's ade-fixed-point reads NaN and fails (ROADMAP item 5)
     "eps_inf=1e-300": ({"eps_inf = 1.5": "eps_inf = 1e-300"}, (1, 1, 0, 2)),
-    # at table1's dx, an undamped pole at bin 100 of the 8192-point analysis
-    # FFT: the analytic |R| of reflection divides by zero
+    # at table1's dx, an undamped pole at bin 100 of the 8192-point padded
+    # transform: the analytic |R| of reflection would divide by zero
     "resonance": ({"length = 0.05": "length = 0.004984994998332777",
                    _WP: "omega_p = 1532408596560.1267", _DP: "delta_p = 0.0"}, (0, 1, 0, 0)),
     # omega_p*h = 5 at green's RK4 step h = dt/1000, past RK4's stability limit
@@ -640,6 +640,35 @@ def test_steady_state_nan_fails(monkeypatch):
     assert verify.check_steady_state(load_table1().medium.poles[0], 1e-13, 1.0).status == FAIL
 
 
+def test_rk4_blow_up_names_the_reference(tmp_path, capsys):
+    # past RK4's stability limit the closed-form check reads the text
+    # green refuses with, not a relative error of nan
+    assert cli.main(["verify", "--config", str(extreme_config(tmp_path, "omega_p=1e16"))]) == 2
+    assert ("FAIL green-closed-form-vs-rk4: pole 1: the RK4 reference at h = dt/1000 is not "
+            "finite (omega_p*h = 5.02)\n") in capsys.readouterr().out
+
+
+def test_resonance_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    # an undamped pole on a bin of the padded transform is refused before
+    # any lane steps, not after every lane has run
+    runs = []
+    monkeypatch.setattr(fdtd.Simulation, "run", lambda *args: runs.append(args))
+    out = tmp_path / "out.csv"
+    assert cli.main(["reflection", "--config", str(extreme_config(tmp_path, "resonance")),
+                     "--out", str(out)]) == 1
+    assert not runs and not out.exists()
+    assert capsys.readouterr().err.startswith("config error: permittivity diverges: ")
+
+
+def test_damped_medium_skips_the_resonance_test(small_cfg, monkeypatch):
+    # only an undamped pole can sit on a bin, so a damped medium evaluates
+    # no permittivity before its runs
+    tested = []
+    monkeypatch.setattr(analysis, "permittivity", lambda *args: tested.append(args))
+    reflection_experiment(load_config(small_cfg), ("tgm",))
+    assert not tested
+
+
 def small_table1():
     """A tenth of the table1 grid at table1's dx."""
     base = load_table1()
@@ -683,8 +712,27 @@ def test_cli_import_loads_no_verify_layer():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
     loaded = set(proc.stdout.split())
-    assert {"greenfdtd.cli", "greenfdtd.analysis"} <= loaded
+    assert "greenfdtd.cli" in loaded
     for name in ("verify", "oracle"):
+        assert f"greenfdtd.{name}" not in loaded
+
+
+@pytest.mark.parametrize("command", ["run", "reflection", "green", "verify"])
+def test_command_loads_only_its_layers(small_cfg, tmp_path, command):
+    # each command imports the layers it uses inside it: verify and green
+    # step the pole bank and build no grid, run and reflection need no
+    # oracle; in a fresh interpreter, after the command has run
+    unloaded = ("fdtd", "analysis") if command in ("green", "verify") else ("verify", "oracle")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out.csv")]
+    code = ("import sys, greenfdtd.cli; "
+            f"assert greenfdtd.cli.main({[command, '--config', str(small_cfg), *out]!r}) == 0; "
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert "greenfdtd.bank" in loaded
+    for name in unloaded:
         assert f"greenfdtd.{name}" not in loaded
 
 

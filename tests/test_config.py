@@ -525,5 +525,5 @@ def test_config_import_loads_no_analysis_layer():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
     loaded = set(json.loads(proc.stdout))
     assert "greenfdtd.config" in loaded
-    for name in ("analysis", "oracle", "verify", "cli"):
+    for name in ("fdtd", "bank", "analysis", "oracle", "verify", "cli"):
         assert f"greenfdtd.{name}" not in loaded

@@ -10,6 +10,7 @@ import pytest
 from greenfdtd import greens
 from greenfdtd.analysis import finite_run, reflection_magnitude
 from greenfdtd.ade import AdePoleState, ade_advance, ade_current_half_step
+from greenfdtd.bank import PoleBank, pole_matrix
 from greenfdtd.config import SimConfig, load_table1
 from greenfdtd.constants import C0, EPS0, MU0
 from greenfdtd.dispersion import LorentzPole, Medium
@@ -20,12 +21,10 @@ from greenfdtd.fdtd import (
     ProbeSeries,
     QUIET_CHECK_STEPS,
     Simulation,
-    _PoleBank,
     build_simulation,
     interface_node,
     mur_coefficient,
     mur_update,
-    pole_matrix,
     probe_nodes_from_fractions,
     source_value,
 )
@@ -686,7 +685,7 @@ class TestPoleKernels:
         n, dt = 64, small_config().dt
         scale = dt / (EPS0 * 1.5)
         drive, rhs = np.zeros(n - 2), np.zeros(n - 2)
-        bank = _PoleBank(pole_matrix(poles, method, dt, scale), drive, rhs)
+        bank = PoleBank(pole_matrix(poles, method, dt, scale), drive, rhs)
         coeffs = [greens.make_coefficients(p, dt) for p in poles]
         states = [greens.PoleState() if method == "tgm" else AdePoleState() for _ in poles]
         rng = np.random.default_rng(3)
