@@ -51,19 +51,18 @@ division and no reduction (see Simulation.step for the order):
   its first entry over all lanes that is not exactly 1 and ca_e likewise;
   ca_b and ca_e are 1 on every lossless node, the seam and the end nodes,
   and x*1.0 is x for every float.
-- The step is a kernel bound at build (`Simulation._bind`): a function
+- The steps run in a kernel bound over the views, coefficient arrays
+  and ufuncs it uses, all closure names (`Simulation._bind`): a function
   compiled from the template _KERNEL, one line per lane for each
-  per-lane term, over the views, coefficient arrays and ufuncs it
-  uses.  Each ufunc is called with a positional out and the Mur and
-  source scalars are read as Python floats (e.item), so no Python loop,
-  attribute load, method call or numpy scalar sits between the passes,
-  and one lane makes the calls of a kernel written for one run.
-  Simulation.step only advances step_index and calls it; the bank's
-  advance is a closure that takes its buffers' turn from an
-  itertools.cycle.  Every array the step allocates (fields, scratch,
-  coefficients, bank matrix and buffers) starts on a 64-byte cache-line
-  boundary (`bank.aligned`), so a step's cost does not hinge on where the
-  allocator put the arrays.
+  per-lane term, that makes a block of steps in its own loop.  Each
+  ufunc is called with a positional out; the end nodes are read and
+  written as Python floats through a memoryview of the lane's E, and
+  one line per recorded lane and probe node writes its value into a
+  flat memoryview of the record, so no Python call, attribute load or
+  numpy scalar sits between the passes.  Simulation.run calls it once
+  per block between quiet checks, Simulation.step for a one-step block
+  without records.  The bank's advance is a closure (bank module), and
+  every array of the step starts on a cache line (`bank.aligned`).
 - Lanes.  A Simulation steps one or more configs that differ only in
   medium and method, like the runs of the reflection experiment.  With n
   nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
@@ -75,10 +74,9 @@ division and no reduction (see Simulation.step for the order):
   update rewrites from values read before the passes.  So every node
   makes the IEEE operations of its lane's run alone, even beside a lane
   that diverges.  Per lane remain only its pole bank (own aligned buffers
-  and np.dot, so BLAS takes the same path) and its end-node updates.  As
-  lanes, a step of table1's three runs costs 0.82 of three single steps
-  (BENCH_17.json); a (3, N) layout was slower, as its shifted slices are
-  not contiguous.
+  and np.dot, so BLAS takes the same path) and its end-node updates.  A
+  step of table1's three lanes costs 0.82 of three single steps
+  (BENCH_17.json).
 
 Quiet exit.  Once the source has let go (t >= 2*t0), Simulation.run
 checks each lane whenever step_index is a multiple of QUIET_CHECK_STEPS
@@ -112,7 +110,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -175,43 +173,50 @@ class Grid1D:
     dt: float
 
 
-# The step's kernel (module docstring, "Step layout").  Simulation._bind
-# writes each line that holds braces once per bound lane k, whose E is e{k},
-# and leaves out the advance line of a lane without poles.  The source
-# depends only on that pattern, so each pattern is compiled once.
+# The steps' kernel (module docstring, "Step layout").  A line with {k} is
+# written once per bound lane k, whose E is the memoryview m{k}, but for the
+# advance line of a lane without poles; one with {p} once per lane and probe
+# node, as column c of `out`, the flat record of `series` columns.
 _KERNEL = """\
-def kernel(step_index):
-    e0_{k}, e1_{k}, en_{k}, enn_{k} = item{k}(0), item{k}(1), item{k}(-1), item{k}(-2)
-    subtract(e_hi, e_lo, de)
-    multiply(de, cb, de)
-    multiply(b_lossy, ca_b, b_lossy)
-    subtract(b, de, b)
-    subtract(b_hi, b_lo, rhs)
-    multiply(rhs, ce, rhs)
-    advance{k}()
-    multiply(e_lossy, ca_e, e_lossy)
-    add(e_in, rhs, e_in)
-    t = step_index * dt
-    if t < src_end:
-        s = source_value(src, t)
-        e{k}[0] = s
-    else:
-        e{k}[0] = mur_update(e0_{k}, e1_{k}, item{k}(1), k_mur)
-    e{k}[-1] = mur_update(en_{k}, enn_{k}, item{k}(-2), k_mur)
+def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, de, cb, b_lossy, ca_b, rhs, ce,
+         e_lossy, ca_e, add, multiply, subtract, source_value, mur_update, src, src_end, dt,
+         k_mur):
+    m{k}, advance{k} = lanes[{k}]
+    def kernel(step_index, stop, i):
+        for step_index in range(step_index + 1, stop + 1):
+            e0_{k}, e1_{k}, en_{k}, enn_{k} = m{k}[0], m{k}[1], m{k}[-1], m{k}[-2]
+            subtract(e_hi, e_lo, de)
+            multiply(de, cb, de)
+            multiply(b_lossy, ca_b, b_lossy)
+            subtract(b, de, b)
+            subtract(b_hi, b_lo, rhs)
+            multiply(rhs, ce, rhs)
+            advance{k}()
+            multiply(e_lossy, ca_e, e_lossy)
+            add(e_in, rhs, e_in)
+            t = step_index * dt
+            if t < src_end:
+                s = source_value(src, t)
+                m{k}[0] = s
+            else:
+                m{k}[0] = mur_update(e0_{k}, e1_{k}, m{k}[1], k_mur)
+            m{k}[-1] = mur_update(en_{k}, enn_{k}, m{k}[-2], k_mur)
+            out[i + {c}] = m{k}[{p}]
+            i += series
+        return stop
+    return kernel
 """
 
 
 @functools.cache
-def _kernel_code(banks):
-    """The compiled _KERNEL for lanes whose pole banks are flagged in the
-    tuple `banks`."""
+def _kernel_code(banks, nodes):
+    """The compiled _KERNEL for the lanes' bank flags `banks` and probe `nodes`."""
     lines = []
     for line in _KERNEL.splitlines():
-        if "{" not in line:
-            lines.append(line)
-            continue
-        lines += [line.format(k=k) for k, bank in enumerate(banks)
-                  if bank or "advance" not in line]
+        pairs = itertools.product(range(len(banks) if "{" in line else 1),
+                                  nodes if "{p}" in line else [None])
+        lines += [line.format(k=k, p=p, c=c) for c, (k, p) in enumerate(pairs)
+                  if banks[k] or "advance{k}()" not in line]
     return compile("\n".join(lines), "<step kernel>", "exec")
 
 
@@ -322,11 +327,11 @@ class Simulation:
         self.media = (Medium.vacuum(), *(c.medium for c in configs))
         self.source = config.source
         self.method = "+".join(c.method for c in configs)
-        self.step_index = 0
-        self._bind(lanes)
+        self.step_index, self._live, self._kernel = 0, lanes, self._bind(lanes, (), None)
 
-    def _bind(self, live):
-        """Bind the step's kernel over the first `live` lanes."""
+    def _bind(self, live, nodes, out):
+        """The steps' kernel over the first `live` lanes, recording E at each
+        of the tuple `nodes` of every lane into the flat memoryview `out`."""
         n, lanes = len(self._lanes[0].e), self._lanes[:live]
         e, b = self.grid.e[:live * n], self.grid.b[:live * n - 1]
         names = {
@@ -338,13 +343,12 @@ class Simulation:
             "add": np.add, "multiply": np.multiply, "subtract": np.subtract,
             "source_value": source_value, "mur_update": mur_update, "src": self.source,
             "src_end": 2.0 * self.source.t0, "dt": self.grid.dt,
-            "k_mur": mur_coefficient(self.grid.dx, self.grid.dt)}
-        for k, lane in enumerate(lanes):
-            names.update({f"e{k}": lane.e, f"item{k}": lane.e.item})
-            if lane.bank:
-                names[f"advance{k}"] = lane.bank.advance
-        exec(_kernel_code(tuple(lane.bank is not None for lane in lanes)), names)
-        self._kernel, self._live = names["kernel"], live
+            "k_mur": mur_coefficient(self.grid.dx, self.grid.dt), "out": out,
+            "series": len(self._lanes) * len(nodes),
+            "lanes": [(memoryview(lane.e), lane.bank and lane.bank.advance) for lane in lanes]}
+        scope = {}
+        exec(_kernel_code(tuple(lane.bank is not None for lane in lanes), nodes), scope)
+        return scope["bind"](**names)
 
     @property
     def time(self) -> float:
@@ -355,10 +359,9 @@ class Simulation:
         return len(self.grid.e)
 
     def step(self) -> None:
-        """Advance the grid by one dt (one full leapfrog cycle).
-
-        The kernel bound at build computes, in place, with the
-        coefficient arrays of the module docstring:
+        """Advance the grid by one dt (one full leapfrog cycle): a one-step
+        block of the kernel, without records.  It computes, in place, with
+        the coefficient arrays of the module docstring:
             b = ca_b*b - cb*(e[1:] - e[:-1])
             e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
         where J, the bank's summed current, is stepped from E^N in one
@@ -370,40 +373,41 @@ class Simulation:
         with its constants multiplied out, equal to it up to rounding; a
         run without poles or loss is plain Yee.
         """
-        self.step_index += 1
-        self._kernel(self.step_index)
+        self.step_index = self._kernel(self.step_index, self.step_index + 1, 0)
 
     def run(self, n_steps: int, probe_nodes) -> list:
-        """Execute n_steps, one call of `step` each, recording E at each
-        probe node of every lane after every step.  Probe nodes count from
-        a lane's node 0.  The series come lane by lane, each lane's in the
-        order of `probe_nodes`, and each is a view of its column of the
-        call's one (n_steps, series) record, one row per step.
+        """Execute n_steps, recording E at each probe node of every lane
+        after every step; TypeError names a bool or a non-integer among
+        them.  Probe nodes count from a lane's node 0.  The series come
+        lane by lane, each lane's in the order of `probe_nodes`, and each
+        is a view of its column of the call's one (n_steps, series)
+        record, one row per step, which the kernel, bound with the probe
+        nodes, writes as it makes each block of steps between quiet checks.
 
-        Quiet exit (module docstring): at every step_index that is a
-        multiple of QUIET_CHECK_STEPS = 256 once t >= 2*t0, a lane that
-        `_Lane.quiet` finds within QUIET_TOL = 1e-14 of its peaks is set
-        to exactly zero and records 0.0 from then on.  Each lane keeps its
-        peaks and its exit across calls, so a run split into calls checks
-        and exits at the steps of one call.  Once the trailing lanes are
-        quiet the kernel is bound over the others, and once every lane is,
-        step_index moves to the end of the run.  Table1's vacuum reference
-        exits at step 12032 of 32768, within 4.9e-16 of the peak of
-        stepping on.
+        Quiet exit (module docstring, `_Lane.quiet`): at every multiple of
+        QUIET_CHECK_STEPS once t >= 2*t0, a quiet lane is set to exactly
+        zero and records 0.0 from then on.  Each lane keeps its peaks and
+        its exit across calls, so a run split into calls checks and exits
+        at the steps of one call.  Once the trailing lanes are quiet the
+        kernel is bound again over the others, and once every lane is,
+        step_index moves to the end of the run.
 
         Deterministic: identical configuration gives bit-identical series,
         and a lane's series are bit for bit those of its config run alone.
         """
-        lanes, n = self._lanes, len(self._lanes[0].e)
+        lanes, n, probe_nodes = self._lanes, len(self._lanes[0].e), list(probe_nodes)
+        for name, x in [("n_steps", n_steps)] + [("probe node", i) for i in probe_nodes]:
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {x!r}")
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        nodes = np.array([operator.index(i) for i in probe_nodes], dtype=np.intp)
+        n_steps, nodes = int(n_steps), tuple(int(i) for i in probe_nodes)
         for i in nodes:
             if not 0 <= i < n:
                 raise ValueError(f"probe node {i} outside grid of {n} nodes")
-        cols = (n * np.arange(len(lanes))[:, None] + nodes).ravel()
-        rec = np.zeros((n_steps, len(cols)))
-        e, step = self.grid.e, self.step
+        rec = np.zeros((n_steps, len(lanes) * len(nodes)))
+        out, series = memoryview(rec.reshape(-1)), rec.shape[1]
+        kernel = self._bind(self._live, nodes, out)
         begin, end = self.step_index, self.step_index + n_steps
         # each block ends where step_index is a multiple of QUIET_CHECK_STEPS
         for start in range(-(begin % QUIET_CHECK_STEPS), n_steps, QUIET_CHECK_STEPS):
@@ -411,9 +415,7 @@ class Simulation:
                 self.step_index = end
                 break
             stop = min(start + QUIET_CHECK_STEPS, n_steps)
-            for r in range(max(start, 0), stop):
-                step()
-                rec[r] = e[cols]
+            self.step_index = kernel(self.step_index, begin + stop, max(start, 0) * series)
             if self.step_index % QUIET_CHECK_STEPS or self.time < 2.0 * self.source.t0:
                 continue
             for lane in lanes:
@@ -423,9 +425,10 @@ class Simulation:
                     lane.exited = True
             live = max((k + 1 for k, lane in enumerate(lanes) if not lane.exited), default=0)
             if 0 < live < self._live:
-                self._bind(live)
-        return [ProbeSeries(int(nodes[c % len(nodes)]), rec[:, c], self.grid.dt)
-                for c in range(len(cols))]
+                self._live, self._kernel = live, self._bind(live, (), None)
+                kernel = self._bind(live, nodes, out)
+        return [ProbeSeries(nodes[c % len(nodes)], rec[:, c], self.grid.dt)
+                for c in range(series)]
 
 
 def probe_nodes_from_fractions(fractions, n_nodes: int) -> list:

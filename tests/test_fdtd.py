@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ def chained_records(sim, nodes):
     return [np.concatenate([s.samples, t.samples]) for s, t in zip(first, second)]
 
 
+def counted_blocks(sim):
+    """A list that gets the steps of each block that a kernel which `sim`
+    binds from now on is asked to advance, stop - step_index, so that its
+    sum is the steps `run` makes."""
+    blocks, bind = [], sim._bind
+
+    def counted_bind(*args):
+        kernel = bind(*args)
+
+        def counted(step_index, stop, i):
+            blocks.append(stop - step_index)
+            return kernel(step_index, stop, i)
+        return counted
+
+    sim._bind = counted_bind
+    return blocks
+
+
 class TestLanes:
     """Lanes of one Simulation against each lane's config run alone."""
 
@@ -318,11 +337,9 @@ class TestLanes:
         cfg, nodes, steps = small_config(medium=table1_like_medium()), [100, 300], 3072
         configs = [lane_config(cfg, label) for label in labels]
         alone = Simulation(configs[labels.index("vacuum")])
-        calls = []
-        step = alone.step
-        alone.step = lambda: calls.append(step())
+        blocks = counted_blocks(alone)
         want = alone.run(steps, nodes)
-        assert len(calls) == 2560
+        assert sum(blocks) == 2560
 
         sim = Simulation(*configs)
         lane = sim._lanes[labels.index("vacuum")]
@@ -348,12 +365,11 @@ class TestLanes:
         configs = [lane_config(cfg, label) for label in labels]
         sims, records = [Simulation(*configs), Simulation(*configs)], []
         for sim, split in zip(sims, [[3072], [1000, 2072]]):
-            calls, step = [], sim.step
-            sim.step = lambda step=step, calls=calls: calls.append(step())
+            blocks = counted_blocks(sim)
             runs = [sim.run(steps, nodes) for steps in split]
             records.append([np.concatenate([s.samples for s in series])
                             for series in zip(*runs)])
-            assert len(calls) == (2560 if labels == ["vacuum"] else 3072)
+            assert sum(blocks) == (2560 if labels == ["vacuum"] else 3072)
             assert sim.step_index == 3072
         single, split = records
         assert [s.tobytes() for s in split] == [s.tobytes() for s in single]
@@ -369,6 +385,43 @@ class TestLanes:
         record = series[0].samples.base
         assert record.shape == (300, 6)
         assert all(np.shares_memory(s.samples, record) for s in series)
+
+    def test_split_run_records_end_nodes_as_single_steps(self):
+        # the kernel reads and writes the end nodes and writes the record
+        # through memoryviews; calls of 1, 255, 256 and 257 steps cross the
+        # source's end and the quiet check at step 512, where no lane exits
+        cfg = small_config(medium=table1_like_medium(), absorber_cells=40, absorber_sigma=5.0)
+        n, nodes = cfg.n_grid, [0, 1, 300, cfg.n_grid - 2, cfg.n_grid - 1]
+        assert 256 * cfg.dt < 2.0 * cfg.source.t0 < 512 * cfg.dt
+        configs = [lane_config(cfg, label) for label in ("tgm", "adem", "vacuum")]
+        sim, ref = Simulation(*configs), Simulation(*configs)
+        runs = [sim.run(steps, nodes) for steps in (1, 255, 256, 257)]
+        got = [np.concatenate([s.samples for s in series]) for series in zip(*runs)]
+        want = np.empty((769, 3 * len(nodes)))
+        for row in want:
+            ref.step()
+            row[:] = ref.grid.e[(n * np.arange(3)[:, None] + nodes).ravel()]
+        assert want.any(axis=0).all()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want.T.copy()]
+        assert sim.step_index == ref.step_index == 769
+        assert all(lane.peaks.all() and not lane.exited for lane in sim._lanes)
+
+    @pytest.mark.parametrize("n_steps, nodes, message", [
+        (True, [5], "n_steps must be an integer, got True"),
+        (2.0, [5], "n_steps must be an integer, got 2.0"),
+        (3, [True, 5], "probe node must be an integer, got True"),
+        (3, [5, np.float64(7.0)], "probe node must be an integer, got np.float64(7.0)"),
+    ], ids=["bool-steps", "float-steps", "bool-node", "float-node"])
+    def test_run_arguments_named(self, n_steps, nodes, message):
+        # a bool is never a count or a node, as in the value types' domains
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build_simulation(small_config()).run(n_steps, nodes)
+
+    def test_numpy_integer_arguments_accepted(self):
+        sim = build_simulation(small_config())
+        series = sim.run(np.int64(3), [np.intp(5)])
+        assert len(series[0].samples) == 3 and type(series[0].node_index) is int
+        assert sim.step_index == 3 and type(sim.step_index) is int
 
     def test_lane_beside_a_diverging_lane(self):
         # at omega_p*dt = 0.9 adem is unstable (limit 0.865) and tgm is not
@@ -402,21 +455,19 @@ class TestLanes:
 
 @pytest.fixture(scope="module")
 def table1_vacuum():
-    """Table1's vacuum reference at its probes, from `run` (counting its
-    calls of `step`) and from stepping all n_steps steps."""
+    """Table1's vacuum reference at its probes, from `run` (counting the
+    steps its kernel advances) and from stepping all n_steps steps."""
     cfg = load_table1().with_medium(Medium.vacuum())
     nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
     sim = build_simulation(cfg)
-    calls = []
-    step = sim.step
-    sim.step = lambda: calls.append(step())
+    blocks = counted_blocks(sim)
     series = sim.run(cfg.n_steps, nodes)
     ref = build_simulation(cfg)
     full = np.empty((cfg.n_steps, len(nodes)))
     for row in full:
         ref.step()
         row[:] = ref.grid.e[nodes]
-    return {"config": cfg, "sim": sim, "series": series, "full": full.T, "steps_run": len(calls)}
+    return {"config": cfg, "sim": sim, "series": series, "full": full.T, "steps_run": sum(blocks)}
 
 
 class TestTable1QuietExit:
