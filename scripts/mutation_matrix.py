@@ -65,10 +65,15 @@ MUTATIONS = {
                              "lambda x: 0.0 <= x < math.inf"),
     "bool-count": (DISPERSION, "isinstance(x, bool) or not",
                    "isinstance(x, bool) and kind is not numbers.Integral or not"),
+    # check_value lets a bool through for every domain, and SimConfig
+    # admits a subnormal dt
+    "bool-any": (DISPERSION, "    if isinstance(x, bool) or not isinstance(x, kind)",
+                 "    if not isinstance(x, kind)"),
+    "dt-normal": (CONFIG, "self.dt < sys.float_info.min", "self.dt < 0.0"),
     # ade-fixed-point's reduction drops a NaN again, and the source's width
     # row names a key the config files do not have
-    "nan-max": (VERIFY, "float(np.max([abs(p_next - p_star), abs(j) * dt / scale]))",
-                "max(abs(p_next - p_star), abs(j) * dt / scale)"),
+    "nan-max": (VERIFY, "float(np.max([abs(p_next - p_star), abs(j) * dt / scale]) / p_star)",
+                "max(abs(p_next - p_star), abs(j) * dt / scale) / p_star"),
     "width-row": (CONFIG, '"source.width"', '"source.delta_t"'),
     # the tgm block's rotation conjugated, and the adem drive constant k x 1.01
     "tgm-conj": (GREENS, "return ([[a, -b], [b, a]], (1.0, 0.0),",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import LorentzPole
+from .dispersion import POSITIVE, SQUARABLE, LorentzPole, check_value
 
 
 @dataclass
@@ -48,8 +48,8 @@ class AdePoleState:
 
 def ade_coefficients(pole: LorentzPole, dt: float):
     """Constants (a, b, k, d) of P^{N+1} = (a P^N - b P^{N-1} + k E^N) / d."""
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    check_value("dt", dt, POSITIVE)
+    check_value("omega_p * dt", pole.omega_p * dt, SQUARABLE)
     wp2dt2 = (pole.omega_p * dt) ** 2
     return (
         2.0 - wp2dt2,

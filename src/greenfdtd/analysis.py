@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import Medium, permittivity, reflection_coefficient
-from .errors import EmptyBandError, SeriesMismatchError, ValidationError
+from .dispersion import POSITIVE, Medium, check_value, permittivity, reflection_coefficient
+from .errors import ValidationError
 from .fdtd import ProbeSeries, build_simulation, interface_node, probe_nodes_from_fractions
 
 
@@ -46,7 +46,7 @@ def spectrum(series: ProbeSeries) -> Spectrum:
     two >= twice the record length, scaled by dt."""
     x = np.asarray(series.samples, dtype=float)
     if len(x) == 0:
-        raise ValueError("cannot transform an empty series")
+        raise ValidationError("cannot transform an empty series")
     m = _padded_length(len(x))
     amps = np.fft.rfft(x, m)
     amps *= series.dt
@@ -62,29 +62,27 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     reflected = total - incident sample-wise; |R| = |DFT(reflected)| /
     |DFT(incident)| at bins where |DFT(incident)| >= band_threshold times
     its maximum; band_threshold <= 0 would pass bins where it is 0, so it
-    is a ValidationError.  Returns an (n, 2) array of (freq_hz, magnitude) rows.
+    is a ValidationError, as are mismatched series and an empty band.
+    Returns an (n, 2) array of (freq_hz, magnitude) rows.
     The incident spectrum is cut to its magnitude before the reflected one
     is taken, so one spectrum is alive at a time.
     """
     if (incident.node_index != total.node_index
             or incident.dt != total.dt
             or len(incident.samples) != len(total.samples)):
-        raise SeriesMismatchError(
+        raise ValidationError(
             "incident and total series must share node, dt and length: "
             f"nodes {incident.node_index}/{total.node_index}, "
             f"dt {incident.dt}/{total.dt}, "
             f"lengths {len(incident.samples)}/{len(total.samples)}"
         )
-    if band_threshold <= 0.0:
-        raise ValidationError(f"band_threshold must be positive, got {band_threshold}")
+    check_value("band_threshold", band_threshold, POSITIVE)
     inc_mag = np.abs(spectrum(incident).amps)
     if inc_mag.max() == 0.0:
-        raise EmptyBandError("incident spectrum is identically zero")
+        raise ValidationError("incident spectrum is identically zero")
     mask = inc_mag >= band_threshold * inc_mag.max()
     if not np.any(mask):
-        raise EmptyBandError(
-            f"band_threshold={band_threshold} excluded every frequency bin"
-        )
+        raise ValidationError(f"band_threshold={band_threshold} excluded every frequency bin")
     ref = spectrum(ProbeSeries(total.node_index, np.subtract(total.samples, incident.samples),
                                total.dt))
     return np.column_stack((ref.freqs[mask], np.abs(ref.amps[mask]) / inc_mag[mask]))
@@ -132,7 +130,7 @@ def reflection_experiment(config, methods):
     finite_run would check the runs one by one: the vacuum reference
     first, then `methods` in order.  An undamped pole on a bin of the
     padded transform, where the analytic |R| diverges, is a
-    ResonanceError before any lane is built.
+    ValidationError before any lane is built.
     """
     if not methods:
         raise ValidationError("methods is empty: reflection_experiment needs at least one updater")

@@ -16,13 +16,15 @@ oracles, which step the pole bank (bank) and build no grid.
 
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings).  Its rows stream, one write each, to --out
-when given, the config's [run] out path otherwise, else stdout.  Exit
-status: 0 success, 1 usage, config or file error, a pole the build's
-branch-symmetry gate refuses, a run whose probe record is not finite, an
-undamped pole on a bin of the padded transform (`reflection`) or a
-non-finite RK4 reference (`green`), 2 verification failure.  Commands
-run with numpy's floating-point warnings off: each non-finite value ends
-in a message.
+when given, the config's [run] out path otherwise, else stdout, where
+`reflection`'s summary then goes to stderr.  Exit status: 0 success, 1
+usage or file error or a refusal, 2 verification failure.  A refusal is
+a ValidationError, printed as one `config error:` line: of the config,
+of a pole by the build's branch-symmetry gate, of a run whose probe
+record is not finite, of an undamped pole on a bin of the padded
+transform (`reflection`) or of a non-finite RK4 reference (`green`).
+Commands run with numpy's floating-point warnings off: each non-finite
+value ends in a message.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, RealnessError, ValidationError
+from .errors import ValidationError
 
 
 def _fmt(x: float) -> str:
@@ -66,8 +68,8 @@ def cmd_run(config, out_path) -> int:
 
 def cmd_reflection(config, out_path) -> int:
     """Vacuum reference + both dispersive updaters; CSV of |R|(f) columns
-    and a stdout summary of each method's error against the analytic
-    coefficient."""
+    and a summary of each method's error against the analytic
+    coefficient, on stdout unless the CSV is there."""
     from . import analysis
 
     freqs, analytic, mags = analysis.reflection_experiment(config, ("tgm", "adem"))
@@ -77,13 +79,15 @@ def cmd_reflection(config, out_path) -> int:
     for name, mag in mags.items():
         worst, rms, _ = analysis.reflection_errors(freqs, analytic, mag)
         print(f"{name}: max abs error {worst:.6f}, rms error {rms:.6f} "
-              f"over {len(freqs)} bins in [{freqs[0]:.3e}, {freqs[-1]:.3e}] Hz")
+              f"over {len(freqs)} bins in [{freqs[0]:.3e}, {freqs[-1]:.3e}] Hz",
+              file=sys.stderr if out_path is None else sys.stdout)
     return 0
 
 
 def cmd_green(config, out_path) -> int:
     """Closed-form rectangle response vs RK4 oracle for each medium pole;
-    CSV comparison with the 1-based pole number in the first column."""
+    CSV comparison with the 1-based pole number in the first column; a
+    pole's refusal is prefixed with its section."""
     from . import verify
 
     if not config.medium.poles:
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (ConfigError, ValidationError, RealnessError) as exc:
+        except ValidationError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
 

@@ -18,10 +18,10 @@ default.  All values are SI:
 
 An empty or absent [medium] section means vacuum.  Pole sections are
 numbered 1..P, each k a decimal without leading zeros.  NaN and +-inf
-are a ConfigError naming the line and key.  Every invariant is one row of
-a value type's DOMAINS table (dispersion.check_fields) or one named
+are an error naming the line and key.  Every invariant is one row of a
+value type's DOMAINS table (dispersion.check_fields) or one named
 cross-field check, so a value built directly or by `dataclasses.replace`
-obeys a parsed one's rules, failing with a ValidationError that names it.
+obeys a parsed one's rules; each refusal is a ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 from .constants import C0
-from .dispersion import FINITE, NON_NEGATIVE, POSITIVE, LorentzPole, Medium, check_fields
-from .errors import ConfigError, ValidationError
+from .dispersion import COUNT, FINITE, NON_NEGATIVE, POSITIVE, LorentzPole, Medium, check_fields
+from .errors import ValidationError
 
-_COUNT = (numbers.Integral, lambda n: n >= 0, "a non-negative integer")
 _UNIT = (numbers.Real, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _PROBES = ((tuple, list), lambda ps: len(ps) > 0 and all(
     not isinstance(p, bool) and isinstance(p, numbers.Real) and 0.0 < p < 1.0 for p in ps),
@@ -85,9 +85,9 @@ class SimConfig:
         ("system_length", "grid.length", POSITIVE),
         ("n_grid", "grid.nodes", (numbers.Integral, lambda n: n >= 16, "an integer >= 16")),
         ("cfl_factor", "grid.cfl", _UNIT),
-        ("absorber_cells", "grid.absorber_cells", _COUNT),
+        ("absorber_cells", "grid.absorber_cells", COUNT),
         ("absorber_sigma", "grid.absorber_sigma", NON_NEGATIVE),
-        ("n_steps", "run.steps", _COUNT),
+        ("n_steps", "run.steps", COUNT),
         ("probes", "run.probes", _PROBES),
         ("method", "run.method", (str, lambda m: m in ("tgm", "adem"), "'tgm' or 'adem'")),
         ("band_threshold", "run.band_threshold", _UNIT),
@@ -101,6 +101,9 @@ class SimConfig:
         if self.absorber_cells == 1:
             raise ValidationError("grid.absorber_cells = 1 adds no absorber: the cubic grading "
                                   "puts zero loss on the first absorber cell; use 0 or >= 2")
+        if self.dt < sys.float_info.min:
+            raise ValidationError(f"grid.length, grid.nodes and grid.cfl give dt = {self.dt!r} s, "
+                                  "below the smallest normal float")
         object.__setattr__(self, "probes", tuple(self.probes))
 
     @property
@@ -154,25 +157,25 @@ def _parse_lines(text: str):
             if pole:
                 pole_numbers.add(int(pole[1]))
             elif section not in _SECTIONS or section.startswith("medium.pole."):
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                raise ValidationError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
+            raise ValidationError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: malformed 'key = value' pair")
+            raise ValidationError(f"line {lineno}: malformed 'key = value' pair")
         if (section, key) in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+            raise ValidationError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         values[(section, key)] = (value, lineno)
     return values, pole_numbers
 
 
 def _section(values, section):
     """{field: value} of the keys of `section` that the document sets,
-    popped from `values`; ConfigError for a bad value or a missing
+    popped from `values`; ValidationError for a bad value or a missing
     required key.  Every [medium.pole.<k>] reads LorentzPole's rows."""
     out, base = {}, section.rstrip("0123456789")
     for attr, name, (kind, _, _), *_ in _SECTIONS[base].DOMAINS:
@@ -184,17 +187,17 @@ def _section(values, section):
             try:
                 out[attr] = _CONVERTERS.get(kind, str)(raw)
             except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+                raise ValidationError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         elif attr in _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            raise ValidationError(f"missing required key {key!r} in section [{section}]")
     return out
 
 
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a config document.
 
-    Raises ConfigError for syntax problems (with line numbers) and
-    ValidationError naming the violated invariant (from the value types).
+    ValidationError naming the line of a syntax problem, or the violated
+    invariant (from the value types).
     """
     values, pole_numbers = _parse_lines(text)
     grid = _section(values, "grid")
@@ -204,16 +207,17 @@ def parse_config(text: str) -> SimConfig:
     for k in range(1, max(pole_numbers, default=0) + 1):
         sec = f"medium.pole.{k}"
         if k not in pole_numbers:
-            raise ConfigError(f"missing section [{sec}]: pole sections are numbered 1..P")
+            raise ValidationError(f"missing section [{sec}]: pole sections are numbered 1..P")
+        keys = _section(values, sec)
         try:
-            poles.append(LorentzPole(**_section(values, sec)))
+            poles.append(LorentzPole(**keys))
         except ValidationError as exc:
             raise ValidationError(f"[{sec}]: {exc}") from None
     run = _section(values, "run")
 
     if values:
         (sec, key), (_, lineno) = next(iter(values.items()))
-        raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{sec}]")
+        raise ValidationError(f"line {lineno}: unknown key {key!r} in section [{sec}]")
 
     return SimConfig(source=GaussianSource(**source), medium=Medium(**medium, poles=tuple(poles)),
                      **grid, **run)

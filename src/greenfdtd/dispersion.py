@@ -23,22 +23,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EPS0
-from .errors import DegeneratePoleError, ResonanceError, ValidationError
+from .errors import ValidationError
 
 
 POSITIVE = (numbers.Real, lambda x: 0.0 < x < math.inf, "positive and finite")
 NON_NEGATIVE = (numbers.Real, lambda x: 0.0 <= x < math.inf, "non-negative and finite")
 FINITE = (numbers.Real, math.isfinite, "finite")
+COUNT = (numbers.Integral, lambda n: n >= 0, "a non-negative integer")
+# a pole's rates: below 1e154 their squares are finite floats, and from
+# 1e-300 up so are the spans of resonance periods that verify steps
+SQUARABLE = (numbers.Real, lambda x: 0.0 <= x < 1e154, "non-negative and below 1e154")
+RATE = (numbers.Real, lambda x: 1e-300 <= x < 1e154, "at least 1e-300 and below 1e154")
+
+
+def check_value(name, x, domain, *note):
+    """ValidationError "<name> must be <phrase>, got <x!r><note>" when x is
+    a bool, not of the domain (type, test, phrase)'s type or fails its
+    test: a bool is never in a domain."""
+    kind, test, phrase = domain
+    if isinstance(x, bool) or not isinstance(x, kind) or not test(x):
+        raise ValidationError(f"{name} must be {phrase}, got {x!r}{''.join(note)}")
 
 
 def check_fields(value, rows):
-    """ValidationError "<name> must be <phrase>, got <x!r><note>" for the
-    first row (attribute, name, (type, test, phrase)[, note]) whose
-    attribute x of `value` is a bool, not a type or fails test."""
-    for attr, name, (kind, test, phrase), *note in rows:
-        x = getattr(value, attr)
-        if isinstance(x, bool) or not isinstance(x, kind) or not test(x):
-            raise ValidationError(f"{name} must be {phrase}, got {x!r}{''.join(note)}")
+    """check_value of each row (attribute, name, domain[, note]), in order,
+    on that attribute of `value`."""
+    for attr, name, domain, *note in rows:
+        check_value(name, getattr(value, attr), domain, *note)
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,8 @@ class LorentzPole:
     """One damped-oscillator resonance.
 
     delta_eps : dimensionless oscillator strength (> 0)
-    omega_p   : resonance angular frequency, rad/s (> 0)
-    delta_p   : damping rate, rad/s (>= 0, not within 1e-9 of omega_p)
+    omega_p   : resonance angular frequency, rad/s (in [1e-300, 1e154))
+    delta_p   : damping rate, rad/s (in [0, 1e154), not within 1e-9 of omega_p)
     """
 
     delta_eps: float
@@ -56,11 +67,11 @@ class LorentzPole:
 
     DOMAINS = (("delta_eps", "delta_eps", POSITIVE,
                 ": a zero pole does nothing and a negative one is a gain medium"),
-               ("omega_p", "omega_p", POSITIVE), ("delta_p", "delta_p", NON_NEGATIVE))
+               ("omega_p", "omega_p", RATE), ("delta_p", "delta_p", SQUARABLE))
     def __post_init__(self):
         check_fields(self, self.DOMAINS)
         if abs(self.delta_p - self.omega_p) <= 1e-9 * self.omega_p:
-            raise DegeneratePoleError(
+            raise ValidationError(
                 f"delta_p == omega_p ({self.omega_p}): critically damped pole "
                 "has a double root and is not supported"
             )
@@ -86,13 +97,13 @@ class Medium:
     sigma: float = 0.0
     poles: tuple = field(default_factory=tuple)
 
-    DOMAINS = (("eps_inf", "medium.eps_inf", POSITIVE), ("sigma", "medium.sigma", NON_NEGATIVE))
+    # like SimConfig's source and medium rows, poles has no section: no key reads it
+    DOMAINS = (("eps_inf", "medium.eps_inf", POSITIVE), ("sigma", "medium.sigma", NON_NEGATIVE),
+               ("poles", "poles", ((tuple, list), lambda ps: all(
+                   isinstance(p, LorentzPole) for p in ps), "a tuple or list of LorentzPoles")))
     def __post_init__(self):
         check_fields(self, self.DOMAINS)
         object.__setattr__(self, "poles", tuple(self.poles))
-        for i, pole in enumerate(self.poles):
-            if not isinstance(pole, LorentzPole):
-                raise ValidationError(f"poles[{i}] must be a LorentzPole, got {pole!r}")
 
     @classmethod
     def vacuum(cls) -> "Medium":
@@ -112,14 +123,14 @@ def permittivity(medium: Medium, omega):
     """Complex relative permittivity at angular frequency omega (rad/s).
 
     omega may be a scalar or an ndarray; it may be zero or negative.
-    Raises ResonanceError if an undamped pole is evaluated at +/-omega_p.
+    ValidationError if an undamped pole is evaluated at +/-omega_p.
     """
     w = np.asarray(omega, dtype=float)
     eps = np.full(w.shape, medium.eps_inf, dtype=complex)
     for p in medium.poles:
         denom = p.omega_p**2 + 2j * w * p.delta_p - w * w
         if np.any(denom == 0):
-            raise ResonanceError(
+            raise ValidationError(
                 f"permittivity diverges: undamped pole omega_p={p.omega_p} "
                 "evaluated at its resonance"
             )
@@ -150,7 +161,7 @@ def reflection_coefficient(medium: Medium, omega):
     """
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
-        raise ValueError("reflection_coefficient requires omega >= 0")
+        raise ValidationError("reflection_coefficient requires omega >= 0")
     n = np.sqrt(np.asarray(permittivity(medium, w), dtype=complex))
     r = (n - 1.0) / (n + 1.0)
     if w.ndim == 0:

@@ -118,7 +118,8 @@ import numpy as np
 from .bank import PoleBank, aligned, pole_matrix
 from .config import GaussianSource
 from .constants import C0, EPS0, MU0
-from .dispersion import Medium
+from .dispersion import COUNT, Medium, check_value
+from .errors import ValidationError
 
 # Simulation.run's quiet exit: the check period in steps and the level,
 # relative to each array's own peak, below which the grid counts as quiet
@@ -282,7 +283,7 @@ class _Lane:
 class Simulation:
     """The half-space experiment of one or more SimConfigs, its lanes
     (module docstring, "Step layout"), each of which has already checked
-    every invariant and derives dx and dt; ValueError names the first
+    every invariant and derives dx and dt; ValidationError names the first
     field other than medium and method in which a lane differs from the
     first.
 
@@ -300,13 +301,13 @@ class Simulation:
 
     def __init__(self, *configs):
         if not configs:
-            raise ValueError("a Simulation needs at least one SimConfig, got none")
+            raise ValidationError("a Simulation needs at least one SimConfig, got none")
         config = configs[0]
         for other, f in itertools.product(configs[1:], fields(config)):
             mine, theirs = getattr(config, f.name), getattr(other, f.name)
             if f.name not in ("medium", "method") and mine != theirs:
-                raise ValueError(f"lanes may differ only in medium and method, not in "
-                                 f"{f.name}: {mine!r} != {theirs!r}")
+                raise ValidationError(f"lanes may differ only in medium and method, not in "
+                                      f"{f.name}: {mine!r} != {theirs!r}")
         n, lanes = config.n_grid, len(configs)
         e, b = aligned(lanes * n), aligned(lanes * n - 1)
         self._de, self._rhs = aligned(lanes * n - 1), aligned(lanes * n - 2)
@@ -377,12 +378,13 @@ class Simulation:
 
     def run(self, n_steps: int, probe_nodes) -> list:
         """Execute n_steps, recording E at each probe node of every lane
-        after every step; TypeError names a bool or a non-integer among
-        them.  Probe nodes count from a lane's node 0.  The series come
-        lane by lane, each lane's in the order of `probe_nodes`, and each
-        is a view of its column of the call's one (n_steps, series)
-        record, one row per step, which the kernel, bound with the probe
-        nodes, writes as it makes each block of steps between quiet checks.
+        after every step; ValidationError names a step count or probe node
+        outside its domain.  Probe nodes count from a lane's node 0.  The
+        series come lane by lane, each lane's in the order of
+        `probe_nodes`, and each is a view of its column of the call's one
+        (n_steps, series) record, one row per step, which the kernel, bound
+        with the probe nodes, writes as it makes each block of steps
+        between quiet checks.
 
         Quiet exit (module docstring, `_Lane.quiet`): at every multiple of
         QUIET_CHECK_STEPS once t >= 2*t0, a quiet lane is set to exactly
@@ -396,15 +398,11 @@ class Simulation:
         and a lane's series are bit for bit those of its config run alone.
         """
         lanes, n, probe_nodes = self._lanes, len(self._lanes[0].e), list(probe_nodes)
-        for name, x in [("n_steps", n_steps)] + [("probe node", i) for i in probe_nodes]:
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {x!r}")
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        check_value("n_steps", n_steps, COUNT)
+        node = (numbers.Integral, lambda i: 0 <= i < n, f"an integer in [0, {n})")
+        for i in probe_nodes:
+            check_value("probe node", i, node)
         n_steps, nodes = int(n_steps), tuple(int(i) for i in probe_nodes)
-        for i in nodes:
-            if not 0 <= i < n:
-                raise ValueError(f"probe node {i} outside grid of {n} nodes")
         rec = np.zeros((n_steps, len(lanes) * len(nodes)))
         out, series = memoryview(rec.reshape(-1)), rec.shape[1]
         kernel = self._bind(self._live, nodes, out)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import LorentzPole, pole_roots
-from .errors import RealnessError
+from .dispersion import POSITIVE, LorentzPole, check_value, pole_roots
+from .errors import ValidationError
 
 # Relative imaginary residual above which a nominally real output is
 # treated as evidence of a coefficient bug rather than silently truncated.
@@ -83,8 +83,7 @@ class PoleState:
 
 def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
     """Bake the recurrence constants for one pole at a fixed step dt."""
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    check_value("dt", dt, POSITIVE)
     zp, zm = pole_roots(pole)
     half_p = np.exp(0.5j * zp * dt)
     half_m = np.exp(0.5j * zm * dt)
@@ -115,7 +114,7 @@ def green_function(pole: LorentzPole, t, dt: float):
     """
     tau = np.asarray(t, dtype=float)
     if np.any(tau < 0.5 * dt * (1.0 - 1e-12)):
-        raise ValueError(
+        raise ValidationError(
             f"green_function is the post-impulse branch: need t >= dt/2, "
             f"got t={float(np.min(tau))!r} with dt={dt!r}"
         )
@@ -140,7 +139,7 @@ def polarization(state: PoleState, pole: LorentzPole, coeffs: PoleCoefficients, 
     """Polarization P at time t_N + tau, 0 <= tau <= dt, from the current
     accumulators (last injected sample was E^N)."""
     if not 0.0 <= tau <= coeffs.dt * (1.0 + 1e-12):
-        raise ValueError(f"tau must lie within one step [0, dt], got {tau!r}")
+        raise ValidationError(f"tau must lie within one step [0, dt], got {tau!r}")
     term_p = pole.strength * np.exp(1j * coeffs.z_plus * tau) * state.f_plus
     term_m = pole.strength * np.exp(1j * coeffs.z_minus * tau) * state.f_minus
     return _real_part(term_p, term_m, "polarization")
@@ -176,12 +175,12 @@ def branch_residuals(pole: LorentzPole, coeffs: PoleCoefficients) -> dict:
 
 
 def check_branch_symmetry(pole: LorentzPole, coeffs: PoleCoefficients) -> None:
-    """Raise RealnessError naming the first branch residual above
+    """Raise ValidationError naming the first branch residual above
     IMAG_RESIDUAL_RTOL."""
     for what, resid in branch_residuals(pole, coeffs).items():
         if not resid <= IMAG_RESIDUAL_RTOL:
-            raise RealnessError(f"{pole}: needs {what}, relative residual {resid:.3e} "
-                                f"exceeds {IMAG_RESIDUAL_RTOL:.0e}")
+            raise ValidationError(f"{pole}: needs {what}, relative residual {resid:.3e} "
+                                  f"exceeds {IMAG_RESIDUAL_RTOL:.0e}")
 
 
 def tgm_block(pole: LorentzPole, dt: float, scale: float):
@@ -225,6 +224,6 @@ def _real_part(term_p, term_m, what: str):
     resid = np.abs(np.imag(total))
     if not np.all(resid <= IMAG_RESIDUAL_RTOL * scale):
         worst = float(np.max(resid / np.where(scale > 0, scale, 1.0)))
-        raise RealnessError(f"{what}: imaginary residual {worst:.3e} exceeds "
-                            f"{IMAG_RESIDUAL_RTOL:.0e} of the magnitude scale")
+        raise ValidationError(f"{what}: imaginary residual {worst:.3e} exceeds "
+                              f"{IMAG_RESIDUAL_RTOL:.0e} of the magnitude scale")
     return float(np.real(total)) if np.ndim(total) == 0 else np.real(total)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import LorentzPole
+from .errors import ValidationError
 from .greens import green_function
 
 # Steps solved per block: the work arrays stay a few hundred KB whatever
@@ -56,7 +57,7 @@ class OdeTrace:
         h = self.times[1] - self.times[0]
         i = np.rint((np.asarray(t) - self.times[0]) / h).astype(np.intp)
         if np.any((i < 0) | (i >= len(self.times))):
-            raise ValueError(f"t={t} outside trace [{self.times[0]}, {self.times[-1]}]")
+            raise ValidationError(f"t={t} outside trace [{self.times[0]}, {self.times[-1]}]")
         return self.values[i] if i.ndim else float(self.values[i])
 
 
@@ -153,14 +154,14 @@ def green_rk4(pole: LorentzPole, dt: float, t_end: float, fine_step: float) -> O
     on [-dt/2, dt/2] from rest.
 
     Integration starts at the rectangle's leading edge and continues
-    force-free to t_end.  fine_step must be <= dt/100 and is snapped so
-    the rectangle edges land exactly on mesh points.
+    force-free to t_end.  fine_step must lie in (0, dt/100] and is snapped
+    so the rectangle edges land exactly on mesh points.
     """
-    if fine_step > dt / 100.0 * (1.0 + 1e-12):
-        raise ValueError("fine_step must be <= dt/100")
+    if not 0.0 < fine_step <= dt / 100.0 * (1.0 + 1e-12):
+        raise ValidationError(f"fine_step must lie in (0, dt/100], got {fine_step!r}")
     if t_end <= 0.5 * dt:
-        raise ValueError("t_end must lie beyond the rectangle, dt/2")
-    n_in = max(int(round(dt / fine_step)), 100)
+        raise ValidationError("t_end must lie beyond the rectangle, dt/2")
+    n_in = int(round(dt / fine_step))
     h = dt / n_in
     n_free = max(int(np.ceil((t_end - 0.5 * dt) / h)), 1)
     times, ys, vs = _rk4_phases(pole, h, [(n_in, 1.0), (n_free, 0.0)], t0=-0.5 * dt)
@@ -172,12 +173,13 @@ def polarization_rk4(e_samples, pole: LorentzPole, dt: float, fine_step: float) 
     staircase of e_samples (value E^n held on [t_n - dt/2, t_n + dt/2)).
 
     This is the exact problem the recursive update solves, so agreement is
-    limited only by the integrator's own error.
+    limited only by the integrator's own error.  fine_step must lie in
+    (0, dt/100].
     """
-    if fine_step > dt / 100.0 * (1.0 + 1e-12):
-        raise ValueError("fine_step must be <= dt/100")
+    if not 0.0 < fine_step <= dt / 100.0 * (1.0 + 1e-12):
+        raise ValidationError(f"fine_step must lie in (0, dt/100], got {fine_step!r}")
     e = np.asarray(e_samples, dtype=float)
-    n_in = max(int(round(dt / fine_step)), 100)
+    n_in = int(round(dt / fine_step))
     phases = [(n_in, pole.strength * float(en)) for en in e]
     times, ys, vs = _rk4_phases(pole, dt / n_in, phases, t0=-0.5 * dt)
     return OdeTrace(times, ys, vs)
@@ -199,11 +201,11 @@ def smooth_drive_rk4(pole: LorentzPole, omega: float, t_end: float, fine_step: f
 
     with E_k = R^k - I built by binary powering over the E_j and
     z^k - 1 = 2i sin(k omega h/2) e^(i k omega h/2), which keeps its digits
-    at small k.  ValueError for a time outside [0, t_end].
+    at small k.  ValidationError for a time outside [0, t_end].
     """
     t = np.asarray(times, dtype=float)
     if np.any((t < 0.0) | (t > t_end)):
-        raise ValueError(f"times outside [0, t_end = {t_end}]")
+        raise ValidationError(f"times outside [0, t_end = {t_end}]")
     n = max(int(np.ceil(t_end / fine_step)), 1)
     h = t_end / n
     k = np.rint(t / h).astype(np.int64)

@@ -8,6 +8,7 @@ import pytest
 from greenfdtd.ade import AdePoleState, ade_advance, ade_coefficients, ade_current_half_step
 from greenfdtd.constants import C0, EPS0
 from greenfdtd.dispersion import LorentzPole
+from greenfdtd.errors import ValidationError
 from greenfdtd.greens import PoleState, advance_state, make_coefficients, polarization
 
 WP = 2 * math.pi * 20e9
@@ -55,6 +56,11 @@ class TestAdeUpdate:
         # they were (-inf, -inf, inf, inf), without a warning
         with pytest.raises(ValueError, match="^dt must be positive and finite, got inf$"):
             ade_coefficients(TABLE1_POLE, math.inf)
+
+    def test_coefficients_reject_bool_step(self):
+        # True was read as dt = 1 s
+        with pytest.raises(ValidationError, match="^dt must be positive and finite, got True$"):
+            ade_coefficients(TABLE1_POLE, True)
 
     def test_bounded_under_pulsed_drive(self):
         # damped pole driven by a compact pulse must ring down, not grow;

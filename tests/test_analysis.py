@@ -16,7 +16,7 @@ from greenfdtd.analysis import (
 )
 from greenfdtd.config import SimConfig, load_table1
 from greenfdtd.dispersion import LorentzPole, Medium
-from greenfdtd.errors import EmptyBandError, SeriesMismatchError, ValidationError
+from greenfdtd.errors import ValidationError
 from greenfdtd.fdtd import (
     GaussianSource,
     ProbeSeries,
@@ -143,11 +143,11 @@ class TestReflectionMagnitude:
 
     def test_mismatched_series_rejected(self):
         x = np.ones(32)
-        with pytest.raises(SeriesMismatchError):
+        with pytest.raises(ValidationError, match="must share node, dt and length"):
             reflection_magnitude(make_series(x, node=1), make_series(x, node=2), 0.01)
-        with pytest.raises(SeriesMismatchError):
+        with pytest.raises(ValidationError, match="must share node, dt and length"):
             reflection_magnitude(make_series(x, dt=1e-12), make_series(x, dt=2e-12), 0.01)
-        with pytest.raises(SeriesMismatchError):
+        with pytest.raises(ValidationError, match="must share node, dt and length"):
             reflection_magnitude(make_series(x), make_series(np.ones(33)), 0.01)
 
     def test_band_threshold_semantics(self):
@@ -163,16 +163,19 @@ class TestReflectionMagnitude:
 
     def test_empty_band_error(self):
         x = np.zeros(32)
-        with pytest.raises((EmptyBandError, ValueError)):
+        with pytest.raises(ValidationError, match="incident spectrum is identically zero"):
             reflection_magnitude(make_series(x), make_series(x), band_threshold=0.5)
 
-    @pytest.mark.parametrize("threshold", [2.0, float("nan")])
-    def test_threshold_outside_unit_interval_empties_band(self, threshold):
-        # no bin reaches twice the peak, and no comparison with NaN holds;
-        # SimConfig keeps its threshold in (0, 1], so only direct callers
-        # get here
+    @pytest.mark.parametrize("threshold, match", [
+        (2.0, "^band_threshold=2.0 excluded every frequency bin$"),
+        (float("nan"), "^band_threshold must be positive and finite, got nan$"),
+    ], ids=["2.0", "nan"])
+    def test_threshold_outside_unit_interval_empties_band(self, threshold, match):
+        # no bin reaches twice the peak, and NaN is outside the threshold's
+        # domain; SimConfig keeps its threshold in (0, 1], so only direct
+        # callers get here
         x = np.sin(2 * np.pi * np.arange(64) * 4 / 64)
-        with pytest.raises(EmptyBandError, match=f"band_threshold={threshold} excluded"):
+        with pytest.raises(ValidationError, match=match):
             reflection_magnitude(make_series(x), make_series(x), band_threshold=threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5])
@@ -181,7 +184,7 @@ class TestReflectionMagnitude:
         # returned non-finite |R| rows with only a RuntimeWarning
         inc = make_series(np.ones(8), dt=1.0)
         tot = make_series(np.r_[np.ones(4), np.zeros(4)], dt=1.0)
-        match = f"^band_threshold must be positive, got {threshold}$"
+        match = f"^band_threshold must be positive and finite, got {threshold}$"
         with pytest.raises(ValidationError, match=match):
             reflection_magnitude(inc, tot, band_threshold=threshold)
 

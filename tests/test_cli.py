@@ -146,6 +146,17 @@ class TestReflectionCommand:
         summary = capsys.readouterr().out
         assert "tgm:" in summary and "adem:" in summary
 
+    def test_stdout_equals_out_file(self, vacuum_cfg, tmp_path, capsys):
+        # without --out the CSV goes to stdout and the summary to stderr,
+        # so that stdout is the CSV alone
+        out = tmp_path / "refl.csv"
+        assert cli.main(["reflection", "--config", str(vacuum_cfg), "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert cli.main(["reflection", "--config", str(vacuum_cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err == summary and summary.startswith("tgm: max abs error ")
+
     def test_single_bin_band(self, tmp_path):
         p = tmp_path / "one.cfg"
         p.write_text(VACUUM + "\n[run]\nband_threshold = 1.0\n")
@@ -548,8 +559,8 @@ class TestNonFiniteRun:
 
 
 # table1 at 300 nodes, 66 absorber cells and 3000 steps, each with one medium
-# constant at an extreme: the line replacements, and the exit status of
-# run, reflection, green and verify
+# or grid constant at an extreme: the line replacements, and the exit status
+# of run, reflection, green and verify
 _WP, _DP = "omega_p = 1.2566370614359172e11", "delta_p = 1.2566370614359172e10"
 EXTREME_MEDIA = {
     # the branch-symmetry gate refuses the pole in the build and in green
@@ -567,6 +578,12 @@ EXTREME_MEDIA = {
                    _WP: "omega_p = 1532408596560.1267", _DP: "delta_p = 0.0"}, (0, 1, 0, 0)),
     # omega_p*h = 5 at green's RK4 step h = dt/1000, past RK4's stability limit
     "omega_p=1e16": ({_WP: "omega_p = 1e16", _DP: "delta_p = 1e12"}, (1, 1, 1, 2)),
+    # a derived dt below the smallest normal float (1.0e-311, 1.0e-321 and
+    # 0.0): the loader refuses it, where each command ended in a traceback
+    # or stepped a subnormal grid
+    "length=1e-300": ({"length = 0.05": "length = 1e-300"}, (1, 1, 1, 1)),
+    "length=1e-310": ({"length = 0.05": "length = 1e-310"}, (1, 1, 1, 1)),
+    "length=1e-320": ({"length = 0.05": "length = 1e-320"}, (1, 1, 1, 1)),
 }
 TABLE1_AT_300_NODES = {"nodes = 3000": "nodes = 300", "absorber_cells = 660": "absorber_cells = 66",
                 "steps = 32768": "steps = 3000"}
@@ -603,7 +620,7 @@ def test_extreme_medium_exits_cleanly(tmp_path, capsys, medium, command):
 
 @pytest.mark.parametrize("medium, command, message", [
     ("delta_p=1e18", "run", "LorentzPole("),
-    ("omega_p=1e-300", "green", "green_function: imaginary residual nan"),
+    ("omega_p=1e-300", "green", "[medium.pole.1]: green_function: imaginary residual nan"),
     ("omega_p=1e16", "green", "[medium.pole.1]: the RK4 reference at h = dt/1000 is not finite"),
     ("resonance", "reflection", "permittivity diverges: undamped pole"),
 ])

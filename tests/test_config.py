@@ -1,6 +1,8 @@
 """Config grammar, defaults, validation and the bundled experiment file."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,17 +10,18 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from greenfdtd import config
+from greenfdtd import cli, config
 from greenfdtd.config import SimConfig, load_table1, parse_config, table1_path
 from greenfdtd.constants import C0
 from greenfdtd.dispersion import LorentzPole, Medium
-from greenfdtd.errors import ConfigError, DegeneratePoleError, ValidationError
+from greenfdtd.errors import ValidationError
 from greenfdtd.fdtd import GaussianSource, build_simulation
 
 MINIMAL = """
@@ -149,32 +152,32 @@ delta_p = 0.0
 
 class TestParseErrors:
     def test_unknown_section_with_line_number(self):
-        with pytest.raises(ConfigError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             parse_config("\n[nonsense]\n")
 
     def test_key_outside_section(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             parse_config("length = 0.05\n")
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigError, match="key = value"):
+        with pytest.raises(ValidationError, match="key = value"):
             parse_config("[grid]\nlength 0.05\n")
 
     @pytest.mark.parametrize("line", ["length =", "= 0.05"])
     def test_malformed_pair(self, line):
-        with pytest.raises(ConfigError, match="line 2: malformed 'key = value' pair"):
+        with pytest.raises(ValidationError, match="line 2: malformed 'key = value' pair"):
             parse_config(f"[grid]\n{line}\n")
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ValidationError, match="duplicate"):
             parse_config("[grid]\nlength = 0.05\nlength = 0.06\n")
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ValidationError, match="unknown key"):
             parse_config(MINIMAL + "\n[grid]\nwibble = 3\n")
 
     def test_bad_number(self):
-        with pytest.raises(ConfigError, match="bad value"):
+        with pytest.raises(ValidationError, match="bad value"):
             parse_config(MINIMAL.replace("nodes = 3000", "nodes = many"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -184,17 +187,17 @@ class TestParseErrors:
         # report nan or pass: no real value may be non-finite
         line = re.search(rf"^{key} = .*$", FULL, re.MULTILINE)
         lineno = FULL.count("\n", 0, line.start()) + 1
-        with pytest.raises(ConfigError, match=rf"^line {lineno}: bad value for '{key}': "
+        with pytest.raises(ValidationError, match=rf"^line {lineno}: bad value for '{key}': "
                                               rf"'{value}' is not finite$"):
             parse_config(FULL.replace(line[0], f"{key} = {value}"))
 
     def test_missing_required(self):
-        with pytest.raises(ConfigError, match="omega0"):
+        with pytest.raises(ValidationError, match="omega0"):
             parse_config(MINIMAL.replace("omega0 = 6.283185307179586e11", ""))
 
     @pytest.mark.parametrize("key", REQUIRED)
     def test_every_required_key_named_when_missing(self, key):
-        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+        with pytest.raises(ValidationError, match=f"missing required key '{key}'"):
             parse_config(without(key))
 
     @pytest.mark.parametrize("key", OPTIONAL)
@@ -211,23 +214,23 @@ class TestPoleSections:
     counts, whether or not keys follow it."""
 
     def test_empty_pole_section_reports_first_missing_key(self):
-        with pytest.raises(ConfigError, match=r"missing required key 'delta_eps' "
+        with pytest.raises(ValidationError, match=r"missing required key 'delta_eps' "
                                               r"in section \[medium\.pole\.1\]"):
             parse_config(MINIMAL + "[medium.pole.1]\n")
 
     def test_first_pole_section_missing(self):
-        with pytest.raises(ConfigError, match=r"missing section \[medium\.pole\.1\]"):
+        with pytest.raises(ValidationError, match=r"missing section \[medium\.pole\.1\]"):
             parse_config(MINIMAL + "[medium.pole.2]\n" + POLE)
 
     def test_gap_names_first_missing_section(self):
         text = MINIMAL + "[medium.pole.1]\n" + POLE + "[medium.pole.3]\n" + POLE
-        with pytest.raises(ConfigError, match=r"missing section \[medium\.pole\.2\]"):
+        with pytest.raises(ValidationError, match=r"missing section \[medium\.pole\.2\]"):
             parse_config(text)
 
     @pytest.mark.parametrize("number", ["01", "x", "", "0", "1.0", "+1"])
     def test_pole_number_not_a_positive_decimal(self, number):
         lineno = len(MINIMAL.splitlines()) + 1
-        with pytest.raises(ConfigError, match=rf"line {lineno}: unknown section "
+        with pytest.raises(ValidationError, match=rf"line {lineno}: unknown section "
                                               rf"\[medium\.pole\.{re.escape(number)}\]"):
             parse_config(MINIMAL + f"[medium.pole.{number}]\n" + POLE)
 
@@ -304,10 +307,11 @@ class TestValidation:
         (lambda: dataclasses.replace(load_table1(), medium=None),
          r"^medium must be a Medium, got None$"),
         (lambda: Medium(eps_inf=1.5, poles=((3.0, 1e11, 1e10),)),
-         r"^poles\[0\] must be a LorentzPole, got \(3\.0, "),
+         r"^poles must be a tuple or list of LorentzPoles, got \(\(3\.0, "),
         (lambda: Medium(poles=(LorentzPole(3.0, 1e11, 1e10), "abc")),
-         r"^poles\[1\] must be a LorentzPole, got 'abc'$"),
-        (lambda: Medium(poles="abc"), r"^poles\[0\] must be a LorentzPole, got 'a'$"),
+         r"^poles must be a tuple or list of LorentzPoles, got \(LorentzPole\(.*\), 'abc'\)$"),
+        (lambda: Medium(poles="abc"),
+         r"^poles must be a tuple or list of LorentzPoles, got 'abc'$"),
     ], ids=["source=None", "medium=None", "pole-tuple", "second-pole-str", "poles=str"])
     def test_built_value_of_wrong_type_rejected(self, build, match):
         # each built, and failed only later in the build or in eps_static
@@ -415,6 +419,10 @@ DOMAIN_CASES = {
                             [0.0, -1e-300]),
     "non-negative and finite": (st.floats(0.0, allow_infinity=False), [-1e-300, -1.0]),
     "finite": (st.floats(allow_nan=False, allow_infinity=False), []),
+    "non-negative and below 1e154": (st.floats(0.0, 1e154, exclude_max=True),
+                                     [-1e-300, -1.0, 1e154]),
+    "at least 1e-300 and below 1e154": (st.floats(1e-300, 1e154, exclude_max=True),
+                                        [0.0, 9.9e-301, -1.0, 1e154]),
     "in (0, 1]": (st.floats(0.0, 1.0, exclude_min=True), [0.0, -1e-300, 1 + 1e-12]),
     # 0 or 2..nodes/3 of the base grid: absorber_cells' cross-field checks
     "a non-negative integer": (st.just(0) | st.integers(2, 1000) | st.just(np.int64(7)),
@@ -423,6 +431,11 @@ DOMAIN_CASES = {
     "'tgm' or 'adem'": (st.sampled_from(["tgm", "adem"]), ["fdtd", "TGM", b"tgm"]),
     "a GaussianSource": (st.just(TABLE1.source), [(1e-11, 1e-12, 1.0)]),
     "a Medium": (st.sampled_from([TABLE1.medium, Medium.vacuum()]), [TABLE1.medium.poles[0]]),
+    # tuples only, so that the value stored is the one drawn
+    "a tuple or list of LorentzPoles": (
+        st.lists(st.sampled_from([TABLE1.medium.poles[0], LorentzPole(1.0, 1e10, 0.0)]),
+                 max_size=3).map(tuple),
+        [5, "abc", [(3.0, 1e11, 1e10)], (TABLE1.medium.poles[0], "abc"), TABLE1.medium.poles[0]]),
     # tuples only, so that the value read back is the one drawn
     "a non-empty tuple or list of reals in (0, 1)": (
         st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
@@ -448,7 +461,9 @@ class TestDomainTables:
         value = data.draw(DOMAIN_CASES[phrase][0])
         try:
             built = dataclasses.replace(BASES[kind], **{attr: value})
-        except DegeneratePoleError:  # the pole's cross-field check
+        except ValidationError as exc:  # the pole's and the grid's cross-field checks
+            if not re.search("critically damped|smallest normal float", str(exc)):
+                raise
             reject()
         assert getattr(built, attr) is value
 
@@ -501,19 +516,49 @@ def built_values(draw, kind, **fixed):
 
 
 @st.composite
-def configs(draw):
-    """A SimConfig drawn from the inside strategies, with 0-3 poles."""
-    poles = draw(st.lists(built_values(LorentzPole), max_size=3))
+def configs(draw, max_poles, **fixed):
+    """A SimConfig drawn from the inside strategies, with 0 to `max_poles`
+    poles and the fields `fixed`."""
+    poles = draw(st.lists(built_values(LorentzPole), max_size=max_poles))
     medium = draw(built_values(Medium, poles=tuple(poles)))
-    return draw(built_values(SimConfig, source=draw(built_values(GaussianSource)), medium=medium))
+    return draw(built_values(SimConfig, source=draw(built_values(GaussianSource)), medium=medium,
+                             **fixed))
 
 
 @settings(max_examples=60, deadline=None)
-@given(configs())
+@given(configs(3))
 def test_rendered_config_parses_back(cfg):
     # the rows' names are the grammar: a document written from them reads
     # back to the config it was written from
     assert parse_config(render(cfg)) == cfg
+
+
+# table1's document at 32 nodes and 64 steps, with each of the lengths
+# whose derived dt is subnormal (1.0e-311, 1.0e-321) or zero
+SMALL_TABLE1 = render(dataclasses.replace(TABLE1, n_grid=32, n_steps=64, absorber_cells=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 2, 10]).flatmap(
+    lambda cells: configs(2, n_grid=32, n_steps=64, absorber_cells=cells, out=None)).map(render))
+@example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-300"))
+@example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-310"))
+@example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-320"))
+def test_every_command_exits_cleanly(text):
+    # each command on a document drawn from the domains either succeeds,
+    # fails verification or refuses with one `config error:` line
+    for command in ("run", "reflection", "green", "verify"):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp, "drawn.cfg")
+            cfg.write_text(text, encoding="utf-8")
+            out = [] if command == "verify" else ["--out", str(pathlib.Path(tmp, "out.csv"))]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = cli.main([command, "--config", str(cfg), *out])
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("config error: ")
 
 
 def test_config_import_loads_no_analysis_layer():

@@ -15,7 +15,7 @@ from greenfdtd.dispersion import (
     pole_roots,
     reflection_coefficient,
 )
-from greenfdtd.errors import DegeneratePoleError, ResonanceError
+from greenfdtd.errors import ValidationError
 
 WP = 2 * math.pi * 20e9
 TABLE1_POLE = LorentzPole(delta_eps=3.0, omega_p=WP, delta_p=0.1 * WP)
@@ -42,7 +42,7 @@ class TestTypes:
             LorentzPole(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             LorentzPole(1.0, 1.0, -0.1)
-        with pytest.raises(DegeneratePoleError):
+        with pytest.raises(ValidationError, match="critically damped"):
             LorentzPole(1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("delta_eps", [0.0, -2.0, math.nan])
@@ -95,9 +95,9 @@ class TestPermittivity:
 
     def test_undamped_resonance_error(self):
         m = Medium(eps_inf=1.0, poles=(LorentzPole(1.0, 1e10, 0.0),))
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ValidationError, match="permittivity diverges"):
             permittivity(m, 1e10)
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ValidationError, match="permittivity diverges"):
             permittivity(m, -1e10)
         # off resonance is fine
         assert permittivity(m, 0.5e10) == pytest.approx(1.0 + 1.0 / (1 - 0.25))
@@ -118,7 +118,7 @@ class TestPermittivity:
         if pole.delta_p == 0.0 and w * w == pole.omega_p**2:
             # undamped pole exactly at resonance: the documented divergence
             for sign in (1.0, -1.0):
-                with pytest.raises(ResonanceError):
+                with pytest.raises(ValidationError, match="permittivity diverges"):
                     permittivity(m, sign * w)
             return
         assert permittivity(m, -w) == pytest.approx(

@@ -15,7 +15,7 @@ from greenfdtd.bank import PoleBank, pole_matrix
 from greenfdtd.config import SimConfig, load_table1
 from greenfdtd.constants import C0, EPS0, MU0
 from greenfdtd.dispersion import LorentzPole, Medium
-from greenfdtd.errors import RealnessError, ValidationError
+from greenfdtd.errors import ValidationError
 from greenfdtd.fdtd import (
     GaussianSource,
     Grid1D,
@@ -407,14 +407,15 @@ class TestLanes:
         assert all(lane.peaks.all() and not lane.exited for lane in sim._lanes)
 
     @pytest.mark.parametrize("n_steps, nodes, message", [
-        (True, [5], "n_steps must be an integer, got True"),
-        (2.0, [5], "n_steps must be an integer, got 2.0"),
-        (3, [True, 5], "probe node must be an integer, got True"),
-        (3, [5, np.float64(7.0)], "probe node must be an integer, got np.float64(7.0)"),
+        (True, [5], "n_steps must be a non-negative integer, got True"),
+        (2.0, [5], "n_steps must be a non-negative integer, got 2.0"),
+        (3, [True, 5], "probe node must be an integer in [0, 400), got True"),
+        (3, [5, np.float64(7.0)],
+         "probe node must be an integer in [0, 400), got np.float64(7.0)"),
     ], ids=["bool-steps", "float-steps", "bool-node", "float-node"])
     def test_run_arguments_named(self, n_steps, nodes, message):
         # a bool is never a count or a node, as in the value types' domains
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build_simulation(small_config()).run(n_steps, nodes)
 
     def test_numpy_integer_arguments_accepted(self):
@@ -617,17 +618,25 @@ class TestBuilder:
             small_config(absorber_cells=200, absorber_sigma=5.0)
 
     def test_no_config_rejected(self):
-        with pytest.raises(ValueError, match="at least one SimConfig"):
+        with pytest.raises(ValidationError, match="at least one SimConfig"):
             build_simulation()
 
     def test_negative_step_count_rejected(self):
-        with pytest.raises(ValueError, match="n_steps must be >= 0, got -5"):
+        with pytest.raises(ValidationError,
+                           match=r"^n_steps must be a non-negative integer, got -5$"):
             build_simulation(small_config()).run(-5, [10])
 
     def test_non_integer_probe_node_rejected(self):
         # int() would truncate node 10.7 to node 10 without a word
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match=r"^probe node must be an integer in \[0, 400\), "
+                                                  r"got 10\.7$"):
             build_simulation(small_config()).run(3, [10.7])
+
+    @pytest.mark.parametrize("node", [-1, 400])
+    def test_probe_node_outside_grid_rejected(self, node):
+        with pytest.raises(ValidationError, match=rf"^probe node must be an integer in \[0, 400\), "
+                                                  rf"got {node}$"):
+            build_simulation(small_config()).run(3, [10, node])
 
     def test_probe_fraction_mapping(self):
         assert probe_nodes_from_fractions((0.25, 0.499, 0.75), 3000) == [750, 1497, 2249]
@@ -775,7 +784,7 @@ class TestPoleKernels:
             return dataclasses.replace(c, curr_minus=c.curr_minus * (1.0 + 1e-6))
 
         monkeypatch.setattr(greens, "make_coefficients", skewed)
-        with pytest.raises(RealnessError, match=r"LorentzPole\(delta_eps=3\.0.*curr_minus"):
+        with pytest.raises(ValidationError, match=r"LorentzPole\(delta_eps=3\.0.*curr_minus"):
             build_simulation(small_config(medium=table1_like_medium()))
         # adem does not use the recurrence coefficients
         build_simulation(small_config(medium=table1_like_medium()), method="adem")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from greenfdtd.constants import C0, EPS0
 from greenfdtd.dispersion import LorentzPole, pole_roots
-from greenfdtd.errors import DegeneratePoleError, RealnessError
+from greenfdtd.errors import ValidationError
 from greenfdtd.greens import (
     IMAG_RESIDUAL_RTOL,
     PoleCoefficients,
@@ -50,6 +50,11 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="^dt must be positive and finite, got inf$"):
             make_coefficients(TABLE1_POLE, math.inf)
 
+    def test_bool_step_rejected(self):
+        # True was read as dt = 1 s
+        with pytest.raises(ValidationError, match="^dt must be positive and finite, got True$"):
+            make_coefficients(TABLE1_POLE, True)
+
     def test_damped_propagator_magnitude(self):
         co = make_coefficients(TABLE1_POLE, TABLE1_DT)
         expected = math.exp(-0.1 * WP * TABLE1_DT)
@@ -72,7 +77,7 @@ class TestCoefficients:
         for pole, dt in ((TABLE1_POLE, TABLE1_DT), (over, 0.3)):
             co = make_coefficients(pole, dt)
             broken = dataclasses.replace(co, inject_minus=co.inject_minus * (1.0 + 1e-6j))
-            with pytest.raises(RealnessError, match=r"LorentzPole\(.*inject_minus"):
+            with pytest.raises(ValidationError, match=r"LorentzPole\(.*inject_minus"):
                 check_branch_symmetry(pole, broken)
 
     @settings(max_examples=200, deadline=None)
@@ -346,7 +351,7 @@ class TestEvaluators:
         rng = np.random.default_rng(17)
         state, coeffs = drive_states(TABLE1_POLE, TABLE1_DT, rng.uniform(-1, 1, 50))
         broken = dataclasses.replace(coeffs, curr_plus=coeffs.curr_plus * (1.0 + 1e-6))
-        with pytest.raises(RealnessError):
+        with pytest.raises(ValidationError, match="imaginary residual"):
             polarization_current_half_step(state, broken)
 
     def test_residual_tolerance_is_pinned(self):

@@ -8,6 +8,7 @@ import pytest
 from greenfdtd import verify
 from greenfdtd.constants import C0, EPS0
 from greenfdtd.dispersion import LorentzPole
+from greenfdtd.errors import ValidationError
 from greenfdtd.greens import PoleState, advance_state, make_coefficients, polarization
 from greenfdtd.oracle import (
     direct_convolution_sum,
@@ -67,6 +68,17 @@ class TestGreenRk4:
         with pytest.raises(ValueError):
             green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 50)
 
+    @pytest.mark.parametrize("fine_step", [0.0, -1.0, math.nan], ids=str)
+    @pytest.mark.parametrize("integrate", [
+        lambda h: green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, h),
+        lambda h: polarization_rk4(np.zeros(8), TABLE1_POLE, TABLE1_DT, h),
+    ], ids=["green_rk4", "polarization_rk4"])
+    def test_fine_step_must_be_positive(self, integrate, fine_step):
+        # 0 divided by zero, -1 stepped at dt/100 and NaN failed to convert
+        with pytest.raises(ValidationError,
+                           match=rf"^fine_step must lie in \(0, dt/100\], got {fine_step}$"):
+            integrate(fine_step)
+
     @pytest.mark.parametrize("t_end", [0.5 * TABLE1_DT, 0.2 * TABLE1_DT],
                              ids=["at-trailing-edge", "inside"])
     def test_t_end_precondition(self, t_end):
@@ -111,7 +123,7 @@ class TestGreenRk4:
 
 class TestPolarizationRk4:
     def test_fine_step_precondition(self):
-        with pytest.raises(ValueError, match="fine_step must be <= dt/100"):
+        with pytest.raises(ValueError, match=r"fine_step must lie in \(0, dt/100\]"):
             polarization_rk4(np.zeros(8), TABLE1_POLE, TABLE1_DT, TABLE1_DT / 50)
 
     def test_zero_drive(self):
