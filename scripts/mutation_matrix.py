@@ -30,6 +30,7 @@ FDTD, VERIFY = "src/greenfdtd/fdtd.py", "src/greenfdtd/verify.py"
 BANK, CONFIG = "src/greenfdtd/bank.py", "src/greenfdtd/config.py"
 DISPERSION = "src/greenfdtd/dispersion.py"
 GREENS, ADE = "src/greenfdtd/greens.py", "src/greenfdtd/ade.py"
+ANALYSIS, ORACLE = "src/greenfdtd/analysis.py", "src/greenfdtd/oracle.py"
 _MATRIX_END = "        mat[m, m] += curr_e\n    return mat\n"
 _BANK_READ = ("        dot, subtract = np.dot, np.subtract\n\n"
               "        def advance():\n"
@@ -80,6 +81,10 @@ MUTATIONS = {
                  "return ([[a, b], [-b, a]], (1.0, 0.0),"),
     "adem-k": (ADE, "        pole.strength * dt * dt,\n",
                "        1.01 * pole.strength * dt * dt,\n"),
+    # the |R| band admits bins of zero incident spectrum, and the RK4
+    # oracles admit a fine_step whose dt / fine_step is not finite
+    "band-zero": (ANALYSIS, " & (inc_mag > 0.0)", ""),
+    "substep-finite": (ORACLE, " and np.isfinite(dt / fine_step)", ""),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

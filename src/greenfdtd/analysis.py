@@ -60,9 +60,10 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     total series at the same node.
 
     reflected = total - incident sample-wise; |R| = |DFT(reflected)| /
-    |DFT(incident)| at bins where |DFT(incident)| >= band_threshold times
-    its maximum; band_threshold <= 0 would pass bins where it is 0, so it
-    is a ValidationError, as are mismatched series and an empty band.
+    |DFT(incident)| at bins where |DFT(incident)| is positive and at least
+    band_threshold times its maximum, a product that may underflow to 0;
+    band_threshold <= 0 is a ValidationError, as are mismatched series and
+    an empty band.
     Returns an (n, 2) array of (freq_hz, magnitude) rows.
     The incident spectrum is cut to its magnitude before the reflected one
     is taken, so one spectrum is alive at a time.
@@ -80,7 +81,7 @@ def reflection_magnitude(incident: ProbeSeries, total: ProbeSeries,
     inc_mag = np.abs(spectrum(incident).amps)
     if inc_mag.max() == 0.0:
         raise ValidationError("incident spectrum is identically zero")
-    mask = inc_mag >= band_threshold * inc_mag.max()
+    mask = (inc_mag >= band_threshold * inc_mag.max()) & (inc_mag > 0.0)
     if not np.any(mask):
         raise ValidationError(f"band_threshold={band_threshold} excluded every frequency bin")
     ref = spectrum(ProbeSeries(total.node_index, np.subtract(total.samples, incident.samples),

@@ -16,8 +16,8 @@ oracles, which step the pole bank (bank) and build no grid.
 
 CSV output is locale-independent (scientific notation, 12+ significant
 digits, '\n' line endings).  Its rows stream, one write each, to --out
-when given, the config's [run] out path otherwise, else stdout, where
-`reflection`'s summary then goes to stderr.  Exit status: 0 success, 1
+when given, else to stdout, where `reflection`'s summary then goes to
+stderr; the config names no output.  Exit status: 0 success, 1
 usage or file error or a refusal, 2 verification failure.  A refusal is
 a ValidationError, printed as one `config error:` line: of the config,
 of a pole by the build's branch-symmetry gate, of a run whose probe
@@ -149,14 +149,10 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 return cmd_verify(config)
             command = {"run": cmd_run, "reflection": cmd_reflection, "green": cmd_green}
-            return command[args.command](config, args.out or config.out)
+            return command[args.command](config, args.out)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except ValidationError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

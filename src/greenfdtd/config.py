@@ -14,7 +14,7 @@ default.  All values are SI:
     [medium]  eps_inf, sigma (S/m)
     [medium.pole.<k>]  delta_eps (> 0), omega_p (rad/s), delta_p (rad/s)
     [run]     steps, probes (fractions of L), method (tgm|adem),
-              band_threshold, out (optional path)
+              band_threshold
 
 An empty or absent [medium] section means vacuum.  Pole sections are
 numbered 1..P, each k a decimal without leading zeros.  NaN and +-inf
@@ -77,7 +77,6 @@ class SimConfig:
     band_threshold: float = 0.001
     absorber_cells: int = 0
     absorber_sigma: float = 0.0
-    out: str | None = None
 
     DOMAINS = (
         ("source", "source", (GaussianSource, lambda _: True, "a GaussianSource")),
@@ -91,7 +90,6 @@ class SimConfig:
         ("probes", "run.probes", _PROBES),
         ("method", "run.method", (str, lambda m: m in ("tgm", "adem"), "'tgm' or 'adem'")),
         ("band_threshold", "run.band_threshold", _UNIT),
-        ("out", "run.out", ((str, type(None)), lambda _: True, "a str or None")),
     )
     def __post_init__(self):
         check_fields(self, self.DOMAINS)

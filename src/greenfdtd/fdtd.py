@@ -59,10 +59,11 @@ division and no reduction (see Simulation.step for the order):
   written as Python floats through a memoryview of the lane's E, and
   one line per recorded lane and probe node writes its value into a
   flat memoryview of the record, so no Python call, attribute load or
-  numpy scalar sits between the passes.  Simulation.run calls it once
-  per block between quiet checks, Simulation.step for a one-step block
-  without records.  The bank's advance is a closure (bank module), and
-  every array of the step starts on a cache line (`bank.aligned`).
+  numpy scalar sits between the passes.  Nothing is bound at build:
+  Simulation.run binds one per call and calls it per block between quiet
+  checks, Simulation.step one without records on its first call.  The
+  bank's advance is a closure (bank module), and every array of the step
+  starts on a cache line (`bank.aligned`).
 - Lanes.  A Simulation steps one or more configs that differ only in
   medium and method, like the runs of the reflection experiment.  With n
   nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
@@ -328,7 +329,7 @@ class Simulation:
         self.media = (Medium.vacuum(), *(c.medium for c in configs))
         self.source = config.source
         self.method = "+".join(c.method for c in configs)
-        self.step_index, self._live, self._kernel = 0, lanes, self._bind(lanes, (), None)
+        self.step_index, self._live, self._kernel = 0, lanes, None
 
     def _bind(self, live, nodes, out):
         """The steps' kernel over the first `live` lanes, recording E at each
@@ -352,17 +353,13 @@ class Simulation:
         return scope["bind"](**names)
 
     @property
-    def time(self) -> float:
-        return self.step_index * self.grid.dt
-
-    @property
     def n_nodes(self) -> int:
         return len(self.grid.e)
 
     def step(self) -> None:
         """Advance the grid by one dt (one full leapfrog cycle): a one-step
-        block of the kernel, without records.  It computes, in place, with
-        the coefficient arrays of the module docstring:
+        block of a kernel without records, bound on first use.  It
+        computes, in place, with the coefficient arrays of the module docstring:
             b = ca_b*b - cb*(e[1:] - e[:-1])
             e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
         where J, the bank's summed current, is stepped from E^N in one
@@ -374,6 +371,8 @@ class Simulation:
         with its constants multiplied out, equal to it up to rounding; a
         run without poles or loss is plain Yee.
         """
+        if self._kernel is None:
+            self._kernel = self._bind(self._live, (), None)
         self.step_index = self._kernel(self.step_index, self.step_index + 1, 0)
 
     def run(self, n_steps: int, probe_nodes) -> list:
@@ -414,7 +413,8 @@ class Simulation:
                 break
             stop = min(start + QUIET_CHECK_STEPS, n_steps)
             self.step_index = kernel(self.step_index, begin + stop, max(start, 0) * series)
-            if self.step_index % QUIET_CHECK_STEPS or self.time < 2.0 * self.source.t0:
+            if (self.step_index % QUIET_CHECK_STEPS
+                    or self.step_index * self.grid.dt < 2.0 * self.source.t0):
                 continue
             for lane in lanes:
                 if not lane.exited and lane.quiet(lane.peaks):
@@ -423,7 +423,7 @@ class Simulation:
                     lane.exited = True
             live = max((k + 1 for k, lane in enumerate(lanes) if not lane.exited), default=0)
             if 0 < live < self._live:
-                self._live, self._kernel = live, self._bind(live, (), None)
+                self._live, self._kernel = live, None
                 kernel = self._bind(live, nodes, out)
         return [ProbeSeries(nodes[c % len(nodes)], rec[:, c], self.grid.dt)
                 for c in range(series)]

@@ -149,6 +149,14 @@ def _rk4_phases(pole: LorentzPole, h, phases, t0):
     return times, x[0], x[1]
 
 
+def _substeps(dt, fine_step) -> int:
+    """Sub-steps per dt at about `fine_step`, which must lie in (0, dt/100]
+    with a finite dt / fine_step."""
+    if not (0.0 < fine_step <= dt / 100.0 * (1.0 + 1e-12) and np.isfinite(dt / fine_step)):
+        raise ValidationError(f"fine_step must lie in (0, dt/100], got {fine_step!r}")
+    return int(round(dt / fine_step))
+
+
 def green_rk4(pole: LorentzPole, dt: float, t_end: float, fine_step: float) -> OdeTrace:
     """High-resolution integration of the response to the unit rectangle
     on [-dt/2, dt/2] from rest.
@@ -157,11 +165,9 @@ def green_rk4(pole: LorentzPole, dt: float, t_end: float, fine_step: float) -> O
     force-free to t_end.  fine_step must lie in (0, dt/100] and is snapped
     so the rectangle edges land exactly on mesh points.
     """
-    if not 0.0 < fine_step <= dt / 100.0 * (1.0 + 1e-12):
-        raise ValidationError(f"fine_step must lie in (0, dt/100], got {fine_step!r}")
+    n_in = _substeps(dt, fine_step)
     if t_end <= 0.5 * dt:
         raise ValidationError("t_end must lie beyond the rectangle, dt/2")
-    n_in = int(round(dt / fine_step))
     h = dt / n_in
     n_free = max(int(np.ceil((t_end - 0.5 * dt) / h)), 1)
     times, ys, vs = _rk4_phases(pole, h, [(n_in, 1.0), (n_free, 0.0)], t0=-0.5 * dt)
@@ -176,10 +182,8 @@ def polarization_rk4(e_samples, pole: LorentzPole, dt: float, fine_step: float) 
     limited only by the integrator's own error.  fine_step must lie in
     (0, dt/100].
     """
-    if not 0.0 < fine_step <= dt / 100.0 * (1.0 + 1e-12):
-        raise ValidationError(f"fine_step must lie in (0, dt/100], got {fine_step!r}")
+    n_in = _substeps(dt, fine_step)
     e = np.asarray(e_samples, dtype=float)
-    n_in = int(round(dt / fine_step))
     phases = [(n_in, pole.strength * float(en)) for en in e]
     times, ys, vs = _rk4_phases(pole, dt / n_in, phases, t0=-0.5 * dt)
     return OdeTrace(times, ys, vs)

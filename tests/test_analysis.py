@@ -178,6 +178,16 @@ class TestReflectionMagnitude:
         with pytest.raises(ValidationError, match=match):
             reflection_magnitude(make_series(x), make_series(x), band_threshold=threshold)
 
+    def test_band_skips_zero_bins_when_threshold_product_underflows(self):
+        # [c, c] padded to 4 points has an exactly zero bin at Nyquist, and
+        # 5e-324 times its peak 2e-300 underflows to 0: that bin kept a NaN
+        c = 1e-300
+        inc = make_series([c, c], dt=1.0)
+        tot = make_series([1.5 * c, 1.5 * c], dt=1.0)
+        out = reflection_magnitude(inc, tot, band_threshold=5e-324)
+        assert out[:, 0].tolist() == [0.0, 0.25]
+        assert out[:, 1] == pytest.approx([0.5, 0.5], rel=1e-15)
+
     @pytest.mark.parametrize("threshold", [0.0, -0.5])
     def test_threshold_at_or_below_zero_rejected(self, threshold):
         # it kept bins where the incident spectrum is exactly zero, and

@@ -405,6 +405,16 @@ class TestVerifyCatchesCorruptBlocks:
         out = capsys.readouterr().out
         assert "FAIL steady-state" in out and "FAIL ade-fixed-point" in out
 
+    def test_adem_block_with_k_off_by_half_a_percent(self, monkeypatch, capsys):
+        # the fixed point moves by 5e-3, between the steady-state check's
+        # tolerance 1e-3 and 1e-2
+        corrupt_block(monkeypatch, ade, "adem_block",
+                      lambda a, inject, curr, curr_e: (a, np.multiply(inject, 1.005), curr,
+                                                        1.005 * curr_e))
+        assert cli.main(["verify", "--config", str(table1_path())]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL steady-state: pole 1: worst relative offset 5.000e-03" in out
+
     def test_bank_stepping_a_stale_field(self, monkeypatch, capsys):
         # the stepping checks read the states of the grid's own bank, so a
         # bank that steps from the previous sample's E fails both of them

@@ -60,11 +60,10 @@ steps = 100
 probes = 0.25, 0.75
 method = adem
 band_threshold = 0.01
-out = out.csv
 """
 REQUIRED = ("length", "nodes", "t0", "width", "omega0", "delta_eps", "omega_p", "delta_p")
 OPTIONAL = ("cfl", "absorber_cells", "absorber_sigma", "eps_inf", "sigma", "steps", "probes",
-            "method", "band_threshold", "out")
+            "method", "band_threshold")
 # every key with a real value, the probes list included
 FLOAT_KEYS = ("length", "cfl", "absorber_sigma", "t0", "width", "omega0", "eps_inf", "sigma",
               "delta_eps", "omega_p", "delta_p", "probes", "band_threshold")
@@ -175,6 +174,13 @@ class TestParseErrors:
     def test_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(MINIMAL + "\n[grid]\nwibble = 3\n")
+
+    def test_output_path_is_not_a_key(self):
+        # the output path is the CLI's --out alone
+        lineno = MINIMAL.count("\n") + 1
+        with pytest.raises(ValidationError,
+                           match=f"^line {lineno}: unknown key 'out' in section \\[run\\]$"):
+            parse_config(MINIMAL + "out = out.csv\n")
 
     def test_bad_number(self):
         with pytest.raises(ValidationError, match="bad value"):
@@ -441,13 +447,8 @@ DOMAIN_CASES = {
         st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
                  max_size=4).map(tuple),
         [("a",), (0.5, True), (), 5, (0.0, 0.5), (0.5, 1.0), (math.nan,), [0.5, None], "0.5"]),
-    # a path the config file can spell, or None
-    "a str or None": (st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
-                      [5, 1.0, b"out.csv", ("out.csv",)]),
 }
 OUTSIDE_EVERY_DOMAIN = [math.nan, math.inf, -math.inf, True, False, "1.0", None]
-# the values of OUTSIDE_EVERY_DOMAIN that a domain holds: run.out is a str or None
-HELD = {"a str or None": ["1.0", None]}
 DOMAIN_ROWS = [(kind, row) for kind in BASES for row in kind.DOMAINS]
 ROW_IDS = [f"{kind.__name__}.{row[0]}" for kind, row in DOMAIN_ROWS]
 
@@ -470,8 +471,7 @@ class TestDomainTables:
     @pytest.mark.parametrize("kind, row", DOMAIN_ROWS, ids=ROW_IDS)
     def test_value_outside_domain_named(self, kind, row):
         attr, name, (_, _, phrase), *_ = row
-        held = HELD.get(phrase, [])
-        for value in [v for v in OUTSIDE_EVERY_DOMAIN if v not in held] + DOMAIN_CASES[phrase][1]:
+        for value in OUTSIDE_EVERY_DOMAIN + DOMAIN_CASES[phrase][1]:
             with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be "
                                f"{re.escape(phrase)}, got {re.escape(repr(value))}"):
                 dataclasses.replace(BASES[kind], **{attr: value})
@@ -494,7 +494,7 @@ def render(cfg):
         for attr, name, *_ in type(value).DOMAINS:
             row_section, _, key = name.rpartition(".")
             x = getattr(value, attr)
-            if row_section == section and x is not None:
+            if row_section == section:
                 yield f"{key} = {', '.join(map(str, x)) if isinstance(x, tuple) else x}"
 
     parts = [lines("grid", cfg, "grid"), lines("source", cfg.source, "source"),
@@ -540,7 +540,7 @@ SMALL_TABLE1 = render(dataclasses.replace(TABLE1, n_grid=32, n_steps=64, absorbe
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0, 2, 10]).flatmap(
-    lambda cells: configs(2, n_grid=32, n_steps=64, absorber_cells=cells, out=None)).map(render))
+    lambda cells: configs(2, n_grid=32, n_steps=64, absorber_cells=cells)).map(render))
 @example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-300"))
 @example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-310"))
 @example(SMALL_TABLE1.replace("length = 0.05", "length = 1e-320"))

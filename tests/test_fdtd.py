@@ -118,7 +118,7 @@ class TestMur:
         assert e[0] == source_value(TABLE1_SRC, 0.0) != 0.0
         while (sim.step_index + 1) * dt < 2 * TABLE1_SRC.t0:
             sim.step()
-            assert e[0] == source_value(TABLE1_SRC, sim.time)
+            assert e[0] == source_value(TABLE1_SRC, sim.step_index * sim.grid.dt)
         e0_old, e1_old = float(e[0]), float(e[1])
         sim.step()
         k = (C0 * dt - dx) / (C0 * dt + dx)
@@ -379,6 +379,34 @@ class TestLanes:
             assert [a.tobytes() for a in two.state] == [a.tobytes() for a in one.state]
             assert two.peaks.tobytes() == one.peaks.tobytes()
 
+    def test_kernels_bound_only_when_used(self, monkeypatch):
+        # a build binds nothing; run binds its recording kernel once per
+        # call and once per lane drop; step binds its own on first use,
+        # keeps it, and binds it again over the lanes left after a drop
+        calls, bind = [], Simulation._bind
+
+        def counted_bind(self, live, nodes, out):
+            calls.append((live, nodes))
+            return bind(self, live, nodes, out)
+
+        monkeypatch.setattr(Simulation, "_bind", counted_bind)
+        cfg = small_config(medium=table1_like_medium())
+        sim = build_simulation(lane_config(cfg, "tgm"), lane_config(cfg, "vacuum"))
+        assert calls == []
+        sim.run(300, [100])
+        assert calls == [(2, (100,))]
+        sim.step()
+        sim.step()
+        assert calls[1:] == [(2, ())]
+        # the trailing vacuum lane is quiet at step 2560 and leaves both kernels
+        sim.run(3072 - sim.step_index, [100])
+        vacuum = sim._lanes[1]
+        assert vacuum.exited and calls[2:] == [(2, (100,)), (1, (100,))]
+        sim.step()
+        assert calls[4:] == [(1, ())]
+        assert not any(a.any() for a in vacuum.state)
+        assert sim.grid.e[:cfg.n_grid].any()
+
     def test_series_share_one_record(self):
         cfg = small_config(medium=table1_like_medium())
         series = Simulation(cfg, lane_config(cfg, "vacuum")).run(300, [100, 200, 300])
@@ -507,7 +535,7 @@ class TestEnergyAndStability:
         cfg = small_config(n_grid=1600, length=0.04)
         sim = build_simulation(cfg)
         # let the source finish
-        while sim.time < 2 * TABLE1_SRC.t0:
+        while sim.step_index * sim.grid.dt < 2 * TABLE1_SRC.t0:
             sim.step()
         dx, dt = sim.grid.dx, sim.grid.dt
 

@@ -68,13 +68,14 @@ class TestGreenRk4:
         with pytest.raises(ValueError):
             green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, TABLE1_DT / 50)
 
-    @pytest.mark.parametrize("fine_step", [0.0, -1.0, math.nan], ids=str)
+    @pytest.mark.parametrize("fine_step", [0.0, -1.0, math.nan, 5e-324], ids=str)
     @pytest.mark.parametrize("integrate", [
         lambda h: green_rk4(TABLE1_POLE, TABLE1_DT, 5 * TABLE1_DT, h),
         lambda h: polarization_rk4(np.zeros(8), TABLE1_POLE, TABLE1_DT, h),
     ], ids=["green_rk4", "polarization_rk4"])
     def test_fine_step_must_be_positive(self, integrate, fine_step):
-        # 0 divided by zero, -1 stepped at dt/100 and NaN failed to convert
+        # 0 divided by zero, -1 stepped at dt/100, NaN failed to convert and
+        # the subnormal's dt / fine_step overflowed to inf
         with pytest.raises(ValidationError,
                            match=rf"^fine_step must lie in \(0, dt/100\], got {fine_step}$"):
             integrate(fine_step)
