@@ -85,6 +85,14 @@ MUTATIONS = {
     # oracles admit a fine_step whose dt / fine_step is not finite
     "band-zero": (ANALYSIS, " & (inc_mag > 0.0)", ""),
     "substep-finite": (ORACLE, " and np.isfinite(dt / fine_step)", ""),
+    # the smooth-drive oracle checks no fine_step, and the seam B node
+    # after each lane gets a non-zero cb
+    "smooth-fine-step": (
+        ORACLE, "    if not (0.0 < fine_step <= t_end and np.isfinite(t_end / fine_step)):\n"
+                '        raise ValidationError(f"fine_step must lie in (0, t_end], got {fine_step!r}")\n',
+        ""),
+    "seam-cb": (FDTD, "self._cb, self._ce = aligned(lanes * n - 1), aligned(lanes * n - 2)",
+                "self._cb, self._ce = aligned(lanes * n - 1, 1e-3), aligned(lanes * n - 2)"),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

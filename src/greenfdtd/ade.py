@@ -17,33 +17,19 @@ Green-function update, so the two methods are structurally comparable.
 Stability requires wp*dt well below 2; no hard check is made.
 
 `ade_advance` and `ade_current_half_step` are the scalar (or one-pole
-ndarray) form; the grid solver steps all poles of a medium in one matrix
-product, with each pole's state kept as (P^N, P^N - P^{N-1}) and the
-constants of `ade_coefficients` divided by d (`adem_block`), so the
-current needs no difference of two polarizations and the two forms
-agree to rounding (see the fdtd module).  The update is real
-throughout, so unlike the "tgm" path there is no realness check, at
-build time or per step.
+ndarray) form, on the plain pair (P^N, P^{N-1}), each a scalar or an
+ndarray with one entry per cell; a fresh state is (0.0, 0.0).  The grid
+solver steps all poles of a medium in one matrix product, with each
+pole's state kept as (P^N, P^N - P^{N-1}) and the constants of
+`ade_coefficients` divided by d (`adem_block`), so the current needs no
+difference of two polarizations and the two forms agree to rounding
+(see the fdtd module).  The update is real throughout, so unlike the
+"tgm" path there is no realness check, at build time or per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .dispersion import POSITIVE, SQUARABLE, LorentzPole, check_value
-
-
-@dataclass
-class AdePoleState:
-    """Two-level polarization history (p_now = P^N, p_prev = P^{N-1}).
-
-    Fields may be scalars or ndarrays (one per cell); fresh states are zero.
-    """
-
-    p_now: float | np.ndarray = 0.0
-    p_prev: float | np.ndarray = 0.0
 
 
 def ade_coefficients(pole: LorentzPole, dt: float):
@@ -72,14 +58,16 @@ def adem_block(pole: LorentzPole, dt: float, scale: float):
     return [[1.0 - c, b], [-c, b]], (k, k), (-s * c, s * b), s * k
 
 
-def ade_advance(state: AdePoleState, e_now, pole: LorentzPole, dt: float):
-    """One explicit step; returns (new_state, p_next) with p_next = P^{N+1}."""
+def ade_advance(state, e_now, pole: LorentzPole, dt: float):
+    """One explicit step from state = (P^N, P^{N-1}); returns the new
+    state (P^{N+1}, P^N)."""
     a, b, k, d = ade_coefficients(pole, dt)
-    p_next = (a * state.p_now - b * state.p_prev + k * e_now) / d
-    return AdePoleState(p_now=p_next, p_prev=state.p_now), p_next
+    p_now, p_prev = state
+    return (a * p_now - b * p_prev + k * e_now) / d, p_now
 
 
-def ade_current_half_step(state_after_advance: AdePoleState, dt: float):
-    """dP/dt at t_N + dt/2: central difference of the advanced state,
-    (P^{N+1} - P^N)/dt."""
-    return (state_after_advance.p_now - state_after_advance.p_prev) / dt
+def ade_current_half_step(state_after_advance, dt: float):
+    """dP/dt at t_N + dt/2: central difference of the advanced state
+    (P^{N+1}, P^N), (P^{N+1} - P^N)/dt."""
+    p_next, p_now = state_after_advance
+    return (p_next - p_now) / dt

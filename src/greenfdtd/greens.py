@@ -16,8 +16,9 @@ t_N + dt/2 is what the leapfrog field update consumes.
 
 Only `make_coefficients` computes w+/- (the strength eps0 deps wp^2 is
 `LorentzPole.strength`).  The scheme assumes a uniform dt: PoleCoefficients
-are baked for one step size and must be rebuilt if dt changes.  All
-functions accept scalar or ndarray-valued states (one entry per cell).
+are baked for one step size and must be rebuilt if dt changes.  A state
+is the plain pair (F+, F-), each a complex scalar or an ndarray with one
+entry per cell; a fresh state is (0j, 0j), no field history before t0.
 
 Under real drive the minus branch mirrors the plus branch: F- == conj(F+)
 for an underdamped pole, and both accumulators are real for an
@@ -29,7 +30,7 @@ bank.pole_matrix), so it checks the coefficients once per pole with
 `check_branch_symmetry` when the block is built, not at every step, and
 `verify` reports the same `branch_residuals`.  Complex +, * and exp
 commute with conjugation, so those residuals are exactly 0.0 for
-`make_coefficients`.  The scalar form below (`PoleState` to
+`make_coefficients`.  The scalar form below (`advance_state` to
 `polarization_current_half_step`, each value checked for an imaginary
 residual) is not stepped by the package: it is the tests' bit-pinned
 reference, and perfbench's tracer wraps `advance_state`.
@@ -67,18 +68,6 @@ class PoleCoefficients:
     curr_plus: complex
     curr_minus: complex
     dt: float
-
-
-@dataclass
-class PoleState:
-    """Complex accumulators F+ and F- for one pole.
-
-    Fields may be complex scalars or complex ndarrays (one per cell).
-    Fresh states are zero: there is no field history before t0.
-    """
-
-    f_plus: complex | np.ndarray = 0j
-    f_minus: complex | np.ndarray = 0j
 
 
 def make_coefficients(pole: LorentzPole, dt: float) -> PoleCoefficients:
@@ -124,35 +113,35 @@ def green_function(pole: LorentzPole, t, dt: float):
     return _real_part(term_p, term_m, "green_function")
 
 
-def advance_state(state: PoleState, e_now, coeffs: PoleCoefficients) -> PoleState:
-    """One recurrence step: fold the sample E^N into the accumulators.
+def advance_state(state, e_now, coeffs: PoleCoefficients):
+    """One recurrence step: fold the sample E^N into the accumulators
+    state = (F+, F-) and return the new pair.
 
     Exactly one multiply-add per accumulator; no history is retained.
     """
-    return PoleState(
-        f_plus=state.f_plus * coeffs.prop_plus + coeffs.inject_plus * e_now,
-        f_minus=state.f_minus * coeffs.prop_minus + coeffs.inject_minus * e_now,
-    )
+    f_plus, f_minus = state
+    return (f_plus * coeffs.prop_plus + coeffs.inject_plus * e_now,
+            f_minus * coeffs.prop_minus + coeffs.inject_minus * e_now)
 
 
-def polarization(state: PoleState, pole: LorentzPole, coeffs: PoleCoefficients, tau: float):
+def polarization(state, pole: LorentzPole, coeffs: PoleCoefficients, tau: float):
     """Polarization P at time t_N + tau, 0 <= tau <= dt, from the current
     accumulators (last injected sample was E^N)."""
     if not 0.0 <= tau <= coeffs.dt * (1.0 + 1e-12):
         raise ValidationError(f"tau must lie within one step [0, dt], got {tau!r}")
-    term_p = pole.strength * np.exp(1j * coeffs.z_plus * tau) * state.f_plus
-    term_m = pole.strength * np.exp(1j * coeffs.z_minus * tau) * state.f_minus
+    term_p = pole.strength * np.exp(1j * coeffs.z_plus * tau) * state[0]
+    term_m = pole.strength * np.exp(1j * coeffs.z_minus * tau) * state[1]
     return _real_part(term_p, term_m, "polarization")
 
 
-def polarization_current_half_step(state: PoleState, coeffs: PoleCoefficients):
+def polarization_current_half_step(state, coeffs: PoleCoefficients):
     """dP/dt at t_N + dt/2, the value the leapfrog field update consumes.
 
     Ordering contract: E^N must already have been injected via
     advance_state before asking for this step's half-step current.
     """
-    term_p = coeffs.curr_plus * state.f_plus
-    term_m = coeffs.curr_minus * state.f_minus
+    term_p = coeffs.curr_plus * state[0]
+    term_m = coeffs.curr_minus * state[1]
     return _real_part(term_p, term_m, "polarization_current_half_step")
 
 

@@ -205,12 +205,15 @@ def smooth_drive_rk4(pole: LorentzPole, omega: float, t_end: float, fine_step: f
 
     with E_k = R^k - I built by binary powering over the E_j and
     z^k - 1 = 2i sin(k omega h/2) e^(i k omega h/2), which keeps its digits
-    at small k.  ValidationError for a time outside [0, t_end].
+    at small k.  ValidationError for a fine_step outside (0, t_end] or
+    with t_end / fine_step not finite, and for a time outside [0, t_end].
     """
+    if not (0.0 < fine_step <= t_end and np.isfinite(t_end / fine_step)):
+        raise ValidationError(f"fine_step must lie in (0, t_end], got {fine_step!r}")
     t = np.asarray(times, dtype=float)
     if np.any((t < 0.0) | (t > t_end)):
         raise ValidationError(f"times outside [0, t_end = {t_end}]")
-    n = max(int(np.ceil(t_end / fine_step)), 1)
+    n = int(np.ceil(t_end / fine_step))
     h = t_end / n
     k = np.rint(t / h).astype(np.int64)
     emat, smat = _rk4_matrices(pole, h)

@@ -138,7 +138,7 @@ def check_steady_state(pole, dt, scale):
 
 def check_conjugacy(pole, dt):
     """prop and inject of the minus branch must be the conjugates of the
-    plus branch's, as real drive then keeps f_minus == conj(f_plus);
+    plus branch's, as real drive then keeps F- == conj(F+);
     underdamped poles only."""
     if pole.overdamped:
         return CheckResult("conjugacy", SKIP, "skipped (overdamped)")

@@ -14,7 +14,6 @@ from greenfdtd.errors import ValidationError
 from greenfdtd.greens import (
     IMAG_RESIDUAL_RTOL,
     PoleCoefficients,
-    PoleState,
     advance_state,
     branch_residuals,
     check_branch_symmetry,
@@ -32,7 +31,7 @@ TABLE1_DT = 0.9 * (0.05 / 2999) / C0
 
 def drive_states(pole, dt, e_history):
     coeffs = make_coefficients(pole, dt)
-    state = PoleState()
+    state = (0j, 0j)
     for e in e_history:
         state = advance_state(state, e, coeffs)
     return state, coeffs
@@ -201,7 +200,7 @@ class TestGreenFunction:
 class TestRecurrence:
     def test_zero_in_zero_out(self):
         state, coeffs = drive_states(TABLE1_POLE, TABLE1_DT, [0.0, 0.0, 0.0])
-        assert state.f_plus == 0.0 and state.f_minus == 0.0
+        assert state[0] == 0.0 and state[1] == 0.0
         assert polarization(state, TABLE1_POLE, coeffs, 0.0) == 0.0
         assert polarization_current_half_step(state, coeffs) == 0.0
 
@@ -248,21 +247,21 @@ class TestRecurrence:
         sa, coeffs = drive_states(TABLE1_POLE, TABLE1_DT, e1)
         sb, _ = drive_states(TABLE1_POLE, TABLE1_DT, e2)
         sab, _ = drive_states(TABLE1_POLE, TABLE1_DT, a * e1 + b * e2)
-        combo = a * sa.f_plus + b * sb.f_plus
-        assert abs(sab.f_plus - combo) <= 1e-12 * abs(combo)
+        combo = a * sa[0] + b * sb[0]
+        assert abs(sab[0] - combo) <= 1e-12 * abs(combo)
 
     def test_conjugacy_underdamped(self):
         rng = np.random.default_rng(5)
         state, _ = drive_states(TABLE1_POLE, TABLE1_DT, rng.uniform(-1, 1, 500))
-        assert abs(state.f_minus - state.f_plus.conjugate()) <= 1e-12 * abs(state.f_plus)
+        assert abs(state[1] - state[0].conjugate()) <= 1e-12 * abs(state[0])
 
     def test_non_amplification_zero_drive(self):
         rng = np.random.default_rng(6)
         state, coeffs = drive_states(TABLE1_POLE, TABLE1_DT, rng.uniform(-1, 1, 100))
-        prev = abs(state.f_plus)
+        prev = abs(state[0])
         for _ in range(200):
             state = advance_state(state, 0.0, coeffs)
-            mag = abs(state.f_plus)
+            mag = abs(state[0])
             assert mag < prev  # strict decay, delta_p > 0
             prev = mag
 
@@ -270,18 +269,18 @@ class TestRecurrence:
         rng = np.random.default_rng(9)
         e_cols = rng.uniform(-1, 1, (40, 3))
         coeffs = make_coefficients(TABLE1_POLE, TABLE1_DT)
-        state = PoleState(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
+        state = (np.zeros(3, dtype=complex), np.zeros(3, dtype=complex))
         for row in e_cols:
             state = advance_state(state, row, coeffs)
         for c in range(3):
             s_scalar, _ = drive_states(TABLE1_POLE, TABLE1_DT, e_cols[:, c])
-            assert state.f_plus[c] == pytest.approx(s_scalar.f_plus, rel=1e-14)
+            assert state[0][c] == pytest.approx(s_scalar[0], rel=1e-14)
 
     def test_overdamped_states_real(self):
         pole = LorentzPole(1.0, 1.0, 2.0)
         state, coeffs = drive_states(pole, 0.3, [1.0, -0.5, 2.0])
-        assert state.f_plus.imag == pytest.approx(0.0, abs=1e-18)
-        assert state.f_minus.imag == pytest.approx(0.0, abs=1e-18)
+        assert state[0].imag == pytest.approx(0.0, abs=1e-18)
+        assert state[1].imag == pytest.approx(0.0, abs=1e-18)
 
 
 class TestEvaluators:

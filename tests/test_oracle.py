@@ -9,7 +9,7 @@ from greenfdtd import verify
 from greenfdtd.constants import C0, EPS0
 from greenfdtd.dispersion import LorentzPole
 from greenfdtd.errors import ValidationError
-from greenfdtd.greens import PoleState, advance_state, make_coefficients, polarization
+from greenfdtd.greens import advance_state, make_coefficients, polarization
 from greenfdtd.oracle import (
     direct_convolution_sum,
     green_rk4,
@@ -144,7 +144,7 @@ class TestPolarizationRk4:
         e = rng.uniform(-1.0, 1.0, 60)
         trace = polarization_rk4(e, TABLE1_POLE, TABLE1_DT, TABLE1_DT / 400)
         coeffs = make_coefficients(TABLE1_POLE, TABLE1_DT)
-        state = PoleState()
+        state = (0j, 0j)
         pmax = np.abs(trace.values).max()
         for k, ek in enumerate(e):
             state = advance_state(state, ek, coeffs)
@@ -158,7 +158,7 @@ class TestPolarizationRk4:
         e = np.exp(-(((ts - 40 * TABLE1_DT) / (10 * TABLE1_DT)) ** 2))
         trace = polarization_rk4(e, TABLE1_POLE, TABLE1_DT, TABLE1_DT / 400)
         coeffs = make_coefficients(TABLE1_POLE, TABLE1_DT)
-        state = PoleState()
+        state = (0j, 0j)
         pmax = np.abs(trace.values).max()
         worst = 0.0
         for k, ek in enumerate(e):
@@ -227,6 +227,15 @@ class TestSmoothDriveRk4:
         assert values.shape == (2, 1000)
         assert peak < 1e6
 
+    @pytest.mark.parametrize("fine_step", [5e-324, 0.0, math.nan, -1.0, math.inf], ids=str)
+    def test_fine_step_must_lie_in_mesh(self, fine_step):
+        # the subnormal overflowed converting t_end / fine_step, 0 divided
+        # by zero, NaN failed to convert, and -1 and inf returned [0, 0]
+        # from a one-step mesh
+        with pytest.raises(ValidationError,
+                           match=rf"^fine_step must lie in \(0, t_end\], got {fine_step}$"):
+            smooth_drive_rk4(TABLE1_POLE, 1e11, 10 * TABLE1_DT, fine_step, [TABLE1_DT])
+
     @pytest.mark.parametrize("t", [-0.1 * TABLE1_DT, 5.1 * TABLE1_DT], ids=["before", "after"])
     def test_time_outside_mesh(self, t):
         for times in ([t], [TABLE1_DT, t]):
@@ -243,7 +252,7 @@ class TestSmoothDriveRk4:
             ref = smooth_drive_rk4(TABLE1_POLE, w_drive, t_end, TABLE1_DT / 200,
                                    np.arange(n) * dt + 0.5 * dt)[0]
             coeffs = make_coefficients(TABLE1_POLE, dt)
-            state = PoleState()
+            state = (0j, 0j)
             worst = 0.0
             for k in range(n):
                 state = advance_state(state, math.sin(w_drive * k * dt), coeffs)

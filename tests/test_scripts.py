@@ -91,6 +91,21 @@ def test_benchmark_tracer_fits_the_package():
         checks = {attr for ns, attr, _ in tracer._patched
                   if ns is verify and attr.startswith("check_")}
         assert len(checks) == len(spans.VERIFY_CHECK_NAMES)
+        # the scalar pole updaters through their wrappers, on the plain
+        # state pairs: the hook labels a call by its drive, the second
+        # positional argument
+        table1 = load_table1()
+        pole, dt = table1.medium.poles[0], table1.dt
+        coeffs = greens.make_coefficients(pole, dt)
+        for e_now in (1.0, np.ones(3)):
+            f_plus, f_minus = greens.advance_state((0j, 0j), e_now, coeffs)
+            p_next, p_now = ade.ade_advance((0.0, 0.0), e_now, pole, dt)
+            assert np.shape(f_plus) == np.shape(f_minus) == np.shape(p_next) == np.shape(e_now)
+            assert p_now == 0.0
+        scalar_spans = [(name, info) for _, name, *_, info in tracer.spans
+                        if name in ("greens.advance_state", "ade.ade_advance")]
+        assert scalar_spans == [("greens.advance_state", True), ("ade.ade_advance", True),
+                                ("greens.advance_state", False), ("ade.ade_advance", False)]
     finally:
         tracer.uninstall()
     for ns, snapshot in zip(namespaces, before):
