@@ -46,11 +46,14 @@ division and no reduction (see Simulation.step for the order):
 - The pole bank is 3 numpy operations whatever the pole count and
   method (bank module docstring); its current, already scaled by
   dt/(eps0 eps_inf), is subtracted from the E update's right-hand side.
-- The ca passes skip the lossless prefix.  The absorber taper and the
-  medium's sigma sit in the last nodes of a lane, so ca_b is applied from
-  its first entry over all lanes that is not exactly 1 and ca_e likewise;
-  ca_b and ca_e are 1 on every lossless node, the seam and the end nodes,
-  and x*1.0 is x for every float.
+- Each ca pass is one pass per lane over that lane's own loss run.  The
+  absorber taper and the medium's sigma sit in the last nodes of a lane,
+  so its B loss run starts at its first B node whose ca_b is not exactly
+  1 and runs through its seam B node unless it is the last lane, and its
+  E loss run starts at its first interior row whose ca_e is not exactly 1
+  and ends at its last interior row.  ca_b and ca_e are 1 on every other
+  node, the seam and the end nodes, and x*1.0 is x for every float.  A
+  lane without a loss run has no line for it in the kernel.
 - The steps run in a kernel bound over the views, coefficient arrays
   and ufuncs it uses, all closure names (`Simulation._bind`): a function
   compiled from the template _KERNEL, one line per lane for each
@@ -67,9 +70,9 @@ division and no reduction (see Simulation.step for the order):
 - Lanes.  A Simulation steps one or more configs that differ only in
   medium and method, like the runs of the reflection experiment.  With n
   nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
-  term above is one contiguous numpy pass over every lane: cb, ca_b, ce,
-  ca_e and sigma_node are each one array over all lanes, of which each
-  lane writes its share at build.  The seam node B[k*n+n-1] has cb = 0
+  term above but the loss runs is one contiguous numpy pass over every
+  lane: cb, ca_b, ce, ca_e and sigma_node are each one array over all
+  lanes, of which each lane writes its share at build.  The seam node B[k*n+n-1] has cb = 0
   and stays 0.  The only E nodes that read it, lane k's node n-1 and lane
   k+1's node 0, are end nodes with ce = 0, which their Mur or source
   update rewrites from values read before the passes.  So every node
@@ -177,24 +180,23 @@ class Grid1D:
 
 # The steps' kernel (module docstring, "Step layout").  A line with {k} is
 # written once per bound lane k, whose E is the memoryview m{k}, but for the
-# advance line of a lane without poles; one with {p} once per lane and probe
-# node, as column c of `out`, the flat record of `series` columns.
+# _OPTIONAL lines the lane lacks; one with {p} once per lane and probe node,
+# as column c of `out`, the flat record of `series` columns.
 _KERNEL = """\
-def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, de, cb, b_lossy, ca_b, rhs, ce,
-         e_lossy, ca_e, add, multiply, subtract, source_value, mur_update, src, src_end, dt,
-         k_mur):
-    m{k}, advance{k} = lanes[{k}]
+def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, de, cb, rhs, ce, add, multiply,
+         subtract, source_value, mur_update, src, src_end, dt, k_mur):
+    m{k}, advance{k}, bl{k}, ca_b{k}, el{k}, ca_e{k} = lanes[{k}]
     def kernel(step_index, stop, i):
         for step_index in range(step_index + 1, stop + 1):
             e0_{k}, e1_{k}, en_{k}, enn_{k} = m{k}[0], m{k}[1], m{k}[-1], m{k}[-2]
             subtract(e_hi, e_lo, de)
             multiply(de, cb, de)
-            multiply(b_lossy, ca_b, b_lossy)
+            multiply(bl{k}, ca_b{k}, bl{k})
             subtract(b, de, b)
             subtract(b_hi, b_lo, rhs)
             multiply(rhs, ce, rhs)
             advance{k}()
-            multiply(e_lossy, ca_e, e_lossy)
+            multiply(el{k}, ca_e{k}, el{k})
             add(e_in, rhs, e_in)
             t = step_index * dt
             if t < src_end:
@@ -208,34 +210,41 @@ def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, de, cb, b_lossy, c
         return stop
     return kernel
 """
+# the lines of a lane that it may lack: its bank's advance, its B loss run
+# and its E loss run; a lane writes one only if it has the term
+_OPTIONAL = ("advance{k}()", "(bl{k}", "(el{k}")
 
 
 @functools.cache
-def _kernel_code(banks, nodes):
-    """The compiled _KERNEL for the lanes' bank flags `banks` and probe `nodes`."""
+def _kernel_code(terms, nodes):
+    """The compiled _KERNEL for lanes that have the _OPTIONAL lines flagged
+    in `terms`, one tuple per lane, and probe `nodes`."""
     lines = []
     for line in _KERNEL.splitlines():
-        pairs = itertools.product(range(len(banks) if "{" in line else 1),
+        pairs = itertools.product(range(len(terms) if "{" in line else 1),
                                   nodes if "{p}" in line else [None])
         lines += [line.format(k=k, p=p, c=c) for c, (k, p) in enumerate(pairs)
-                  if banks[k] or "advance{k}()" not in line]
+                  if all(has or term not in line for term, has in zip(_OPTIONAL, terms[k]))]
     return compile("\n".join(lines), "<step kernel>", "exec")
 
 
 class _Lane:
     """The nodes of one config in a Simulation: views `e` and `b` of its
-    run of the Simulation's E and B, and its pole bank.  Building it
-    writes its share of the Simulation's sigma_node (a view as long as
-    `e`), of the step's cb and ca_b (as long as `b`) and of its ce and
-    ca_e (as long as `rhs`, the run of the step's rhs under its interior
-    nodes), and pins its node 0 to the source's t = 0 value."""
+    run of the Simulation's E and B, its pole bank and its loss runs.
+    Building it writes its share of the Simulation's sigma_node (a view as
+    long as `e`), of the step's cb and ca_b (as long as `b`, which also
+    holds the seam B node after the lane unless it is the last) and of its
+    ce and ca_e (as long as `rhs`, the run of the step's rhs under its
+    interior nodes), and pins its node 0 to the source's t = 0 value.
+    `b_run` and `e_run` are its B and E loss runs (module docstring), each
+    a view of the field with the views of its factors."""
 
     def __init__(self, config, e, b, sigma, cb, ca_b, ce, ca_e, rhs):
         n, dt, dx = config.n_grid, config.dt, config.dx
         i0 = interface_node(n)
         medium = config.medium
         e[0] = source_value(config.source, 0.0)
-        self.e, self.b = e, b
+        self.e, self.b = e, b[:n - 1]
 
         medium_nodes = np.arange(n) >= i0
         # magnetic absorber loss on B nodes, matched to the medium's eps_static
@@ -248,10 +257,13 @@ class _Lane:
         # coefficient arrays of the step (module docstring)
         dt_over_eps = dt / (EPS0 * np.where(medium_nodes, medium.eps_inf, 1.0))
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
-        cb[...] = dt / dx * bm_hi
-        ca_b[...] = bm_lo * bm_hi
+        cb[:n - 1] = dt / dx * bm_hi
+        ca_b[:n - 1] = bm_lo * bm_hi
         ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
         ca_e[...] = (1.0 - sigma * dt_over_eps)[1:-1]
+        # the loss runs start at the lane's first factor that is not exactly 1
+        kb, ke = _first_nonzero(ca_b[:n - 1] != 1.0), _first_nonzero(ca_e != 1.0)
+        self.b_run, self.e_run = (b[kb:], ca_b[kb:]), (e[1 + ke:n - 1], ca_e[ke:])
 
         # at most one pole bank, on the medium's interior nodes, whose
         # rhs row is one below the node; the Mur node n-1 consumes no current
@@ -261,7 +273,7 @@ class _Lane:
                                   e[i0:n - 1], rhs[i0 - 1:n - 2])
         # every array a step carries forward: what `run` checks and flushes,
         # their peaks over the checks so far and whether the lane has exited
-        self.state = (e, b) + (self.bank.buffers if self.bank else ())
+        self.state = (e, self.b) + (self.bank.buffers if self.bank else ())
         self.peaks, self.exited = np.zeros(len(self.state)), False
 
     def quiet(self, peaks) -> bool:
@@ -319,12 +331,11 @@ class Simulation:
         self.sigma_node = aligned(lanes * n)
         self._lanes = []
         for k, c in enumerate(configs):
-            nodes, b_nodes, rows = (slice(k * n, k * n + n - d) for d in (0, 1, 2))
-            self._lanes.append(_Lane(c, e[nodes], b[b_nodes], self.sigma_node[nodes],
-                                     self._cb[b_nodes], self._ca_b[b_nodes], self._ce[rows],
+            # a lane's B view runs through its seam, which the last lane lacks
+            nodes, rows = slice(k * n, k * n + n), slice(k * n, k * n + n - 2)
+            self._lanes.append(_Lane(c, e[nodes], b[nodes], self.sigma_node[nodes],
+                                     self._cb[nodes], self._ca_b[nodes], self._ce[rows],
                                      self._ca_e[rows], self._rhs[rows]))
-        # the ca passes start at the first factor that is not exactly 1
-        self._kb, self._ke = (_first_nonzero(ca != 1.0) for ca in (self._ca_b, self._ca_e))
         self.grid = Grid1D(e=e, b=b, dx=config.dx, dt=config.dt)
         self.media = (Medium.vacuum(), *(c.medium for c in configs))
         self.source = config.source
@@ -339,17 +350,18 @@ class Simulation:
         names = {
             "b": b, "e_hi": e[1:], "e_lo": e[:-1], "e_in": e[1:-1], "b_hi": b[1:],
             "b_lo": b[:-1], "de": self._de[:live * n - 1], "cb": self._cb[:live * n - 1],
-            "b_lossy": b[self._kb:], "ca_b": self._ca_b[self._kb:live * n - 1],
             "rhs": self._rhs[:live * n - 2], "ce": self._ce[:live * n - 2],
-            "e_lossy": e[1 + self._ke:-1], "ca_e": self._ca_e[self._ke:live * n - 2],
             "add": np.add, "multiply": np.multiply, "subtract": np.subtract,
             "source_value": source_value, "mur_update": mur_update, "src": self.source,
             "src_end": 2.0 * self.source.t0, "dt": self.grid.dt,
             "k_mur": mur_coefficient(self.grid.dx, self.grid.dt), "out": out,
             "series": len(self._lanes) * len(nodes),
-            "lanes": [(memoryview(lane.e), lane.bank and lane.bank.advance) for lane in lanes]}
+            "lanes": [(memoryview(lane.e), lane.bank and lane.bank.advance, *lane.b_run,
+                       *lane.e_run) for lane in lanes]}
         scope = {}
-        exec(_kernel_code(tuple(lane.bank is not None for lane in lanes), nodes), scope)
+        terms = tuple((lane.bank is not None, len(lane.b_run[0]) > 0, len(lane.e_run[0]) > 0)
+                      for lane in lanes)
+        exec(_kernel_code(terms, nodes), scope)
         return scope["bind"](**names)
 
     @property
@@ -363,8 +375,9 @@ class Simulation:
             b = ca_b*b - cb*(e[1:] - e[:-1])
             e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
         where J, the bank's summed current, is stepped from E^N in one
-        matrix product before E changes, and the ca passes skip the
-        lossless prefix, where both are 1.  That is the full-array update
+        matrix product before E changes, and the ca passes cover only each
+        lane's loss runs, outside which both are 1.  That is the full-array
+        update
             b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
             e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
                                             - sigma e[1:-1] - J)
