@@ -85,14 +85,17 @@ MUTATIONS = {
     # oracles admit a fine_step whose dt / fine_step is not finite
     "band-zero": (ANALYSIS, " & (inc_mag > 0.0)", ""),
     "substep-finite": (ORACLE, " and np.isfinite(dt / fine_step)", ""),
-    # the smooth-drive oracle checks no fine_step, and the seam B node
-    # after each lane gets a non-zero cb
+    # the smooth-drive oracle checks no fine_step, the seam B node after
+    # each lane gets a non-zero bm_hi (cb), so the B update no longer resets
+    # it to 0, and each lane's loss runs start one node late
     "smooth-fine-step": (
         ORACLE, "    if not (0.0 < fine_step <= t_end and np.isfinite(t_end / fine_step)):\n"
                 '        raise ValidationError(f"fine_step must lie in (0, t_end], got {fine_step!r}")\n',
         ""),
     "seam-cb": (FDTD, "self._cb, self._ce = aligned(lanes * n - 1), aligned(lanes * n - 2)",
                 "self._cb, self._ce = aligned(lanes * n - 1, 1e-3), aligned(lanes * n - 2)"),
+    "loss-run-late": (FDTD, "        ke = _first_nonzero(ca_e != 1.0)\n",
+                      "        ke = _first_nonzero(ca_e != 1.0)\n        kb, ke = kb + 1, ke + 1\n"),
 }
 
 # the tier-1 test that each old text occurs once, which every mutant fails

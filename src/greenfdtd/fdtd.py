@@ -1,9 +1,9 @@
 """1D staggered-grid leapfrog Maxwell solver with dispersive media.
 
 E_y lives on the N integer nodes x_i = i*dx at integer time steps; B_z
-lives on the N-1 half nodes at half time steps (stored as magnetic
-induction, tesla).  SI form of the update, with both curls negative so
-vacuum reduces to the standard wave equation:
+lives on the N-1 half nodes at half time steps, stored as b = B_z*dx/dt
+in V/m ("Step layout" below).  SI form of the update, with both curls
+negative so vacuum reduces to the standard wave equation:
 
     dB/dt = -dE/dx
     dE/dt = [ -(1/mu0) dB/dx - sigma E - sum_p dP_p/dt ] / (eps0 eps_inf)
@@ -31,29 +31,47 @@ mirror at low frequency).  The absorber is part of the boundary
 treatment and leaves the medium's own eps_inf and sigma untouched.
 
 Step layout.  The step is the update-coefficient form of Taflove &
-Hagness (Computational Electrodynamics, ch. 3 and 9): every per-node
-constant is multiplied out into a coefficient array when the Simulation
-is built, and the step makes one in-place numpy pass per term, with no
-division and no reduction (see Simulation.step for the order):
+Hagness (Computational Electrodynamics, ch. 3 and 9), with B stored
+normalised as b = B*dx/dt, after the normalised fields of Sullivan
+(Electromagnetic Simulation Using the FDTD Method, ch. 1).  Every
+per-node constant is multiplied out into a coefficient array when the
+Simulation is built, so a step computes, in place, with no division and
+no reduction,
 
-- cb = (dt/dx)*bm_hi and ca_b = bm_lo*bm_hi for B, ce =
-  dt/(eps0 eps_inf)/(-mu0 dx) and ca_e = 1 - sigma dt/(eps0 eps_inf)
-  for E.  The scheme is that of the full-array update in Simulation.step
-  (explicit sigma E^N, the same leapfrog and Mur updates); only the
-  rounding moves.  Over 32768 steps the nine table1 probe series differ
-  from that update's by at most 5.7e-15 of their peak, and the tests hold
-  it under 1e-12 of the peak.
+    b = cb*(ca_b*b - (e[1:] - e[:-1]))
+    e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
+
+where cb = bm_hi, ca_b = bm_lo, ce = (dt/dx)*dt/(eps0 eps_inf)/(-mu0 dx),
+ca_e = 1 - sigma dt/(eps0 eps_inf), and J is the bank's current, stepped
+from E^N before E changes and already scaled by dt/(eps0 eps_inf).  In B
+(tesla) that is the full-array update
+
+    B = (B*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
+    e[1:-1] += dt/(eps0 eps_inf) * (-(B[1:] - B[:-1])/(mu0 dx)
+                                    - sigma e[1:-1] - dP/dt)
+
+with bm_lo = 1 - beta_m/2 and bm_hi = 1/(1 + beta_m/2) for the
+absorber's magnetic loss beta_m: explicit sigma E^N and the same leapfrog
+and Mur updates, so only the rounding moves.  Over 32768 steps the nine
+table1 probe series differ from that update's by at most 6.6e-15 of their
+peak, and the tests hold it under 1e-12 of the peak.  A run without poles
+or loss is plain Yee.
+
+- The B update is four passes and no temporary: b *= ca_b and b *= cb
+  over each lane's B loss run, with b -= e[1:] and b += e[:-1] over every
+  lane between them.
 - The pole bank is 3 numpy operations whatever the pole count and
   method (bank module docstring); its current, already scaled by
   dt/(eps0 eps_inf), is subtracted from the E update's right-hand side.
-- Each ca pass is one pass per lane over that lane's own loss run.  The
-  absorber taper and the medium's sigma sit in the last nodes of a lane,
-  so its B loss run starts at its first B node whose ca_b is not exactly
-  1 and runs through its seam B node unless it is the last lane, and its
-  E loss run starts at its first interior row whose ca_e is not exactly 1
-  and ends at its last interior row.  ca_b and ca_e are 1 on every other
-  node, the seam and the end nodes, and x*1.0 is x for every float.  A
-  lane without a loss run has no line for it in the kernel.
+- Each loss factor is one pass per lane over that lane's own loss run.
+  The absorber taper and the medium's sigma sit in the last nodes of a
+  lane, so its B loss run starts at its first B node whose cb or ca_b is
+  not exactly 1 and runs through its seam B node unless it is the last
+  lane, and its E loss run starts at its first interior row whose ca_e is
+  not exactly 1 and ends at its last interior row.  cb, ca_b and ca_e are
+  1 on every other node (ca_b and ca_e also on the seam and the end
+  nodes), and x*1.0 is x for every float.  A lane without a loss run has
+  no line for it in the kernel.
 - The steps run in a kernel bound over the views, coefficient arrays
   and ufuncs it uses, all closure names (`Simulation._bind`): a function
   compiled from the template _KERNEL, one line per lane for each
@@ -72,13 +90,15 @@ division and no reduction (see Simulation.step for the order):
   nodes per lane, lane k owns E[k*n:(k+1)*n] and B[k*n:k*n+n-1], so each
   term above but the loss runs is one contiguous numpy pass over every
   lane: cb, ca_b, ce, ca_e and sigma_node are each one array over all
-  lanes, of which each lane writes its share at build.  The seam node B[k*n+n-1] has cb = 0
-  and stays 0.  The only E nodes that read it, lane k's node n-1 and lane
-  k+1's node 0, are end nodes with ce = 0, which their Mur or source
-  update rewrites from values read before the passes.  So every node
-  makes the IEEE operations of its lane's run alone, even beside a lane
-  that diverges.  Per lane remain only its pole bank (own aligned buffers
-  and np.dot, so BLAS takes the same path) and its end-node updates.  A
+  lanes, of which each lane writes its share at build.  The seam node
+  B[k*n+n-1] has cb = 0 and lies in lane k's B loss run, so each step
+  resets it to 0 (to NaN beside a lane that overflows, as 0*inf is NaN).
+  The only E nodes that read it, lane k's node n-1 and lane k+1's node
+  0, are end nodes with ce = 0, which their Mur or source update rewrites
+  from values read before the passes.  So every node makes the IEEE
+  operations of its lane's run alone, even beside a lane that diverges.
+  Per lane remain only its pole bank (own aligned buffers and np.dot, so
+  BLAS takes the same path), its loss runs and its end-node updates.  A
   step of table1's three lanes costs 0.82 of three single steps
   (BENCH_17.json).
 
@@ -100,8 +120,8 @@ numpy keeps them, and behind table1's pulse front they slow the bank's
 np.dot up to ~3x while the front crosses the medium.  The table1 probe
 series and reflection output stay bit-identical.  Table1's vacuum
 reference goes quiet at step 12032 of 32768; its probe series then
-differ from stepping every step by at most 4.9e-16 of their peak, and
-its |R| by at most 2.3e-14 for either updater (the tests hold 1e-14 and
+differ from stepping every step by at most 6.5e-16 of their peak, and
+its |R| by at most 2.7e-14 for either updater (the tests hold 1e-14 and
 1e-12).  Its medium runs, and every run on the 300-node media of
 perfbench's sweep_multipole (seeds 1-3), keep a field above 1e-14 of
 their peak to the end and step every step.
@@ -173,7 +193,7 @@ class Grid1D:
     """Staggered field arrays."""
 
     e: np.ndarray  # N values, V/m
-    b: np.ndarray  # N-1 values, T
+    b: np.ndarray  # N-1 values, B*dx/dt in V/m (B in T)
     dx: float
     dt: float
 
@@ -183,16 +203,16 @@ class Grid1D:
 # _OPTIONAL lines the lane lacks; one with {p} once per lane and probe node,
 # as column c of `out`, the flat record of `series` columns.
 _KERNEL = """\
-def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, de, cb, rhs, ce, add, multiply,
+def bind(lanes, out, series, b, e_hi, e_lo, e_in, b_hi, b_lo, rhs, ce, add, multiply,
          subtract, source_value, mur_update, src, src_end, dt, k_mur):
-    m{k}, advance{k}, bl{k}, ca_b{k}, el{k}, ca_e{k} = lanes[{k}]
+    m{k}, advance{k}, bl{k}, ca_b{k}, cb{k}, el{k}, ca_e{k} = lanes[{k}]
     def kernel(step_index, stop, i):
         for step_index in range(step_index + 1, stop + 1):
             e0_{k}, e1_{k}, en_{k}, enn_{k} = m{k}[0], m{k}[1], m{k}[-1], m{k}[-2]
-            subtract(e_hi, e_lo, de)
-            multiply(de, cb, de)
             multiply(bl{k}, ca_b{k}, bl{k})
-            subtract(b, de, b)
+            subtract(b, e_hi, b)
+            add(b, e_lo, b)
+            multiply(bl{k}, cb{k}, bl{k})
             subtract(b_hi, b_lo, rhs)
             multiply(rhs, ce, rhs)
             advance{k}()
@@ -257,13 +277,13 @@ class _Lane:
         # coefficient arrays of the step (module docstring)
         dt_over_eps = dt / (EPS0 * np.where(medium_nodes, medium.eps_inf, 1.0))
         bm_lo, bm_hi = 1.0 - 0.5 * beta_m, 1.0 / (1.0 + 0.5 * beta_m)
-        cb[:n - 1] = dt / dx * bm_hi
-        ca_b[:n - 1] = bm_lo * bm_hi
-        ce[...] = dt_over_eps[1:-1] / -(MU0 * dx)
+        cb[:n - 1], ca_b[:n - 1] = bm_hi, bm_lo
+        ce[...] = dt_over_eps[1:-1] * (dt / dx) / -(MU0 * dx)
         ca_e[...] = (1.0 - sigma * dt_over_eps)[1:-1]
         # the loss runs start at the lane's first factor that is not exactly 1
-        kb, ke = _first_nonzero(ca_b[:n - 1] != 1.0), _first_nonzero(ca_e != 1.0)
-        self.b_run, self.e_run = (b[kb:], ca_b[kb:]), (e[1 + ke:n - 1], ca_e[ke:])
+        kb = _first_nonzero((cb[:n - 1] != 1.0) | (ca_b[:n - 1] != 1.0))
+        ke = _first_nonzero(ca_e != 1.0)
+        self.b_run, self.e_run = (b[kb:], ca_b[kb:], cb[kb:]), (e[1 + ke:n - 1], ca_e[ke:])
 
         # at most one pole bank, on the medium's interior nodes, whose
         # rhs row is one below the node; the Mur node n-1 consumes no current
@@ -323,7 +343,7 @@ class Simulation:
                                       f"{f.name}: {mine!r} != {theirs!r}")
         n, lanes = config.n_grid, len(configs)
         e, b = aligned(lanes * n), aligned(lanes * n - 1)
-        self._de, self._rhs = aligned(lanes * n - 1), aligned(lanes * n - 2)
+        self._rhs = aligned(lanes * n - 2)
         # the seam B node after each lane and the rows of the end nodes keep
         # cb = ce = 0 and ca_b = ca_e = 1
         self._cb, self._ce = aligned(lanes * n - 1), aligned(lanes * n - 2)
@@ -349,8 +369,7 @@ class Simulation:
         e, b = self.grid.e[:live * n], self.grid.b[:live * n - 1]
         names = {
             "b": b, "e_hi": e[1:], "e_lo": e[:-1], "e_in": e[1:-1], "b_hi": b[1:],
-            "b_lo": b[:-1], "de": self._de[:live * n - 1], "cb": self._cb[:live * n - 1],
-            "rhs": self._rhs[:live * n - 2], "ce": self._ce[:live * n - 2],
+            "b_lo": b[:-1], "rhs": self._rhs[:live * n - 2], "ce": self._ce[:live * n - 2],
             "add": np.add, "multiply": np.multiply, "subtract": np.subtract,
             "source_value": source_value, "mur_update": mur_update, "src": self.source,
             "src_end": 2.0 * self.source.t0, "dt": self.grid.dt,
@@ -369,21 +388,9 @@ class Simulation:
         return len(self.grid.e)
 
     def step(self) -> None:
-        """Advance the grid by one dt (one full leapfrog cycle): a one-step
-        block of a kernel without records, bound on first use.  It
-        computes, in place, with the coefficient arrays of the module docstring:
-            b = ca_b*b - cb*(e[1:] - e[:-1])
-            e[1:-1] = ca_e*e[1:-1] + ce*(b[1:] - b[:-1]) - J
-        where J, the bank's summed current, is stepped from E^N in one
-        matrix product before E changes, and the ca passes cover only each
-        lane's loss runs, outside which both are 1.  That is the full-array
-        update
-            b = (b*bm_lo - (dt/dx)*(e[1:] - e[:-1])) * bm_hi
-            e[1:-1] += dt/(eps0 eps_inf) * (-(b[1:] - b[:-1])/(mu0 dx)
-                                            - sigma e[1:-1] - J)
-        with its constants multiplied out, equal to it up to rounding; a
-        run without poles or loss is plain Yee.
-        """
+        """Advance the grid by one dt (one full leapfrog cycle), by the
+        update of the module docstring ("Step layout"): a one-step block of
+        a kernel without records, bound on first use."""
         if self._kernel is None:
             self._kernel = self._bind(self._live, (), None)
         self.step_index = self._kernel(self.step_index, self.step_index + 1, 0)

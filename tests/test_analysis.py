@@ -240,7 +240,7 @@ def test_diverging_run_reported_at_its_first_non_finite_step():
     assert cfg.absorber_sigma == 10.0
     nodes = probe_nodes_from_fractions(cfg.probes, cfg.n_grid)
     with pytest.raises(ValidationError, match="^vacuum reference run is non-finite from step "
-                                              "4693 at probe node 224: "):
+                                              "4683 at probe node 224: "):
         finite_run(cfg, "tgm", nodes, "vacuum reference")
 
 

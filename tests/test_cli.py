@@ -534,8 +534,8 @@ class TestReflectionProbe:
 
 
 NON_FINITE = pytest.mark.parametrize("command, message", [
-    ("run", "tgm run is non-finite from step 4693 at probe node 224"),
-    ("reflection", "vacuum reference run is non-finite from step 4768 at probe node 149"),
+    ("run", "tgm run is non-finite from step 4683 at probe node 224"),
+    ("reflection", "vacuum reference run is non-finite from step 4758 at probe node 149"),
 ])
 
 

@@ -284,35 +284,85 @@ def counted_blocks(sim):
     return blocks
 
 
+# (base, labels) of the lane layouts that TestLanes builds (`lanes_of`)
+LAYOUTS = pytest.mark.parametrize("base, labels", [
+    ("table1", ("tgm", "adem", "vacuum")), ("table1", ("vacuum", "adem", "tgm")),
+    ("multipole", ("tgm", "adem", "vacuum")), ("multipole", ("vacuum", "adem", "tgm")),
+    # lanes of different media, whose pole counts, bank shapes and
+    # first lossy nodes differ
+    ("multipole", ("table1:tgm", "multipole:adem", "vacuum", "multipole:tgm",
+                   "table1:adem")),
+    ("multipole", ("multipole:tgm", "vacuum", "two_pole:adem", "table1:tgm")),
+    # three media, each under both methods, and one vacuum lane
+    ("table1", ("table1:tgm", "table1:adem", "multipole:tgm", "multipole:adem",
+                "two_pole:tgm", "two_pole:adem", "vacuum")),
+    # no absorber: a lossless lane's B loss run is only its seam and its E
+    # loss run is empty, and a lossless last lane has neither
+    ("bare", ("vacuum", "multipole:tgm")),
+    ("bare", ("table1:adem", "multipole:tgm", "table1:tgm")),
+], ids=["table1-labels0", "table1-labels1", "multipole-labels0", "multipole-labels1",
+        "media-lossless-first", "media-lossy-first", "media-seven-lanes",
+        "bare-vacuum-first", "bare-sigma0-first"])
+
+
+def lanes_of(base, labels):
+    """(configs, probe nodes) of a LAYOUTS case: the table1-like grid of
+    `small_table1`, the multipole grid with a 40-cell absorber or, for
+    "bare", the multipole grid without one; a label "<medium>:<method>"
+    puts that medium of MEDIA in the lane."""
+    if base == "table1":
+        cfg, nodes = small_table1(), [75, 149, 224]
+    elif base == "multipole":
+        cfg, nodes = small_config(medium=multipole_medium(), absorber_cells=40,
+                                  absorber_sigma=5.0), [100, 200, 300]
+    else:
+        cfg, nodes = small_config(medium=multipole_medium()), [100, 200, 300]
+    configs = []
+    for label in labels:
+        medium, _, method = label.rpartition(":")
+        configs.append(lane_config(cfg.with_medium(MEDIA[medium]()) if medium else cfg, method))
+    return configs, nodes
+
+
+def covered(whole, views):
+    """Mask of the entries of the 1-D array `whole` that one of `views`,
+    contiguous views of it, covers."""
+    mask = np.zeros(len(whole), dtype=bool)
+    for view in views:
+        start = (view.ctypes.data - whole.ctypes.data) // whole.itemsize
+        mask[start:start + len(view)] = True
+    return mask
+
+
+def diverging_lanes(labels):
+    """The Simulation of the lanes `labels` of a medium under which adem
+    diverges and tgm does not, after checking that each lane's records are
+    byte-equal to its run alone."""
+    # at omega_p*dt = 0.9 adem is unstable (limit 0.865) and tgm is not
+    # (0.925): the adem lane overflows, its neighbours step on as alone
+    cfg = small_config(steps=3072)
+    wp = 0.9 / cfg.dt
+    pole = LorentzPole(3.0, wp, 0.1 * wp)
+    cfg = cfg.with_medium(Medium(eps_inf=1.5, sigma=0.0, poles=(pole,)))
+    configs = [lane_config(cfg, label) for label in labels]
+    sim = Simulation(*configs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sim.run(cfg.n_steps, [100])
+        alone = [Simulation(c).run(cfg.n_steps, [100])[0] for c in configs]
+    for label, g, want in zip(labels, got, alone):
+        assert np.isfinite(want.samples).all() == (label != "adem")
+        assert g.samples.tobytes() == want.samples.tobytes()
+    return sim
+
+
 class TestLanes:
     """Lanes of one Simulation against each lane's config run alone."""
 
-    @pytest.mark.parametrize("base, labels", [
-        ("table1", ("tgm", "adem", "vacuum")), ("table1", ("vacuum", "adem", "tgm")),
-        ("multipole", ("tgm", "adem", "vacuum")), ("multipole", ("vacuum", "adem", "tgm")),
-        # lanes of different media, whose pole counts, bank shapes and
-        # first lossy nodes differ
-        ("multipole", ("table1:tgm", "multipole:adem", "vacuum", "multipole:tgm",
-                       "table1:adem")),
-        ("multipole", ("multipole:tgm", "vacuum", "two_pole:adem", "table1:tgm")),
-        # three media, each under both methods, and one vacuum lane
-        ("table1", ("table1:tgm", "table1:adem", "multipole:tgm", "multipole:adem",
-                    "two_pole:tgm", "two_pole:adem", "vacuum")),
-    ], ids=["table1-labels0", "table1-labels1", "multipole-labels0", "multipole-labels1",
-            "media-lossless-first", "media-lossy-first", "media-seven-lanes"])
+    @LAYOUTS
     def test_each_lane_is_its_run_alone(self, base, labels):
         # two chained runs, the first of an odd number of steps, so every
-        # bank's buffers take their turns across calls; a label
-        # "<medium>:<method>" puts that medium of MEDIA in the lane
-        if base == "table1":
-            cfg, nodes = small_table1(), [75, 149, 224]
-        else:
-            cfg, nodes = small_config(medium=multipole_medium(), absorber_cells=40,
-                                      absorber_sigma=5.0), [100, 200, 300]
-        configs = []
-        for label in labels:
-            medium, _, method = label.rpartition(":")
-            configs.append(lane_config(cfg.with_medium(MEDIA[medium]()) if medium else cfg, method))
+        # bank's buffers take their turns across calls
+        configs, nodes = lanes_of(base, labels)
         sim = Simulation(*configs)
         got = chained_records(sim, nodes)
         assert len(got) == len(labels) * len(nodes)
@@ -328,8 +378,32 @@ class TestLanes:
                 assert np.array_equal(a, b)
         assert sim.step_index == 600
         # the seam B node after each lane but the last stays exactly zero
-        n = cfg.n_grid
+        n = configs[0].n_grid
         assert not sim.grid.b[n - 1::n].any()
+
+    @LAYOUTS
+    def test_every_factor_outside_the_loss_runs_is_one(self, base, labels):
+        # the loss passes cover only the lanes' loss runs, so every factor
+        # outside them must be exactly 1, and every seam, with bm_hi = 0,
+        # must lie inside its lane's B run
+        configs, _ = lanes_of(base, labels)
+        sim = Simulation(*configs)
+        n, lanes = configs[0].n_grid, sim._lanes
+        b_runs = covered(sim.grid.b, [lane.b_run[0] for lane in lanes])
+        e_runs = covered(sim.grid.e[1:-1], [lane.e_run[0] for lane in lanes])
+        # each run's factor views lie over the same nodes as its field view
+        assert np.array_equal(covered(sim._ca_b, [lane.b_run[1] for lane in lanes]), b_runs)
+        assert np.array_equal(covered(sim._cb, [lane.b_run[2] for lane in lanes]), b_runs)
+        assert np.array_equal(covered(sim._ca_e, [lane.e_run[1] for lane in lanes]), e_runs)
+        for factors, runs in ((sim._ca_b, b_runs), (sim._cb, b_runs), (sim._ca_e, e_runs)):
+            assert (factors[~runs] == 1.0).all()
+        seams = np.arange(n - 1, len(sim.grid.b), n)
+        assert b_runs[seams].all() and not sim._cb[seams].any()
+        for k, (c, lane) in enumerate(zip(configs, lanes)):
+            if c.medium.sigma == 0.0 and c.absorber_cells == 0:
+                assert len(lane.b_run[0]) == (k < len(lanes) - 1) and not len(lane.e_run[0])
+            else:
+                assert len(lane.e_run[0]) > 0
 
     @settings(max_examples=8, deadline=None)
     @given(poles=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.005, 0.1),
@@ -483,21 +557,19 @@ class TestLanes:
         assert sim.step_index == 3 and type(sim.step_index) is int
 
     def test_lane_beside_a_diverging_lane(self):
-        # at omega_p*dt = 0.9 adem is unstable (limit 0.865) and tgm is not
-        # (0.925): the adem lane overflows, its neighbours step on as alone
-        cfg = small_config(steps=3072)
-        wp = 0.9 / cfg.dt
-        pole = LorentzPole(3.0, wp, 0.1 * wp)
-        cfg = cfg.with_medium(Medium(eps_inf=1.5, sigma=0.0, poles=(pole,)))
-        configs = [lane_config(cfg, label) for label in ("tgm", "adem", "vacuum")]
-        with np.errstate(over="ignore", invalid="ignore"):
-            tgm, adem, vacuum = Simulation(*configs).run(cfg.n_steps, [100])
-            alone = [Simulation(c).run(cfg.n_steps, [100])[0] for c in configs]
-        assert not np.isfinite(adem.samples).all()
-        assert adem.samples.tobytes() == alone[1].samples.tobytes()
-        for got, want in ((tgm, alone[0]), (vacuum, alone[2])):
-            assert np.isfinite(want.samples).all()
-            assert got.samples.tobytes() == want.samples.tobytes()
+        diverging_lanes(("tgm", "adem", "vacuum"))
+
+    def test_lossless_lanes_before_a_diverging_lane(self):
+        # no lane has an absorber or sigma, so every B loss run is a seam
+        # alone and no lane has an E loss run.  The seam between the two
+        # finite lanes stays exactly zero; the one before the diverging
+        # lane takes its overflow (bm_hi * inf is NaN), which only the end
+        # rows, with ce = 0, read before their Mur updates rewrite them
+        sim = diverging_lanes(("vacuum", "tgm", "adem"))
+        n = len(sim._lanes[0].e)
+        assert [len(lane.b_run[0]) for lane in sim._lanes] == [1, 1, 0]
+        assert not any(len(lane.e_run[0]) for lane in sim._lanes)
+        assert sim.grid.b[n - 1] == 0.0
 
     @pytest.mark.parametrize("field, value", [
         ("n_grid", 401),
@@ -569,22 +641,24 @@ class TestEnergyAndStability:
             sim.step()
         dx, dt = sim.grid.dx, sim.grid.dt
 
-        def energy_after_step():
+        def energies_after_step():
+            # (U_E, U_B) in staggered-product form, whose sum the lossless
+            # leapfrog conserves exactly while the end nodes stay at zero;
+            # the grid stores B*dx/dt
             e_now = sim.grid.e.copy()
-            b_before = sim.grid.b.copy()
+            b_before = sim.grid.b * (dt / dx)
             sim.step()
-            b_after = sim.grid.b
-            # staggered-product form: exactly conserved by the lossless
-            # leapfrog while the end nodes stay at zero
-            return (
-                0.5 * EPS0 * np.sum(e_now**2) * dx
-                + np.sum(b_before * b_after) / (2 * MU0) * dx
-            )
+            b_after = sim.grid.b * (dt / dx)
+            return (0.5 * EPS0 * np.sum(e_now**2) * dx,
+                    np.sum(b_before * b_after) / (2 * MU0) * dx)
 
-        u0 = energy_after_step()
+        u0 = sum(energies_after_step())
         for _ in range(1000):
-            u = energy_after_step()
-            assert abs(u - u0) < 1e-3 * u0
+            u_e, u_b = energies_after_step()
+            assert abs(u_e + u_b - u0) < 1e-3 * u0
+            # a travelling pulse carries as much magnetic as electric
+            # energy; each part alone is constant whatever B's units
+            assert abs(u_b / u_e - 1.0) < 1e-2
 
     def test_long_run_stays_bounded(self):
         # dispersive run at the operating point: 2^16 steps, no late-time
@@ -600,9 +674,8 @@ class TestEnergyAndStability:
 
     def test_leapfrog_reduces_to_plain_yee_without_poles(self):
         cfg = small_config(medium=Medium(eps_inf=2.0, sigma=0.0), steps=300)
-        sim = build_simulation(cfg, method="tgm")
-        assert sim._lanes[0].bank is None
-        for got, ref in zip(fields(sim.grid, sim.step, 300),
+        assert build_simulation(cfg, method="tgm")._lanes[0].bank is None
+        for got, ref in zip(simulated_fields(cfg, "tgm", 300),
                             fields(*full_array_leapfrog(cfg, "tgm"), 300)):
             assert_within_rounding(got, ref)
 
@@ -654,11 +727,11 @@ class TestBuilder:
         sim = build_simulation(small_config(medium=multipole_medium(), absorber_cells=40,
                                             absorber_sigma=5.0), method=method)
         lane = sim._lanes[0]
-        arrays = [sim.grid.e, sim.grid.b, sim._de, sim._rhs, sim._cb, sim._ca_b, sim._ce, sim._ca_e]
+        arrays = [sim.grid.e, sim.grid.b, sim._rhs, sim._cb, sim._ca_b, sim._ce, sim._ca_e]
         # the bank's matrix and its two state buffers; its _e and _rhs are
         # views into the grid's E and the step's rhs
         arrays += [lane.bank.matrix, *lane.bank.buffers]
-        assert len(arrays) == 8 + 3
+        assert len(arrays) == 7 + 3
         assert all(a.ctypes.data % 64 == 0 for a in arrays)
 
     def test_cfl_violation_rejected(self):
@@ -714,8 +787,8 @@ def full_array_leapfrog(cfg, method):
     """(grid, step): the fields of a reference leapfrog of `cfg` and the
     step that advances them in place.
 
-    It computes the full-array update of Simulation.step's docstring
-    term by term: the absorber's B factors on every B node, sigma*E on
+    It computes the full-array update of the fdtd module docstring, with
+    B in tesla, term by term: the absorber's B factors on every B node, sigma*E on
     every interior node, the curl divided by -(mu0 dx) and then scaled by
     dt/(eps0 eps_inf), and each pole stepped on its own through the
     scalar-API updaters (greens.advance_state and
@@ -783,8 +856,11 @@ def fields(grid, step, n_steps):
 
 
 def simulated_fields(cfg, method, n_steps):
+    """(E, B) of `cfg`'s Simulation after each of n_steps steps, B in tesla:
+    the grid stores B*dx/dt."""
     sim = build_simulation(cfg, method=method)
-    return fields(sim.grid, sim.step, n_steps)
+    es, bs = fields(sim.grid, sim.step, n_steps)
+    return es, bs * (sim.grid.dt / sim.grid.dx)
 
 
 class TestPoleKernels:
@@ -849,8 +925,9 @@ class TestPoleKernels:
 
 
 class TestLossySuffix:
-    """Simulation.step applies the loss coefficients only from the first
-    lossy node on; the full-array reference must agree on every node."""
+    """Simulation.step applies the loss coefficients only over each lane's
+    loss runs, and stores B as B*dx/dt; the full-array reference must
+    agree on every node."""
 
     @pytest.mark.parametrize("method", ["vacuum", "tgm", "adem"])
     @pytest.mark.parametrize("cells, peak", [(40, 5.0), (0, 5.0), (2, 5.0), (40, 0.0)])
@@ -883,18 +960,18 @@ TABLE1_DIGESTS = {
 
 
 # sha256 of the same 8192 samples of each table1 probe series from
-# Simulation.run, recorded before its step became a kernel bound at build;
-# a reordering of the step's passes changes them
+# Simulation.run, re-pinned when the grid began to store B as B*dx/dt; a
+# reordering of the step's passes changes them
 SIMULATION_DIGESTS = {
-    ("vacuum", 750): "8180809947aaeafdef90e892e4276e048eb70c8b2940091e80bb1b18d47a7d06",
-    ("vacuum", 1497): "a7cf147c60d63df039f76379966c8fd3881e5f045516f219da3fc8b86082e920",
-    ("vacuum", 2249): "2addaf72dd9224f4c27665e815057554fd0e1d225264a74fc197e208689d387f",
-    ("tgm", 750): "858bae8753e63e40677353b22864a4f69192e43b017648f890a10f5b2bb16965",
-    ("tgm", 1497): "0b94189a615655b38ed1eabea936a285f6afca0107ce20bc7387dc9ca3d75e9c",
-    ("tgm", 2249): "febf7d080c538d17e3c5bbb462d32cdaf70e0058aeede7f8c0c93867c600e5aa",
-    ("adem", 750): "1d5d2cbe1e3f1d8b2d27ffc1c8f791650952249bd1f6bfbed2b6863ed38936ec",
-    ("adem", 1497): "b44ddd8ccd95fed8581278162281bef2d3640bd602cceb221c08d7065d3966e4",
-    ("adem", 2249): "cd21366fc1dd419f993cfcd2b3572a58314568357f5a7d96958393c8925d7185",
+    ("vacuum", 750): "b937af4f80264ffecc16ca5cc52af9bc8d3c224080fb1126445f625b3d8f0cde",
+    ("vacuum", 1497): "1954467cc81dba177097753ae407047246e961b90a2f2b52ccd7758a113bcd31",
+    ("vacuum", 2249): "d3a5c088c05654d6b94c51db0419a67b992593e038f9da61523e0ca9d3b9da38",
+    ("tgm", 750): "9188dd7aac6e525295b48a7ee10b7b2059777fbdde476d51d483a909a7c329c4",
+    ("tgm", 1497): "0bc1b4705130a405312f5a24fb4daba0af70f82f6a7c582b2ffc78e777c8003e",
+    ("tgm", 2249): "b8f25e4d2bf6c18524b6b795671da94aa05e00151c90394635fff5cface129b5",
+    ("adem", 750): "d6f306870812ad2b86c500f9d6cd158c489a245b2c7ded448096a97cbacfa317",
+    ("adem", 1497): "7637ffd75627a30887f4d6e2665ab2c90a0aaf0f842b3700a0491fc915342f2a",
+    ("adem", 2249): "9b72b0cd5e59ca797ade82b3a70d512d43a3bad8c0d76d3f8010b9b4acb19b29",
 }
 
 
