@@ -69,9 +69,8 @@ or loss is plain Yee.
   not exactly 1 and runs through its seam B node unless it is the last
   lane, and its E loss run starts at its first interior row whose ca_e is
   not exactly 1 and ends at its last interior row.  cb, ca_b and ca_e are
-  1 on every other node (ca_b and ca_e also on the seam and the end
-  nodes), and x*1.0 is x for every float.  A lane without a loss run has
-  no line for it in the kernel.
+  exactly 1 on every node outside the runs, and x*1.0 is x for every
+  float.  A lane without a loss run has no line for it in the kernel.
 - The steps run in a kernel bound over the views, coefficient arrays
   and ufuncs it uses, all closure names (`Simulation._bind`): a function
   compiled from the template _KERNEL, one line per lane for each

@@ -788,9 +788,9 @@ def full_array_leapfrog(cfg, method):
     step that advances them in place.
 
     It computes the full-array update of the fdtd module docstring, with
-    B in tesla, term by term: the absorber's B factors on every B node, sigma*E on
-    every interior node, the curl divided by -(mu0 dx) and then scaled by
-    dt/(eps0 eps_inf), and each pole stepped on its own through the
+    B in tesla, term by term: the absorber's B factors on every B node,
+    sigma*E on every interior node, the curl divided by -(mu0 dx) and then
+    scaled by dt/(eps0 eps_inf), and each pole stepped on its own through the
     scalar-API updaters (greens.advance_state and
     polarization_current_half_step, or ade_advance and
     ade_current_half_step), its current summed into a zero array in pole
